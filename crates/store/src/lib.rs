@@ -31,7 +31,12 @@
 //!   client that runs into its locks can finish it: conflicting ops
 //!   receive the full holder descriptor and **help** the stalled
 //!   multi-op to resolution before retrying, so a client that crashes
-//!   mid-multi-op never wedges a key.
+//!   mid-multi-op never wedges a key. Multi-op ids are **per
+//!   originator**: a handle draws a never-reused origin id once and
+//!   counts its own multi-ops locally, one at a time, so each shard
+//!   remembers one tombstone per originator instead of one per
+//!   multi-op and a shard's state image does not grow with its commit
+//!   history.
 //!
 //! * **Consistent global snapshots** ([`StoreHandle::snapshot`])
 //!   decide a `Marker{epoch}` entry into every shard's log through the
@@ -87,6 +92,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::mem;
 use std::sync::Arc;
 
 use waitfree_faults::failpoint;
@@ -110,7 +116,8 @@ pub struct StoreConfig {
     /// processes — see [`router`]).
     pub seed: u64,
     /// Per-shard op budget for each registered [`StoreHandle`]
-    /// (multi-key ops and helping consume several per shard).
+    /// (multi-key ops and helping consume several per shard). It sizes
+    /// nothing; the default outlasts any process.
     pub ops_per_handle: usize,
     /// Decide a checkpoint image into each shard's log every this many
     /// positions (PR 7 truncation machinery). `None` = unbounded logs.
@@ -125,7 +132,10 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 4,
             seed: 0x5eed_5709_e5ca_1ab1,
-            ops_per_handle: 1 << 20,
+            // 2⁵⁶ on a 64-bit target — centuries at any achievable
+            // rate. A slot's budget ends at (ops its earlier occupants
+            // actually ran) + this, which therefore cannot overflow.
+            ops_per_handle: usize::MAX >> 8,
             checkpoint_every: None,
             capacity: None,
         }
@@ -133,8 +143,9 @@ impl Default for StoreConfig {
 }
 
 /// The sharded store: N independent consensus logs plus the two shared
-/// counters (snapshot epoch, multi-op ids) the cross-shard protocols
-/// need. Cheap to clone (`Arc`-shared); per-thread access goes through
+/// words the cross-shard protocols need: the snapshot epoch, and the
+/// allocator that names each multi-op originator once. Cheap to clone
+/// (`Arc`-shared); per-thread access goes through
 /// [`ShardedStore::handle`].
 pub struct ShardedStore<K, V, M = ()>
 where
@@ -147,8 +158,9 @@ where
     /// fetch-add; every mutating op stamps the value it read *before*
     /// invoking (the stamp rule, see `spec` module docs).
     epoch: Arc<AtomicU64>,
-    /// Multi-op id allocator.
-    multi_seq: Arc<AtomicU64>,
+    /// Next unissued multi-op origin id ([`MultiId::origin`]): one
+    /// fetch-add per handle that ever runs a multi-op, none per op.
+    next_origin: Arc<AtomicU64>,
     seed: u64,
 }
 
@@ -162,7 +174,7 @@ where
         ShardedStore {
             shards: self.shards.clone(),
             epoch: Arc::clone(&self.epoch),
-            multi_seq: Arc::clone(&self.multi_seq),
+            next_origin: Arc::clone(&self.next_origin),
             seed: self.seed,
         }
     }
@@ -205,7 +217,7 @@ where
         ShardedStore {
             shards,
             epoch: Arc::new(AtomicU64::new(0)),
-            multi_seq: Arc::new(AtomicU64::new(0)),
+            next_origin: Arc::new(AtomicU64::new(0)),
             seed: cfg.seed,
         }
     }
@@ -242,7 +254,10 @@ where
         StoreHandle {
             shards: self.shards.iter().map(WfUniversal::register).collect(),
             epoch: Arc::clone(&self.epoch),
-            multi_seq: Arc::clone(&self.multi_seq),
+            next_origin: Arc::clone(&self.next_origin),
+            origin: None,
+            next_seq: 0,
+            inflight: None,
             seed: self.seed,
             seen: vec![0; self.shards.len()],
         }
@@ -273,7 +288,18 @@ where
 {
     shards: Vec<WfHandle<ShardState<K, V, M>>>,
     epoch: Arc<AtomicU64>,
-    multi_seq: Arc<AtomicU64>,
+    next_origin: Arc<AtomicU64>,
+    /// This handle's multi-op origin id, drawn at its first multi-op —
+    /// a handle that only reads or writes single keys consumes none.
+    origin: Option<u32>,
+    /// Seq of this handle's next multi-op (a plain local counter).
+    next_seq: u64,
+    /// The multi-op this handle originated and has not yet driven to
+    /// the end of `run_multi`: `Some` on entry to a new multi-op only
+    /// after a *caught* crash mid-multi, and then finished first — the
+    /// per-origin tombstone rule ([`MultiId`]) needs `(o, s)` complete
+    /// everywhere before `(o, s + 1)` exists.
+    inflight: Option<Arc<MultiDesc<K, V>>>,
     seed: u64,
     /// Highest shard versions observed in responses, indexed by shard;
     /// stamped onto every mutating op for the snapshot cut check. A
@@ -366,21 +392,24 @@ where
     pub fn multi_get(&mut self, keys: &[K]) -> Vec<Option<V>> {
         let n = self.nshards();
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        // Group key indices by shard so each shard is read once.
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        // `(shard, key index)`, sorted: each run of equal shards is one
+        // frontier read, runs in ascending shard order.
+        let mut by_shard: Vec<(usize, usize)> = Vec::with_capacity(keys.len());
         for (i, k) in keys.iter().enumerate() {
             failpoint!("store::route");
-            by_shard.entry(route(self.seed, n, k)).or_default().push(i);
+            by_shard.push((route(self.seed, n, k), i));
         }
-        for (s, idxs) in by_shard {
+        by_shard.sort_unstable();
+        for run in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let s = run[0].0;
             // progress: wait-free — as in `get`: each retry first completes the
             // blocking multi-op, bounding iterations by the admitted multi-ops.
             loop {
-                let r = self.shards[s].read(|st| st.peek_many(idxs.iter().map(|&i| &keys[i])));
+                let r = self.shards[s].read(|st| st.peek_many(run.iter().map(|&(_, i)| &keys[i])));
                 match r {
                     Ok((vals, version)) => {
                         self.observe(s, version);
-                        for (&i, v) in idxs.iter().zip(vals) {
+                        for (&(_, i), v) in run.iter().zip(vals) {
                             out[i] = v;
                         }
                         break;
@@ -510,8 +539,7 @@ where
         if writes.is_empty() {
             return;
         }
-        let desc = self.describe(BTreeMap::new(), writes);
-        let committed = self.run_multi(&desc);
+        let committed = self.originate(BTreeMap::new(), writes);
         debug_assert!(committed, "an expectation-free multi-op always commits");
     }
 
@@ -528,8 +556,30 @@ where
         if expects.is_empty() && writes.is_empty() {
             return true;
         }
-        let desc = self.describe(expects, writes);
-        self.run_multi(&desc)
+        self.originate(expects, writes)
+    }
+
+    /// Run a new multi-op of this handle's own to completion. The
+    /// descriptor stays in `inflight` for exactly as long as it may be
+    /// unfinished somewhere, so a handle reused after a *caught* crash
+    /// in here first drives that orphan to the end (as `WfHandle` does
+    /// for its announce orphan): `(o, s + 1)` is never numbered while
+    /// `(o, s)` could still be pending on some shard.
+    fn originate(
+        &mut self,
+        expects: BTreeMap<K, Option<V>>,
+        writes: BTreeMap<K, Option<V>>,
+    ) -> bool {
+        if let Some(orphan) = self.inflight.clone() {
+            self.run_multi(&orphan);
+        }
+        let desc = Arc::new(self.describe(expects, writes));
+        self.inflight = Some(Arc::clone(&desc));
+        let commit = self
+            .run_multi(&desc)
+            .expect("a handle's newest multi-op is superseded only by its own next one");
+        self.inflight = None;
+        commit
     }
 
     fn describe(
@@ -545,12 +595,16 @@ where
             .collect();
         shards.sort_unstable();
         shards.dedup();
-        MultiDesc {
-            id: MultiId(self.multi_seq.fetch_add(1, Ordering::SeqCst)),
-            expects,
-            writes,
-            shards,
-        }
+        let origin = *self.origin.get_or_insert_with(|| {
+            // ordering: Relaxed [no-edge] — an id allocator: the RMW's
+            // atomicity alone makes origins distinct, and an origin id
+            // publishes no other data.
+            let o = self.next_origin.fetch_add(1, Ordering::Relaxed);
+            u32::try_from(o).expect("multi-op origin ids exhausted")
+        });
+        let id = MultiId::new(origin, self.next_seq);
+        self.next_seq += 1;
+        MultiDesc { id, expects, writes, shards }
     }
 
     /// Drive `desc` to resolution — as initiator or helper; the
@@ -560,7 +614,11 @@ where
     /// order — see DESIGN §13 for why no cycle of blocked multi-ops
     /// can form). `Resolved` short-circuits: someone finished the
     /// verdict already, but phase 2 still visits every shard because
-    /// the finisher may have crashed mid-resolve. A `Blocked` prepare
+    /// the finisher may have crashed mid-resolve. `Stale` ends the
+    /// call (`None`): the originator has since started a later
+    /// multi-op, which it does only once this one is resolved and
+    /// settled on every shard — a helper that slept through all of
+    /// that has nothing left to do. A `Blocked` prepare
     /// recursively helps the older holder first. Phase 2 decides the
     /// unanimous verdict everywhere; `Resolve` acks are idempotent.
     /// After a commit's resolves are all acknowledged, a settle sweep
@@ -568,7 +626,7 @@ where
     /// (snapshot-cost bookkeeping, not correctness: a crash anywhere in
     /// the sweep just leaves the id in some windows until the next
     /// helper of the same multi re-settles).
-    fn run_multi(&mut self, desc: &MultiDesc<K, V>) -> bool {
+    fn run_multi(&mut self, desc: &MultiDesc<K, V>) -> Option<bool> {
         let mut verdict: Option<bool> = None;
         let mut all = true;
         for &s in &desc.shards {
@@ -592,6 +650,7 @@ where
                         verdict = Some(commit);
                         break;
                     }
+                    ShardResp::Stale { .. } => return None,
                     ShardResp::Blocked { holder, .. } => {
                         self.run_multi(&holder);
                         let ShardOp::Prepare { ctx, .. } = &mut op else { unreachable!() };
@@ -625,7 +684,7 @@ where
                 }
             }
         }
-        commit
+        Some(commit)
     }
 
     /// Take a consistent global snapshot: open a fresh epoch, decide a
@@ -659,10 +718,9 @@ where
         repair_torn(&mut parts, self.seed);
         #[cfg(debug_assertions)]
         check_cut(&parts);
-        let mut map = BTreeMap::new();
-        for p in &mut parts {
-            map.append(&mut p.map);
-        }
+        // Shards partition the key space, so the parts are disjoint:
+        // one collect sorts the presorted runs and bulk-builds the tree.
+        let map = parts.iter_mut().flat_map(|p| mem::take(&mut p.map)).collect();
         Snapshot { epoch, map, marker_positions }
     }
 
@@ -701,6 +759,7 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
         | ShardResp::CasResult { version, .. }
         | ShardResp::Vote { version, .. }
         | ShardResp::Resolved { version, .. }
+        | ShardResp::Stale { version }
         | ShardResp::Blocked { version, .. }
         | ShardResp::Ack { version } => *version,
         ShardResp::Part(p) => p.version,
@@ -1008,6 +1067,41 @@ mod tests {
         for k in 0..64u64 {
             a.put(k, k as i64);
             assert_eq!(b.get(&k), Some(k as i64), "b reads a's completed put");
+        }
+    }
+
+    /// Regression: the default budget used to be 2²⁰ ops per shard, which
+    /// a handle at measured rates exhausts (and panics on) in under a
+    /// second.
+    #[test]
+    fn default_budget_outlasts_a_million_ops_on_one_shard() {
+        let cfg = StoreConfig { shards: 1, checkpoint_every: Some(4096), ..StoreConfig::default() };
+        let st: ShardedStore<u64, i64, Bump> = ShardedStore::new(&cfg);
+        let mut h = st.handle();
+        for i in 0..=(1u64 << 20) {
+            h.put(i % 8, i as i64);
+        }
+        assert_eq!(h.get(&0), Some(1 << 20));
+    }
+
+    /// A handle that never runs a multi-op draws no origin id, and one
+    /// that does draws exactly one, however many multi-ops it runs.
+    #[test]
+    fn origins_are_allocated_lazily_and_once() {
+        let st = store(2);
+        let mut a = st.handle();
+        let mut b = st.handle();
+        a.put(1, 1);
+        assert_eq!(a.get(&1), Some(1));
+        for i in 0..5 {
+            b.multi_put([(1u64, Some(i)), (2, Some(i))]);
+        }
+        a.multi_put([(1u64, Some(9)), (2, Some(9))]);
+        assert_eq!((b.origin, b.next_seq), (Some(0), 5));
+        assert_eq!((a.origin, a.next_seq), (Some(1), 1));
+        for s in 0..2 {
+            let seen = a.shards[s].read(ShardState::tombstones);
+            assert!(seen <= 2, "shard {s} holds {seen} tombstones for 2 origins");
         }
     }
 

@@ -26,14 +26,19 @@
 //!   `Prepare` atomically locks every locally-owned key of the
 //!   descriptor, evaluates the local expectations, and records an
 //!   immutable vote. `Resolve` applies the writes (on commit), frees
-//!   the locks, and leaves a tombstone. `Settle` — decided only after
-//!   its sender saw `Resolve` acknowledged on *every* involved shard —
-//!   retires the commit from the possibly-torn window that snapshot
-//!   captures carry (see below). All three are idempotent under
-//!   helping: a duplicate `Prepare` returns the recorded vote,
-//!   duplicate `Resolve`/`Settle` ack. Votes are recorded exactly once
-//!   per shard, so every resolver — initiator or helper — computes the
-//!   same commit verdict.
+//!   the locks, and records the verdict in the originator's tombstone.
+//!   `Settle` — decided only after its sender saw `Resolve`
+//!   acknowledged on *every* involved shard — retires the commit from
+//!   the possibly-torn window that snapshot captures carry (see
+//!   below). All three are idempotent under helping: a duplicate
+//!   `Prepare` returns the recorded vote or verdict, duplicate
+//!   `Resolve`/`Settle` ack. Votes are recorded exactly once per shard,
+//!   so every resolver — initiator or helper — computes the same commit
+//!   verdict. Ids are per originator ([`MultiId`]) and an originator
+//!   runs one multi-op at a time, so a shard keeps **one tombstone per
+//!   originator**, not one per multi-op: a `Prepare` for an id its
+//!   originator has since superseded is answered
+//!   [`ShardResp::Stale`] (see [`ShardState::origins`]).
 //!
 //! * **Snapshot markers** ([`ShardOp::Marker`]). Deciding `Marker{e}`
 //!   captures this shard's contribution to global snapshot `e`
@@ -45,11 +50,11 @@
 //!   applies, so the straggler is excluded. See DESIGN §13 for the
 //!   argument that this yields a causally consistent cut.
 //!
-//! All maps are `BTreeMap`/`BTreeSet` (not hash maps): the state must
+//! All maps are `BTreeMap`s (not hash maps): the state must
 //! be `Eq + Hash` for the linearizability checker, and iteration order
 //! must be deterministic for replay.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -58,10 +63,57 @@ use waitfree_model::{ObjectSpec, Pid};
 
 use crate::router::route;
 
-/// Store-wide unique identity of one multi-key operation, drawn from a
-/// shared counter so helpers and initiators name the same attempt.
+/// Store-wide unique identity of one multi-key operation, so helpers
+/// and initiators name the same attempt: the originating handle's
+/// never-reused **origin** id in the high [`MultiId::ORIGIN_BITS`] bits
+/// and that handle's own multi-op count (**seq**) in the low
+/// [`MultiId::SEQ_BITS`]. An originator numbers its multi-ops in the
+/// order it runs them and starts `(o, s + 1)` only after `(o, s)` is
+/// resolved and settled on every involved shard, so within one origin a
+/// larger seq supersedes every smaller one — the rule
+/// [`ShardState::origins`] relies on. A bare `MultiId(n)` with
+/// `n < 2^40` is origin 0, seq `n`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MultiId(pub u64);
+
+impl MultiId {
+    /// Width of the origin field: 2²⁴ originating handles per store.
+    pub const ORIGIN_BITS: u32 = 24;
+    /// Width of the seq field: 2⁴⁰ multi-ops per originating handle.
+    pub const SEQ_BITS: u32 = 64 - Self::ORIGIN_BITS;
+
+    /// Pack `(origin, seq)`.
+    ///
+    /// # Panics
+    /// If either field overflows its width — exhaustion is an error,
+    /// never a wrap onto a live id.
+    #[must_use]
+    pub fn new(origin: u32, seq: u64) -> Self {
+        assert!(
+            u64::from(origin) < 1 << Self::ORIGIN_BITS,
+            "multi-op origin ids exhausted: {origin} needs more than {} bits",
+            Self::ORIGIN_BITS
+        );
+        assert!(
+            seq < 1 << Self::SEQ_BITS,
+            "multi-op sequence numbers of origin {origin} exhausted: {seq} needs more than {} bits",
+            Self::SEQ_BITS
+        );
+        MultiId(u64::from(origin) << Self::SEQ_BITS | seq)
+    }
+
+    /// The originating handle's id.
+    #[must_use]
+    pub fn origin(self) -> u32 {
+        (self.0 >> Self::SEQ_BITS) as u32
+    }
+
+    /// This multi-op's position in its originator's sequence.
+    #[must_use]
+    pub fn seq(self) -> u64 {
+        self.0 & ((1 << Self::SEQ_BITS) - 1)
+    }
+}
 
 /// Causal context stamped on every mutating op by the invoking client.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -115,6 +167,16 @@ impl<K: Ord + Hash, V> MultiDesc<K, V> {
         keys.dedup();
         keys
     }
+}
+
+/// What a shard remembers of one originator: see
+/// [`ShardState::origins`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct Tombstone {
+    /// Seq of the newest multi-op of this origin admitted here.
+    seq: u64,
+    /// Its verdict, once resolved here (`None` while it is pending).
+    verdict: Option<bool>,
 }
 
 /// A prepared-but-unresolved multi-op on one shard.
@@ -210,6 +272,11 @@ pub enum ShardResp<K: Ord, V> {
     Vote { ok: bool, version: u64 },
     /// `Prepare` raced a finished multi: the recorded verdict.
     Resolved { commit: bool, version: u64 },
+    /// `Prepare` for an id its originator has superseded here: that
+    /// multi-op is resolved and settled on *every* involved shard
+    /// (the originator numbered a later one only after that), so there
+    /// is nothing left to help and no verdict to report.
+    Stale { version: u64 },
     /// The key (or a descriptor key) is locked by another in-flight
     /// multi-op; the full holder descriptor enables helping.
     Blocked { holder: Box<MultiDesc<K, V>>, version: u64 },
@@ -235,15 +302,22 @@ pub struct ShardState<K: Ord, V, M> {
     /// its holder is in `pending`.
     locks: BTreeMap<K, MultiId>,
     pending: BTreeMap<MultiId, PendingMulti<K, V>>,
-    /// Commit tombstones. Kept for the life of the state: an
-    /// arbitrarily stalled helper may re-send `Prepare` or `Resolve`
-    /// for an ancient multi, and forgetting the verdict would re-lock
-    /// keys or re-apply writes. Checkpoint/truncation of the *log*
-    /// (PR 7) is unaffected — tombstones live in the state image, and
-    /// one id costs one word.
-    applied: BTreeSet<MultiId>,
-    /// Abort tombstones, same retention argument.
-    aborted: BTreeSet<MultiId>,
+    /// Tombstones: per origin, the newest multi-op admitted here and
+    /// its verdict. An arbitrarily stalled helper may re-send `Prepare`
+    /// or `Resolve` for an ancient multi, and answering as if it were
+    /// new would re-lock keys or re-apply writes — but one entry per
+    /// *origin* is enough to refuse it, because an originator runs one
+    /// multi-op at a time and numbers `(o, s + 1)` only after `(o, s)`
+    /// was resolved and settled on every involved shard
+    /// (`StoreHandle::run_multi` returned; a handle reused after a
+    /// caught crash finishes its orphan first). So a descriptor
+    /// `(o, s)` reaching this shard proves every `(o, s' < s)` is
+    /// finished everywhere, and of origin `o` only the newest id can
+    /// still be in flight: it keeps its exact verdict, anything older
+    /// answers [`ShardResp::Stale`]. Bounded by the origins that ever
+    /// prepared a multi-op on this shard — about 24 bytes each —
+    /// independent of how many multi-ops they ran.
+    origins: BTreeMap<u32, Tombstone>,
     /// Commits not yet settled here (id → involved shards): the window
     /// of multi-ops a snapshot capture could still observe torn, and
     /// the only commit bookkeeping captures carry. Why removal on
@@ -347,8 +421,7 @@ where
             map: BTreeMap::new(),
             locks: BTreeMap::new(),
             pending: BTreeMap::new(),
-            applied: BTreeSet::new(),
-            aborted: BTreeSet::new(),
+            origins: BTreeMap::new(),
             unsettled: BTreeMap::new(),
             know: vec![0; nshards],
             snap_floor: 0,
@@ -483,24 +556,22 @@ where
 
     fn prepare(&mut self, desc: &MultiDesc<K, V>) -> ShardResp<K, V> {
         let id = desc.id;
-        if self.applied.contains(&id) {
-            return ShardResp::Resolved { commit: true, version: self.version };
-        }
-        if self.aborted.contains(&id) {
-            return ShardResp::Resolved { commit: false, version: self.version };
-        }
         if let Some(pm) = self.pending.get(&id) {
             return ShardResp::Vote { ok: pm.vote, version: self.version };
         }
+        match self.origins.get(&id.origin()) {
+            Some(t) if id.seq() < t.seq => return ShardResp::Stale { version: self.version },
+            Some(&Tombstone { seq, verdict: Some(commit) }) if seq == id.seq() => {
+                return ShardResp::Resolved { commit, version: self.version };
+            }
+            _ => {}
+        }
         let local = desc.local_keys(self.seed, self.nshards, self.shard);
         for k in &local {
-            if let Some(holder) = self.locks.get(*k) {
-                if *holder != id {
-                    let holder = self
-                        .holder_of(*k)
-                        .expect("locked key has a pending holder");
-                    return ShardResp::Blocked { holder, version: self.version };
-                }
+            if let Some(holder) = self.holder_of(k) {
+                // Nothing is recorded: the retry after helping must
+                // find this id as new as it is now.
+                return ShardResp::Blocked { holder, version: self.version };
             }
         }
         let vote = desc
@@ -512,18 +583,16 @@ where
             self.locks.insert(k.clone(), id);
         }
         self.pending.insert(id, PendingMulti { desc: desc.clone(), vote });
+        self.origins.insert(id.origin(), Tombstone { seq: id.seq(), verdict: None });
         self.version += 1;
         ShardResp::Vote { ok: vote, version: self.version }
     }
 
     fn resolve(&mut self, id: MultiId, commit: bool) -> ShardResp<K, V> {
-        if self.applied.contains(&id) || self.aborted.contains(&id) {
-            return ShardResp::Ack { version: self.version };
-        }
         let Some(pm) = self.pending.remove(&id) else {
-            // A resolve is only ever sent after a prepare decided on
-            // this same log, so the id is pending or tombstoned; keep
-            // the machine total anyway (apply never panics the log).
+            // Already resolved here, superseded, or (never, from a
+            // correct resolver) not prepared on this log: nothing to
+            // do, and the machine stays total.
             return ShardResp::Ack { version: self.version };
         };
         for k in pm.desc.local_keys(self.seed, self.nshards, self.shard) {
@@ -533,10 +602,10 @@ where
         }
         if commit {
             self.apply_writes_of(&pm.desc);
-            self.applied.insert(id);
             self.unsettled.insert(id, pm.desc.shards.clone());
-        } else {
-            self.aborted.insert(id);
+        }
+        if let Some(t) = self.origins.get_mut(&id.origin()).filter(|t| t.seq == id.seq()) {
+            t.verdict = Some(commit);
         }
         self.version += 1;
         ShardResp::Ack { version: self.version }
@@ -554,6 +623,12 @@ where
             Some(p) => p,
             None => self.part_now(e),
         };
+        self.mark_done(e);
+        ShardResp::Part(Box::new(part))
+    }
+
+    /// Record that marker `e` has been applied here.
+    fn mark_done(&mut self, e: u64) {
         if e > self.snap_floor && !self.snap_done.contains(e) {
             self.snap_done.insert(e);
             if let Some(end) = self.snap_done.take_run(self.snap_floor + 1) {
@@ -565,7 +640,25 @@ where
             // marker-applied epochs — so every `early` key is already
             // strictly above the floor.
         }
-        ShardResp::Part(Box::new(part))
+    }
+
+    /// Origins remembered here (gauge): at most one per handle that
+    /// ever prepared a multi-op on this shard, however many it ran.
+    #[must_use]
+    pub fn tombstones(&self) -> usize {
+        self.origins.len()
+    }
+
+    /// Commits resolved but not yet settled here (gauge).
+    #[must_use]
+    pub fn unsettled_len(&self) -> usize {
+        self.unsettled.len()
+    }
+
+    /// Early captures waiting for their marker (gauge).
+    #[must_use]
+    pub fn early_len(&self) -> usize {
+        self.early.len()
     }
 }
 
@@ -658,6 +751,22 @@ where
             ShardOp::Marker { epoch } => self.marker(*epoch),
         }
     }
+
+    /// Only `Marker` builds a response worth skipping: a replica
+    /// replaying another client's marker claims the early capture and
+    /// advances the epoch bookkeeping without cloning its map into a
+    /// part nobody reads.
+    fn apply_discard(&mut self, pid: Pid, op: &Self::Op) {
+        match op {
+            ShardOp::Marker { epoch } => {
+                self.early.remove(epoch);
+                self.mark_done(*epoch);
+            }
+            _ => {
+                let _ = self.apply(pid, op);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -691,9 +800,9 @@ mod tests {
         Ctx { epoch, know: Vec::new() }
     }
 
-    fn desc(id: u64, writes: &[(u64, i64)]) -> MultiDesc<u64, i64> {
+    fn desc(id: MultiId, writes: &[(u64, i64)]) -> MultiDesc<u64, i64> {
         MultiDesc {
-            id: MultiId(id),
+            id,
             expects: BTreeMap::new(),
             writes: writes.iter().map(|&(k, v)| (k, Some(v))).collect(),
             shards: vec![0],
@@ -708,12 +817,13 @@ mod tests {
     }
 
     /// A settled commit leaves the capture window (so snapshot size
-    /// tracks in-flight multis, not history) while its tombstone keeps
-    /// answering stragglers.
+    /// tracks in-flight multis, not history) while its tombstone — it
+    /// is still its origin's newest id — keeps answering stragglers
+    /// with the exact verdict.
     #[test]
     fn settle_retires_commits_from_captures_but_not_tombstones() {
         let mut st = St::new(0, 1, 0);
-        let d = desc(9, &[(1, 10), (2, 20)]);
+        let d = desc(MultiId(9), &[(1, 10), (2, 20)]);
         st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
         st.apply(Pid(0), &ShardOp::Resolve { id: d.id, commit: true, ctx: ctx(0) });
         let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 1 }));
@@ -768,7 +878,7 @@ mod tests {
     #[test]
     fn get_blocks_on_a_locked_key() {
         let mut st = St::new(0, 1, 0);
-        let d = desc(3, &[(1, 10)]);
+        let d = desc(MultiId(3), &[(1, 10)]);
         st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
         match st.apply(Pid(0), &ShardOp::Get { key: 1 }) {
             ShardResp::Blocked { holder, .. } => assert_eq!(holder.id, d.id),
@@ -778,6 +888,207 @@ mod tests {
         match st.apply(Pid(0), &ShardOp::Get { key: 2 }) {
             ShardResp::Value { val: None, .. } => {}
             r => panic!("get on a free key answered {r:?}"),
+        }
+    }
+
+    /// Prepare, resolve and (on commit) settle one multi-op, as
+    /// `run_multi` decides them on one shard.
+    fn finish(st: &mut St, d: &MultiDesc<u64, i64>, commit: bool) {
+        st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
+        st.apply(Pid(0), &ShardOp::Resolve { id: d.id, commit, ctx: ctx(0) });
+        if commit {
+            st.apply(Pid(0), &ShardOp::Settle { id: d.id, ctx: ctx(0) });
+        }
+    }
+
+    /// Entries held by every collection of the state: what an image
+    /// (checkpoint, bootstrap, CAS-loser copy) has to clone.
+    fn image_entries(st: &St) -> usize {
+        st.map.len()
+            + st.locks.len()
+            + st.pending.len()
+            + st.origins.len()
+            + st.unsettled.len()
+            + st.know.len()
+            + st.snap_done.ranges()
+            + st.early.len()
+    }
+
+    /// `n` committed multi-ops on 16 keys, round-robin over three
+    /// origins, each origin numbering its own in order.
+    fn after_commits(n: u64) -> St {
+        let mut st = St::new(0, 1, 0);
+        for i in 0..n {
+            let d = desc(MultiId::new((i % 3) as u32 + 1, i / 3), &[(i % 16, i as i64), ((i + 1) % 16, -(i as i64))]);
+            finish(&mut st, &d, true);
+        }
+        st
+    }
+
+    /// The bound: one tombstone per origin that ever committed here,
+    /// and a state image whose size does not depend on how many
+    /// multi-ops those origins ran.
+    #[test]
+    fn tombstones_and_image_size_track_origins_not_commits() {
+        let small = after_commits(100);
+        assert_eq!(small.tombstones(), 3);
+        let large = after_commits(10_000);
+        assert_eq!(large.tombstones(), 3, "tombstones grew with the commit count");
+        assert_eq!(image_entries(&after_commits(1_000)), image_entries(&after_commits(100_000)));
+        assert_eq!(large.unsettled_len(), 0);
+        assert_eq!(large.early_len(), 0);
+    }
+
+    /// A helper that slept through its multi-op's completion *and* the
+    /// originator's next ones: whatever it re-sends for the superseded
+    /// id changes nothing — no lock retaken, no write re-applied, not
+    /// even a version bump.
+    #[test]
+    fn straggler_for_a_superseded_id_changes_nothing() {
+        let mut st = St::new(0, 1, 0);
+        let old = desc(MultiId::new(7, 0), &[(1, 10), (2, 20)]);
+        finish(&mut st, &old, true);
+        finish(&mut st, &desc(MultiId::new(7, 1), &[(1, 11)]), true);
+        finish(&mut st, &desc(MultiId::new(7, 2), &[(2, 22), (3, 33)]), true);
+        let before = st.clone();
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: old.clone(), ctx: ctx(0) }) {
+            ShardResp::Stale { version } => assert_eq!(version, before.version),
+            r => panic!("superseded prepare answered {r:?}"),
+        }
+        assert_eq!(st, before);
+        for op in [
+            ShardOp::Resolve { id: old.id, commit: true, ctx: ctx(0) },
+            ShardOp::Resolve { id: old.id, commit: false, ctx: ctx(0) },
+            ShardOp::Settle { id: old.id, ctx: ctx(0) },
+        ] {
+            match st.apply(Pid(0), &op) {
+                ShardResp::Ack { version } => assert_eq!(version, before.version),
+                r => panic!("{op:?} answered {r:?}"),
+            }
+            assert_eq!(st, before, "{op:?} moved the state");
+        }
+        assert_eq!(st.map.get(&1), Some(&11));
+        assert_eq!(st.map.get(&2), Some(&22));
+    }
+
+    /// An aborted multi-op that is still its origin's newest answers
+    /// its exact verdict too, settled or not; another origin's traffic
+    /// does not disturb it.
+    #[test]
+    fn newest_id_answers_its_exact_verdict() {
+        let mut st = St::new(0, 1, 0);
+        let mut d = desc(MultiId::new(4, 5), &[(1, 10)]);
+        d.expects.insert(1, Some(99));
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) }) {
+            ShardResp::Vote { ok: false, .. } => {}
+            r => panic!("prepare answered {r:?}"),
+        }
+        st.apply(Pid(0), &ShardOp::Resolve { id: d.id, commit: false, ctx: ctx(0) });
+        finish(&mut st, &desc(MultiId::new(5, 0), &[(1, 1)]), true);
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: d, ctx: ctx(0) }) {
+            ShardResp::Resolved { commit: false, .. } => {}
+            r => panic!("straggler prepare answered {r:?}"),
+        }
+        assert_eq!(st.map.get(&1), Some(&1));
+        assert_eq!(st.tombstones(), 2);
+    }
+
+    /// A `Blocked` prepare leaves no trace, so its retry after helping
+    /// is admitted as the new id it still is.
+    #[test]
+    fn blocked_prepare_records_nothing() {
+        let mut st = St::new(0, 1, 0);
+        let holder = desc(MultiId::new(1, 0), &[(1, 10)]);
+        st.apply(Pid(0), &ShardOp::Prepare { desc: holder.clone(), ctx: ctx(0) });
+        let before = st.clone();
+        let late = desc(MultiId::new(2, 0), &[(1, 20), (2, 20)]);
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: late.clone(), ctx: ctx(0) }) {
+            ShardResp::Blocked { holder: h, .. } => assert_eq!(h.id, holder.id),
+            r => panic!("conflicting prepare answered {r:?}"),
+        }
+        assert_eq!(st, before);
+        assert_eq!(st.tombstones(), 1);
+        st.apply(Pid(0), &ShardOp::Resolve { id: holder.id, commit: true, ctx: ctx(0) });
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: late, ctx: ctx(0) }) {
+            ShardResp::Vote { ok: true, .. } => {}
+            r => panic!("retried prepare answered {r:?}"),
+        }
+        assert_eq!(st.tombstones(), 2);
+    }
+
+    #[test]
+    fn multi_id_packs_origin_and_seq() {
+        let id = MultiId::new(3, 7);
+        assert_eq!((id.origin(), id.seq()), (3, 7));
+        let top = MultiId::new((1 << MultiId::ORIGIN_BITS) - 1, (1 << MultiId::SEQ_BITS) - 1);
+        assert_eq!(top.0, u64::MAX);
+        // The benchmark's bare ascending ids are origin 0.
+        assert_eq!((MultiId(12_345).origin(), MultiId(12_345).seq()), (0, 12_345));
+        assert!(MultiId::new(1, 0) > MultiId::new(0, u64::MAX >> MultiId::ORIGIN_BITS));
+    }
+
+    #[test]
+    #[should_panic(expected = "origin ids exhausted")]
+    fn multi_id_origin_overflow_panics() {
+        let _ = MultiId::new(1 << MultiId::ORIGIN_BITS, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence numbers of origin 2 exhausted")]
+    fn multi_id_seq_overflow_panics() {
+        let _ = MultiId::new(2, 1 << MultiId::SEQ_BITS);
+    }
+
+    /// `apply_discard` is `apply` minus the response: over random op
+    /// streams — all eight variants, legal or not (ids out of order,
+    /// resolves without prepares, markers for any epoch) — a replica
+    /// that discards stays equal to one that answers, step by step.
+    #[test]
+    fn apply_discard_tracks_apply_on_random_streams() {
+        type S2 = ShardState<u64, i64, Bump>;
+        for seed in 1..=64u64 {
+            let mut rng = waitfree_sched::rng::DetRng::new(seed);
+            let (mut answers, mut discards) = (S2::new(0, 2, seed), S2::new(0, 2, seed));
+            let mut epoch = 0;
+            let mut seen = [false; 8];
+            for step in 0..400 {
+                let mut below = |n: u64| rng.below(n as usize) as u64;
+                epoch += u64::from(below(8) == 0);
+                let c = Ctx { epoch: epoch.saturating_sub(below(2)), know: vec![below(50), below(50)] };
+                let key = below(8);
+                let id = MultiId::new(below(3) as u32, step / 40 + below(3));
+                let val = || Some(step as i64);
+                let op: ShardOp<u64, i64, Bump> = match below(12) {
+                    0 => ShardOp::Get { key },
+                    1 => ShardOp::Put { key, val: val().filter(|_| step % 5 != 0), ctx: c },
+                    2 => ShardOp::Cas { key, expect: answers.map.get(&key).copied(), new: val(), ctx: c },
+                    3 => ShardOp::Update { key, merge: Bump(1), ctx: c },
+                    4..=6 => {
+                        let mut d = desc(id, &[(key, step as i64), (below(8), -1)]);
+                        if below(4) == 0 {
+                            d.expects.insert(key, Some(0));
+                        }
+                        ShardOp::Prepare { desc: d, ctx: c }
+                    }
+                    7 | 8 => ShardOp::Resolve { id, commit: below(3) != 0, ctx: c },
+                    9 => ShardOp::Settle { id, ctx: c },
+                    _ => ShardOp::Marker { epoch: 1 + below(epoch + 1) },
+                };
+                seen[match op {
+                    ShardOp::Get { .. } => 0,
+                    ShardOp::Put { .. } => 1,
+                    ShardOp::Cas { .. } => 2,
+                    ShardOp::Update { .. } => 3,
+                    ShardOp::Prepare { .. } => 4,
+                    ShardOp::Resolve { .. } => 5,
+                    ShardOp::Settle { .. } => 6,
+                    ShardOp::Marker { .. } => 7,
+                }] = true;
+                let _ = answers.apply(Pid(0), &op);
+                discards.apply_discard(Pid(0), &op);
+                assert_eq!(answers, discards, "seed {seed} step {step}: {op:?}");
+            }
+            assert!(seen.iter().all(|&s| s), "seed {seed}: a variant never ran");
         }
     }
 }

@@ -1491,10 +1491,25 @@ impl<S: ObjectSpec> WfUniversal<S> {
                         // hop-validated) so the entry is alive.
                         if let LogEntry::Checkpoint(img) = unsafe { &*raw } {
                             let q = s.base + i;
+                            // Publish the frontier first, then prove no
+                            // reclaimer working from a bound that
+                            // predates it has started on a *later*
+                            // segment: the hazard covers `seg` alone,
+                            // and replay from `q` follows its links.
+                            // Detaches run oldest-first and record
+                            // `reclaimed_upto` before unlinking, so a
+                            // value at or below `seg`'s end means every
+                            // later segment is still chained — and any
+                            // sweep that could free one recomputes its
+                            // bound after this store and keeps it.
+                            slot.frontier.store(q, Ordering::SeqCst);
+                            if shared.reclaimed_upto.load(Ordering::SeqCst) > s.end() {
+                                slot.frontier.store(usize::MAX, Ordering::SeqCst);
+                                continue 'adopt;
+                            }
                             state = img.state.clone();
                             applied = img.applied.clone();
                             cursor = q + 1;
-                            slot.frontier.store(q, Ordering::SeqCst);
                             break 'adopt seg;
                         }
                     }
@@ -2233,11 +2248,12 @@ impl<S: ObjectSpec> WfHandle<S> {
                     continue; // duplicate from helping
                 }
                 failpoint!("universal::replay");
-                let r = self.state.apply(Pid(m.tid), &m.op);
-                self.applied[m.tid] += 1;
                 if m.tid == self.tid && m.seq == seq {
-                    resp = Some(r);
+                    resp = Some(self.state.apply(Pid(m.tid), &m.op));
+                } else {
+                    self.state.apply_discard(Pid(m.tid), &m.op);
                 }
+                self.applied[m.tid] += 1;
             }
             if let Some(r) = resp {
                 // `cursor` was already advanced past the position whose
@@ -2467,7 +2483,7 @@ impl<S: ObjectSpec> WfHandle<S> {
             if m.seq != self.applied[m.tid] {
                 continue; // duplicate from helping
             }
-            self.state.apply(Pid(m.tid), &m.op);
+            self.state.apply_discard(Pid(m.tid), &m.op);
             self.applied[m.tid] += 1;
         }
     }
@@ -3361,6 +3377,49 @@ mod tests {
         // And it participates normally from there.
         late.invoke(CounterOp::Add(5));
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(per as i64 + 5));
+    }
+
+    /// Regression: `register` used to publish its adopted frontier only
+    /// after cloning the checkpoint image, with its hazard on the
+    /// image's segment alone — so a reclaimer working from a newer
+    /// checkpoint could free the segments *after* it meanwhile, and the
+    /// registrant's first replay walked into freed memory. A state that
+    /// takes a while to clone makes the window wide.
+    #[test]
+    fn registrant_adopting_under_reclamation_never_reaches_a_freed_segment() {
+        use waitfree_sched::atomic::AtomicBool;
+        const ITEMS: i64 = 4096;
+        let obj = WfUniversal::new_dynamic_checkpointed(FifoQueue::from_items(0..ITEMS), usize::MAX >> 8, 8);
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..3)
+            .map(|_| {
+                let (obj, stop) = (obj.clone(), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut h = obj.register();
+                    while !stop.load(Ordering::SeqCst) {
+                        h.invoke(QueueOp::Enq(7));
+                        h.invoke(QueueOp::Deq);
+                    }
+                    h.retire();
+                })
+            })
+            .collect();
+        // At least 400 registrations, and enough of them racing a
+        // reclaimer (a fast build gets through 400 before the writers
+        // fill their first segment).
+        let mut probes = 0;
+        while probes < 400 || (obj.reclaimed_segments() < 32 && probes < 1_000_000) {
+            let mut late = obj.register();
+            let len = late.read(FifoQueue::len) as i64;
+            assert!((ITEMS..=ITEMS + 3).contains(&len), "{len}");
+            late.retire();
+            probes += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(obj.reclaimed_segments() > 0, "reclamation never ran under the registrants");
     }
 
     #[test]

@@ -681,7 +681,8 @@ fn crash_during_reclaim_releases_the_lock_and_frees_nothing() {
 // snapshots never observing a torn multi-op.
 // ---------------------------------------------------------------------------
 
-use waitfree::store::{Bump, ShardedStore, StoreConfig};
+use waitfree::faults::failpoints::CrashSignal;
+use waitfree::store::{Bump, ShardState, ShardedStore, StoreConfig};
 
 fn store4() -> ShardedStore<u64, i64, Bump> {
     ShardedStore::new(&StoreConfig { shards: 4, ..StoreConfig::default() })
@@ -806,7 +807,18 @@ fn store_single_key_ops_survive_crash_storms_exactly() {
 ///   the replicated descriptor, then applies itself — every involved
 ///   shard ends with the multi's write (the helper's own put layered
 ///   on top of its target key).
-fn crashed_multi_round(nth: u64) {
+///
+/// With `reuse` the crash is *caught* and the victim's handle goes on
+/// to its next multi-op before anyone helps — a write to a second key
+/// of shard 3, which conflicts with nothing and, for `nth <= 4`, lands
+/// on a shard the orphan never reached. The handle must first drive
+/// its orphan to the end: per-originator tombstones are sound only if
+/// `(o, s)` is finished everywhere before `(o, s + 1)` exists (were it
+/// not, shard 3 would answer the orphan's later helpers `Stale` and
+/// shard 0's lock would never be released). The postconditions are the
+/// same exact values, plus a fully settled store (the orphan's
+/// interrupted settle sweep re-ran).
+fn crashed_multi_round(nth: u64, reuse: bool) {
     let store = store4();
     let keys = keys_per_shard(&store);
     let mut h = store.handle();
@@ -823,15 +835,27 @@ fn crashed_multi_round(nth: u64) {
         let keys = keys.clone();
         spawn_workers(1, move |_tid| {
             let mut hv = store.handle();
-            hv.multi_put(keys.iter().map(|&k| (k, Some(100))));
+            let writes = keys.iter().map(|&k| (k, Some(100)));
+            if reuse {
+                let crash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hv.multi_put(writes)));
+                assert!(
+                    crash.is_err_and(|p| p.downcast_ref::<CrashSignal>().is_some_and(|c| c.site == "store::multi")),
+                    "nth {nth}: the victim dies mid-multi"
+                );
+                return hv;
+            }
+            hv.multi_put(writes);
             unreachable!("nth {nth}: the victim dies mid-multi");
         })
     };
-    let outcomes = group.finish();
-    match &outcomes[0] {
-        Outcome::Crashed { site } => assert_eq!(site, "store::multi"),
-        other => panic!("nth {nth}: expected a planned crash, got {other:?}"),
-    }
+    let mut victim = match group.finish().pop() {
+        Some(Outcome::Crashed { site }) if !reuse => {
+            assert_eq!(site, "store::multi");
+            None
+        }
+        Some(Outcome::Completed(hv)) if reuse => Some(hv),
+        _ => panic!("nth {nth}: expected a planned crash (caught: {reuse})"),
+    };
     failpoints::clear();
 
     // Hit `nth` fired *before* its step, so prepares are decided on
@@ -858,6 +882,17 @@ fn crashed_multi_round(nth: u64) {
             visible.iter().all(|&v| !v),
             "nth {nth}: uncommitted multi leaked into a snapshot: {visible:?}"
         );
+    }
+
+    // (1b) Reuse: the victim's next multi-op completes the orphan
+    // first, so (2) below finds the multi whole and no lock to help past.
+    if let Some(hv) = &mut victim {
+        let fresh = (0u64..).find(|k| store.shard_of(k) == 3 && *k != keys[3]).expect("shard 3 owns many keys");
+        hv.multi_put([(fresh, Some(555))]);
+        assert_eq!(h.get(&fresh), Some(555));
+        for (s, &k) in keys.iter().enumerate() {
+            assert_eq!(h.get(&k), Some(100), "nth {nth}: the orphan did not reach shard {s}");
+        }
     }
 
     // (2) Helping: a put on a key that is still locked — shard 0's
@@ -898,6 +933,16 @@ fn crashed_multi_round(nth: u64) {
     ));
     let snap = h.snapshot();
     assert!(keys.iter().all(|k| snap.map.get(k) == Some(&-1)));
+
+    // (4) Reuse only: the orphan's settle sweep re-ran, and two
+    // originators cost each shard at most two tombstones.
+    if victim.is_some() {
+        for s in 0..store.shards() {
+            let mut probe = store.shard(s).register();
+            assert_eq!(probe.read(ShardState::unsettled_len), 0, "nth {nth}: shard {s} unsettled");
+            assert!(probe.read(ShardState::tombstones) <= 2, "nth {nth}: shard {s} tombstones");
+        }
+    }
 }
 
 #[test]
@@ -905,7 +950,17 @@ fn store_crashed_multi_op_is_helped_and_never_torn() {
     let _guard = failpoints::exclusive();
     for nth in 1..=12 {
         failpoints::clear();
-        crashed_multi_round(nth);
+        crashed_multi_round(nth, false);
+    }
+    failpoints::clear();
+}
+
+#[test]
+fn store_handle_reused_after_a_caught_crash_finishes_its_orphan_first() {
+    let _guard = failpoints::exclusive();
+    for nth in 2..=12 {
+        failpoints::clear();
+        crashed_multi_round(nth, true);
     }
     failpoints::clear();
 }

@@ -1750,6 +1750,19 @@ fn store_snapshots_are_never_torn_and_hb_clean() {
     assert!(snaps_total >= SEEDS as usize, "campaign took too few snapshots");
 }
 
+/// Two keys on distinct shards, the lower shard's key first.
+fn keys_on_two_shards(store: &ShardedStore<u64, i64>) -> (u64, u64) {
+    let a = 0u64;
+    let b = (1..)
+        .find(|k| store.shard_of(k) != store.shard_of(&a))
+        .expect("4 shards hold more than one shard's worth of keys");
+    if store.shard_of(&a) < store.shard_of(&b) {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// Acceptance (review regression): one thread reading both keys of a
 /// concurrently committing two-shard `multi_put` through the *decided*
 /// read path must never observe it half-applied. The writer multi-puts
@@ -1775,17 +1788,8 @@ fn store_get_never_observes_a_half_applied_multi() {
                     ops_per_handle: 64,
                     ..StoreConfig::default()
                 });
-                // Two keys on distinct shards, ordered by shard: the
-                // vulnerable read order is lower-shard key first.
-                let lo = 0u64;
-                let hi = (1..)
-                    .find(|k| store.shard_of(k) != store.shard_of(&lo))
-                    .expect("4 shards hold more than one shard's worth of keys");
-                let (lo, hi) = if store.shard_of(&lo) < store.shard_of(&hi) {
-                    (lo, hi)
-                } else {
-                    (hi, lo)
-                };
+                // The vulnerable read order is lower-shard key first.
+                let (lo, hi) = keys_on_two_shards(&store);
                 let writer = {
                     let store = store.clone();
                     vthread::spawn(move || {
@@ -1844,15 +1848,7 @@ fn store_local_get_never_observes_a_half_applied_multi() {
                     ops_per_handle: 64,
                     ..StoreConfig::default()
                 });
-                let lo = 0u64;
-                let hi = (1..)
-                    .find(|k| store.shard_of(k) != store.shard_of(&lo))
-                    .expect("4 shards hold more than one shard's worth of keys");
-                let (lo, hi) = if store.shard_of(&lo) < store.shard_of(&hi) {
-                    (lo, hi)
-                } else {
-                    (hi, lo)
-                };
+                let (lo, hi) = keys_on_two_shards(&store);
                 let writer = {
                     let store = store.clone();
                     vthread::spawn(move || {
@@ -1898,5 +1894,183 @@ fn store_local_get_never_observes_a_half_applied_multi() {
             hb.reads_checked,
             hb.violations[0]
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-originator tombstones: a helper that sleeps through its multi-op's
+// completion and the originator's next ones gets `Stale`, not a lock.
+// ---------------------------------------------------------------------
+
+#[cfg(feature = "failpoints")]
+mod store_stale_helper {
+    use super::*;
+    use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction};
+    use waitfree::sched::atomic::diag::{AtomicUsize, Ordering};
+    use waitfree::sched::{run_and_check_with, Choice, Pct, RandomWalk, Strategy};
+
+    /// vtid (spawn order) and failpoint tid of the helper thread.
+    const HELPER: usize = 1;
+    /// Two-shard multi-puts the originator runs.
+    const ROUNDS: usize = 5;
+    /// Multi-ops the originator completes while the helper is parked:
+    /// the one the helper holds (at most) and two later ones.
+    const SLEPT_THROUGH: usize = 3;
+
+    /// Schedules like `inner`, except that the helper — from its `k`-th
+    /// step of helping a multi-op (the `store::multi` yield configured
+    /// by [`campaign`] fired) — is parked until the originator has
+    /// completed `SLEPT_THROUGH` more multi-ops (`resume_racing`), or
+    /// has exited.
+    struct Parking<S> {
+        inner: S,
+        resume_racing: bool,
+        /// Multi-ops the originator has completed (the body counts).
+        completed: Arc<AtomicUsize>,
+        /// `completed` when the helper parked.
+        parked_at: Option<usize>,
+        resumed: bool,
+        /// Runs whose helper slept through `SLEPT_THROUGH` completions.
+        slept: Arc<AtomicUsize>,
+    }
+
+    impl<S: Strategy> Strategy for Parking<S> {
+        fn choose(&mut self, c: &Choice<'_>) -> usize {
+            if self.resumed || failpoints::fires("store::multi") == 0 {
+                return self.inner.choose(c);
+            }
+            let done = self.completed.load(Ordering::SeqCst);
+            let slept_through = done >= *self.parked_at.get_or_insert(done) + SLEPT_THROUGH;
+            let others: Vec<usize> = c.runnable.iter().copied().filter(|&t| t != HELPER).collect();
+            if others.is_empty() || (self.resume_racing && slept_through) {
+                self.resumed = true;
+                self.slept.fetch_add(usize::from(slept_through), Ordering::SeqCst);
+                return self.inner.choose(c);
+            }
+            self.inner.choose(&Choice { runnable: &others, ..*c })
+        }
+
+        fn describe(&self) -> String {
+            format!("parking({})", self.inner.describe())
+        }
+    }
+
+    /// The originator multi-puts ascending rounds to two keys on
+    /// different shards; the helper reads (`reader`) or writes the
+    /// higher shard's key, so it trips over the originator's lock there
+    /// and starts helping at the lower shard.
+    fn body(rec: HistoryRecorder<StoreModel<u64, i64>>, reader: bool, completed: Arc<AtomicUsize>) {
+        let store: ShardedStore<u64, i64> =
+            ShardedStore::new(&StoreConfig { shards: 4, ..StoreConfig::default() });
+        let (lo, hi) = keys_on_two_shards(&store);
+        let helper = {
+            let (store, rec) = (store.clone(), rec.clone());
+            vthread::spawn(move || {
+                failpoints::set_tid(HELPER);
+                let mut h = store.handle();
+                let pid = Pid(HELPER);
+                for i in 0..3 {
+                    if reader {
+                        rec.record(pid, StoreOp::Get(hi), || StoreResp::Value(h.get(&hi)));
+                        rec.record(pid, StoreOp::Get(lo), || StoreResp::Value(h.get(&lo)));
+                    } else {
+                        rec.record(pid, StoreOp::Put(hi, 100 + i), || StoreResp::Prev(h.put(hi, 100 + i)));
+                    }
+                }
+                h.retire();
+            })
+        };
+        let originator = vthread::spawn(move || {
+            let mut h = store.handle();
+            for round in 1..=ROUNDS as i64 {
+                let writes: BTreeMap<u64, Option<i64>> = [(lo, Some(round)), (hi, Some(round))].into_iter().collect();
+                rec.record(Pid(HELPER + 1), StoreOp::MultiPut(writes.clone()), || {
+                    h.multi_put(writes.clone());
+                    StoreResp::Done(true)
+                });
+                completed.fetch_add(1, Ordering::SeqCst);
+            }
+            h.retire();
+        });
+        helper.join().unwrap();
+        originator.join().unwrap();
+    }
+
+    /// 1000 RandomWalk + 1000 PCT schedules, each judged for
+    /// linearizability, happens-before cleanliness and the ordering
+    /// contract. Returns how many parked the helper through
+    /// `SLEPT_THROUGH` completions — the runs whose helper resumes as a
+    /// straggler for a superseded id (a third of them, by park point,
+    /// with a prepare still to send: the `Stale` answer; the rest with
+    /// only no-op resolves and settles).
+    fn campaign(reader: bool) -> usize {
+        let slept = Arc::new(AtomicUsize::new(0));
+        for pct in [false, true] {
+            for seed in 0..SEEDS {
+                failpoints::clear();
+                // Park at the helper's first, second or third step: on
+                // entry, between its prepares, or before its resolves.
+                failpoints::configure(
+                    "store::multi",
+                    FailpointConfig::once_for(FaultAction::Yield, HELPER, 1 + seed % 3),
+                );
+                let completed = Arc::new(AtomicUsize::new(0));
+                let inner: Box<dyn Strategy> = if pct {
+                    Box::new(Pct::new(seed, 3, 2000))
+                } else {
+                    Box::new(RandomWalk::new(seed))
+                };
+                let strategy = Parking {
+                    inner,
+                    resume_racing: !reader,
+                    completed: Arc::clone(&completed),
+                    parked_at: None,
+                    resumed: false,
+                    slept: Arc::clone(&slept),
+                };
+                let checked = run_and_check_with(
+                    &StoreModel::new(),
+                    strategy,
+                    RunOptions::default(),
+                    Some(ordering_contract()),
+                    |rec| body(rec, reader, completed),
+                );
+                // A helper whose retry after `Stale` missed the resolve
+                // would help the same finished multi-op again, forever
+                // once it runs alone: the step bound is the verdict.
+                assert!(checked.run.error.is_none(), "pct {pct} seed {seed}: {:?}", checked.run.error);
+                assert!(
+                    checked.report.outcome.is_ok(),
+                    "pct {pct} seed {seed}: not linearizable: {:?}\n{:?}",
+                    checked.report.outcome,
+                    checked.history
+                );
+                assert!(checked.hb.is_clean(), "pct {pct} seed {seed}: {}", checked.hb.violations[0]);
+            }
+        }
+        failpoints::clear();
+        slept.load(Ordering::SeqCst)
+    }
+
+    /// The parked helper is a writer, resumed while the originator's
+    /// remaining multi-ops race its stale prepare and its retried put.
+    #[test]
+    fn store_helper_parked_past_later_multis_resumes_harmlessly() {
+        let _guard = failpoints::exclusive();
+        let slept = campaign(false);
+        println!("store stale-helper campaign (writer): helper slept through {SLEPT_THROUGH} completions in {slept} of {} schedules", 2 * SEEDS);
+        assert!(slept >= 400, "only {slept} schedules made the helper a straggler");
+    }
+
+    /// The parked helper is a log-free reader, resumed once the
+    /// originator has exited: its retry after the stale answer reads at
+    /// a frontier that must already cover the resolve (DESIGN §14), or
+    /// it would find the same lock and spin.
+    #[test]
+    fn store_local_reader_retry_after_stale_observes_the_resolve() {
+        let _guard = failpoints::exclusive();
+        let slept = campaign(true);
+        println!("store stale-helper campaign (reader): helper slept through {SLEPT_THROUGH} completions in {slept} of {} schedules", 2 * SEEDS);
+        assert!(slept >= 150, "only {slept} schedules made the reader a straggler");
     }
 }

@@ -14,11 +14,22 @@
 //! op count (default 400k for a quick local pass; CI runs 10M). The
 //! abstract state is checked exactly at the end — truncation must be
 //! invisible to the counter no matter how many segments were dropped.
+//!
+//! The store leg (`soak_store_state_is_bounded_by_handles_not_history`)
+//! holds the sharded store to the same standard over time: multi-key
+//! commits and aborts, reads, snapshots, skewed keys and a fresh set of
+//! handles every round, with hard bounds on RSS *and* on every
+//! per-shard structure that is bounded by argument — tombstones by the
+//! originators ever created, the unsettled window and the early
+//! captures by the live handles — and an exact zero-sum invariant in
+//! every snapshot. `WF_SOAK_STORE_OPS` scales it (default 60k; CI 2M).
 
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
+use waitfree::sched::atomic::{AtomicUsize, Ordering};
 use waitfree::sched::thread;
+use waitfree::store::{Bump, ShardState, ShardedStore, StoreConfig};
 use waitfree::sync::universal::{WfUniversal, SEGMENT_SIZE};
 
 /// Concurrent workers per round.
@@ -62,12 +73,17 @@ impl Rng {
     }
 }
 
+/// `WF_SOAK_SEED`, or the clock; odd, so xorshift never sticks at 0.
+fn soak_seed() -> u64 {
+    env_u64("WF_SOAK_SEED").unwrap_or_else(|| {
+        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_nanos() as u64).unwrap_or(1)
+    }) | 1
+}
+
 #[test]
 fn soak_checkpointed_rss_stays_flat() {
     let total = env_u64("WF_SOAK_OPS").unwrap_or(400_000) as usize;
-    let seed = env_u64("WF_SOAK_SEED").unwrap_or_else(|| {
-        SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_nanos() as u64).unwrap_or(1)
-    }) | 1;
+    let seed = soak_seed();
     println!("soak: total_ops={total} workers={WORKERS} rounds={ROUNDS} seed={seed} (replay with WF_SOAK_SEED={seed} WF_SOAK_OPS={total})");
 
     let per_round = total / (ROUNDS * WORKERS);
@@ -164,4 +180,179 @@ fn soak_checkpointed_rss_stays_flat() {
         obj.checkpoints(),
         obj.reclaimed_segments()
     );
+}
+
+/// Accounts `0..ACCOUNTS` move value between each other by `multi_cas`
+/// (sum zero); each pair `(PAIRS + i, PAIRS + PAIR_SPAN + i)` is
+/// overwritten by `multi_put` with `(x, -x)` (sum zero).
+const ACCOUNTS: u64 = 512;
+const PAIRS: u64 = ACCOUNTS;
+const PAIR_SPAN: u64 = 256;
+const STORE_SHARDS: usize = 4;
+
+/// Zipf(0.99) over `0..n` by inverse CDF.
+struct Zipf(Vec<f64>);
+
+impl Zipf {
+    fn new(n: u64) -> Self {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (1..=n).map(|r| {
+            acc += (r as f64).powf(-0.99);
+            acc
+        }).collect();
+        cdf.iter_mut().for_each(|c| *c /= acc);
+        Zipf(cdf)
+    }
+
+    fn sample(&self, rng: &mut Rng) -> u64 {
+        let u = (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+        self.0.partition_point(|&c| c < u).min(self.0.len() - 1) as u64
+    }
+}
+
+/// Counts a worker as finished when it returns *or* unwinds, so a
+/// failed assertion in one ends the sampling loop instead of hanging it.
+struct Finished(std::sync::Arc<AtomicUsize>);
+
+impl Drop for Finished {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The per-shard gauges, read log-free through a probe registration
+/// (retired at once: an idle handle would pin reclamation).
+fn check_gauges(store: &ShardedStore<u64, i64, Bump>, origins: usize, live: usize, ctx: &str) {
+    for s in 0..STORE_SHARDS {
+        let mut probe = store.shard(s).register();
+        let (tombs, unsettled, early) =
+            probe.read(|st: &ShardState<u64, i64, Bump>| (st.tombstones(), st.unsettled_len(), st.early_len()));
+        probe.retire();
+        assert!(tombs <= origins, "{ctx} shard {s}: {tombs} tombstones for {origins} originators ever created");
+        assert!(unsettled <= live, "{ctx} shard {s}: {unsettled} unsettled commits with {live} live handles");
+        assert!(early <= live, "{ctx} shard {s}: {early} early captures with {live} live handles");
+    }
+}
+
+#[test]
+fn soak_store_state_is_bounded_by_handles_not_history() {
+    let total = env_u64("WF_SOAK_STORE_OPS").unwrap_or(60_000) as usize;
+    let seed = soak_seed();
+    println!("store soak: total_ops={total} workers={WORKERS} rounds={ROUNDS} seed={seed} (replay with WF_SOAK_SEED={seed} WF_SOAK_STORE_OPS={total})");
+
+    let store: ShardedStore<u64, i64, Bump> = ShardedStore::new(&StoreConfig {
+        shards: STORE_SHARDS,
+        checkpoint_every: Some(SEGMENT_SIZE),
+        ..StoreConfig::default()
+    });
+    let mut loader = store.handle();
+    for k in 0..PAIRS + 2 * PAIR_SPAN {
+        loader.put(k, 0);
+    }
+    loader.retire();
+
+    let zipf = std::sync::Arc::new(Zipf::new(ACCOUNTS));
+    let per_round = total / (ROUNDS * WORKERS);
+    let mut baseline: Option<f64> = None;
+    let (mut commits, mut aborts, mut snaps) = (0usize, 0usize, 0usize);
+
+    for round in 0..ROUNDS {
+        let finished = std::sync::Arc::new(AtomicUsize::new(0));
+        let joins: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (store, zipf, finished) = (store.clone(), zipf.clone(), Finished(finished.clone()));
+                let mut rng = Rng(seed ^ ((round * WORKERS + w + 1) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                thread::spawn(move || {
+                    let _finished = finished;
+                    // Handle churn: every round is a new set of
+                    // originators; the old ones' tombstones remain.
+                    let mut h = store.handle();
+                    let (mut commits, mut aborts, mut snaps) = (0usize, 0usize, 0usize);
+                    for i in 0..per_round {
+                        match rng.next() % 100 {
+                            0..=39 => {
+                                let (a, b) = (zipf.sample(&mut rng), zipf.sample(&mut rng));
+                                if a == b {
+                                    continue;
+                                }
+                                let got = h.multi_get(&[a, b]);
+                                let (va, vb) = (got[0].expect("preloaded"), got[1].expect("preloaded"));
+                                // One in eight expects a value the
+                                // account cannot hold: a sure abort.
+                                let sure_abort = rng.next().is_multiple_of(8);
+                                let d = 1 + (rng.next() % 9) as i64;
+                                let ok = h.multi_cas(
+                                    [(a, Some(if sure_abort { i64::MIN } else { va })), (b, Some(vb))],
+                                    [(a, Some(va - d)), (b, Some(vb + d))],
+                                );
+                                assert!(!(ok && sure_abort), "seed={seed}: an impossible expectation committed");
+                                if ok {
+                                    commits += 1;
+                                } else {
+                                    aborts += 1;
+                                }
+                            }
+                            40..=69 => {
+                                let p = PAIRS + zipf.sample(&mut rng) % PAIR_SPAN;
+                                let x = (round * per_round + i) as i64 + 1;
+                                h.multi_put([(p, Some(x)), (p + PAIR_SPAN, Some(-x))]);
+                                commits += 1;
+                            }
+                            70..=96 => {
+                                let k = zipf.sample(&mut rng);
+                                assert!(h.get(&k).is_some(), "seed={seed}: account {k} vanished");
+                            }
+                            _ => {
+                                let sum: i64 = h.snapshot().map.values().sum();
+                                assert_eq!(sum, 0, "seed={seed} round={round}: a snapshot is not zero-sum");
+                                snaps += 1;
+                            }
+                        }
+                    }
+                    h.retire();
+                    (commits, aborts, snaps)
+                })
+            })
+            .collect();
+
+        // Gauges under load: everything per-shard that is bounded by
+        // argument stays inside its bound while the workers run.
+        let origins = (round + 1) * WORKERS;
+        let ctx = format!("seed={seed} round={round}");
+        while finished.load(Ordering::SeqCst) < WORKERS {
+            check_gauges(&store, origins, WORKERS, &ctx);
+            thread::sleep(Duration::from_millis(2));
+        }
+        for j in joins {
+            let (c, a, n) = j.join().unwrap();
+            commits += c;
+            aborts += a;
+            snaps += n;
+        }
+        // Quiescent: every multi-op ran to the end of its settle sweep
+        // and every snapshot placed all its markers.
+        check_gauges(&store, origins, 0, &format!("{ctx} (quiescent)"));
+
+        if let Some(rss) = rss_mib() {
+            println!("store soak: round={round} rss={rss:.1} MiB commits={commits} aborts={aborts} snapshots={snaps}");
+            if round + 1 == WARMUP_ROUNDS {
+                baseline = Some(rss);
+            } else if let Some(base) = baseline {
+                assert!(
+                    rss <= base + SLACK_MIB,
+                    "seed={seed} round={round}: rss {rss:.1} MiB exceeds the post-warm-up \
+                     baseline {base:.1} + {SLACK_MIB} MiB bound — state is growing with history"
+                );
+            }
+        }
+    }
+
+    let mut probe = store.handle();
+    let snap = probe.snapshot();
+    assert_eq!(snap.map.len() as u64, PAIRS + 2 * PAIR_SPAN, "seed={seed}: a key was lost");
+    assert_eq!(snap.map.values().sum::<i64>(), 0, "seed={seed}: final state is not zero-sum");
+    for p in PAIRS..PAIRS + PAIR_SPAN {
+        assert_eq!(snap.map[&p], -snap.map[&(p + PAIR_SPAN)], "seed={seed}: pair {p} is torn");
+    }
+    assert!(commits > 0 && aborts > 0 && snaps > 0, "seed={seed}: commits={commits} aborts={aborts} snapshots={snaps}");
 }
