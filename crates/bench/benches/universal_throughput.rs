@@ -15,17 +15,18 @@ use waitfree_sched::thread;
 use waitfree_bench::timing::bench;
 use waitfree_sync::locked::{LockedCounter, LockedQueue};
 use waitfree_sync::lockfree::MsQueue;
-use waitfree_sync::wrappers::{WfCounterHandle, WfQueueHandle};
+use waitfree_sync::universal::UniversalConfig;
+use waitfree_sync::wrappers::{WfCounter, WfQueue};
 
 const OPS_PER_THREAD: usize = 2_000;
 
 fn counter_throughput() {
     for threads in [1usize, 2, 4] {
         bench("counter_throughput", &format!("wf_universal/{threads}"), || {
-            let handles = WfCounterHandle::create(threads, OPS_PER_THREAD + 1);
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|mut h| {
+            let counter = WfCounter::new(UniversalConfig::default());
+            let joins: Vec<_> = (0..threads)
+                .map(|_| {
+                    let mut h = counter.register();
                     thread::spawn(move || {
                         for _ in 0..OPS_PER_THREAD {
                             h.fetch_add(1);
@@ -77,10 +78,10 @@ fn counter_throughput() {
 fn queue_throughput() {
     for threads in [1usize, 2, 4] {
         bench("queue_throughput", &format!("wf_universal/{threads}"), || {
-            let handles = WfQueueHandle::create(threads, OPS_PER_THREAD + 1);
-            let joins: Vec<_> = handles
-                .into_iter()
-                .map(|mut h| {
+            let queue = WfQueue::new(UniversalConfig::default());
+            let joins: Vec<_> = (0..threads)
+                .map(|_| {
+                    let mut h = queue.register();
                     thread::spawn(move || {
                         for i in 0..OPS_PER_THREAD / 2 {
                             h.enq(i as i64);

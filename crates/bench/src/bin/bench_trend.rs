@@ -520,8 +520,8 @@ mod tests {
 
     #[test]
     fn unparseable_medians_are_not_measurements() {
-        // A "-" ns/op cell (the cell baseline's counter columns use the
-        // same convention) is skipped rather than treated as zero.
+        // A "-" ns/op cell (the unbounded steady leg records its
+        // wall-clock that way) is skipped rather than treated as zero.
         let mut d = doc(&[("a", 100.0), ("a", 100.0), ("a", 100.0)]);
         if let Json::Obj(members) = &mut d {
             let runs = &mut members.iter_mut().find(|(k, _)| k == "runs").unwrap().1;

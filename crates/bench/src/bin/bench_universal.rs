@@ -1,19 +1,22 @@
-//! P2/P4 — benchmark for the universal-object hot path: the seed
-//! `ConsensusCell` arena path (`waitfree_sync::universal_cell`) against
-//! the pointer-CAS segmented-log path (`waitfree_sync::universal`) in
-//! both decide modes — per-op (`new_per_op`) and batch combining
-//! (`new`, the default) — on a contended counter and a FIFO queue at
-//! n ∈ {1, 2, 4, 8} threads.
+//! P2/P4 — benchmark for the universal-object hot path
+//! (`waitfree_sync::universal`) in both decide modes — per-op
+//! (`combine: false`, impl `pointer`) and batch combining (the default,
+//! impl `batched`) — on a contended counter and a FIFO queue at
+//! n ∈ {1, 2, 4, 8} threads. Every leg is the same `WfHandle`; the legs
+//! differ by a `UniversalConfig` value.
 //!
 //! Each row records the median wall-clock ns per operation of the
-//! workload body (n threads × ops + join). Object construction is
-//! *hoisted out of the timed region* (`timing::measure_with_setup`): the
-//! seed path's eager O(n²·max_ops) arena is billed to setup, so ns/op
-//! compares the hot paths alone. Rows also carry the worst per-op
-//! threading-step count (must stay within the O(n) helping bound on
-//! every path) and, for the pointer paths, the consensus-decide and
-//! CAS-failure counters per completed invoke — the step-complexity
-//! numbers the combining layer exists to shrink.
+//! workload body (n threads × ops + join). Object construction and
+//! registration are *hoisted out of the timed region*
+//! (`timing::measure_with_setup`), so ns/op compares the hot paths
+//! alone. Rows also carry the worst per-op threading-step count (must
+//! stay within the O(n) helping bound on every leg) and the
+//! consensus-decide and CAS-failure counters per completed invoke — the
+//! step-complexity numbers the combining layer exists to shrink. The
+//! trajectory's `cell` rows (the seed `ConsensusCell` arena rendering,
+//! deleted once the per-op/batched pair and the sequential spec became
+//! the oracle) are history: `bench_trend` only gates rows the latest
+//! run has.
 //!
 //! Maintains `BENCH_universal.json` in the working directory (the repo
 //! root when run via `cargo run -p waitfree-bench --bin bench_universal`)
@@ -52,12 +55,15 @@ use waitfree_bench::timing::measure_with_setup;
 use waitfree_bench::trajectory::{cli_timestamp, merge_into_file};
 use waitfree_bench::Report;
 use waitfree_sched::thread;
-use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
+use waitfree_objects::counter::{Counter, CounterOp};
 use waitfree_objects::queue::{FifoQueue, QueueOp};
-use waitfree_sync::universal::{WfHandle, WfUniversal, SEGMENT_SIZE};
-use waitfree_sync::universal_cell::CellUniversal;
+use waitfree_sync::universal::{UniversalConfig, WfHandle, WfUniversal, SEGMENT_SIZE};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The two decide modes every contended row is measured in, under the
+/// impl names the recorded trajectory has always used.
+const DECIDE_LEGS: [(&str, bool); 2] = [("pointer", false), ("batched", true)];
 
 /// Checkpoint cadence for the steady-state leg: one checkpoint per
 /// segment keeps the truncation overhead at a 1/SEGMENT_SIZE factor
@@ -65,6 +71,10 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const STEADY_EVERY: usize = SEGMENT_SIZE;
 /// Thread count for the steady-state rows (one contended object).
 const STEADY_THREADS: usize = 4;
+
+fn decide_mode(combine: bool) -> UniversalConfig {
+    UniversalConfig { combine, ..UniversalConfig::default() }
+}
 
 /// Resident-set size in MiB read from `/proc/self/status` (`VmRSS:` is
 /// reported in kB). `None` off Linux or when the field is absent; the
@@ -76,177 +86,75 @@ fn rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Per-thread hot-path counters (pointer paths only; the cell baseline
-/// does not instrument its decide loop).
+/// Aggregated stats for one workload run (or several merged runs):
+/// worst per-op threading steps, plus the summed hot-path counters.
 #[derive(Clone, Copy, Default)]
-struct HotCounters {
+struct WorkStats {
+    max_steps: usize,
     decides: usize,
     cas_failures: usize,
     invokes: usize,
 }
 
-/// Aggregated stats for one workload run (or several merged runs):
-/// worst per-op threading steps, plus summed hot-path counters when the
-/// path exposes them.
-#[derive(Clone, Copy, Default)]
-struct WorkStats {
-    max_steps: usize,
-    hot: Option<HotCounters>,
-}
-
 impl WorkStats {
-    fn merge(&mut self, other: WorkStats) {
-        self.max_steps = self.max_steps.max(other.max_steps);
-        match (self.hot.as_mut(), other.hot) {
-            (Some(a), Some(b)) => {
-                a.decides += b.decides;
-                a.cas_failures += b.cas_failures;
-                a.invokes += b.invokes;
-            }
-            (None, Some(b)) => self.hot = Some(b),
-            _ => {}
-        }
-    }
-
-    /// `"x.xxx"` per-invoke rendering of one hot counter, `"-"` when
-    /// the path doesn't expose it.
-    fn per_invoke(&self, pick: impl Fn(&HotCounters) -> usize) -> String {
-        match &self.hot {
-            Some(h) => format!("{:.3}", pick(h) as f64 / h.invokes.max(1) as f64),
-            None => "-".to_string(),
-        }
-    }
-}
-
-fn wf_stats<S: waitfree_model::ObjectSpec>(h: &WfHandle<S>) -> WorkStats {
-    WorkStats {
-        max_steps: h.max_threading_steps(),
-        hot: Some(HotCounters {
+    fn of<S: waitfree_model::ObjectSpec>(h: &WfHandle<S>) -> Self {
+        WorkStats {
+            max_steps: h.max_threading_steps(),
             decides: h.decides(),
             cas_failures: h.cas_failures(),
             invokes: h.invokes(),
-        }),
-    }
-}
-
-/// One universal-object implementation under measurement.
-trait UniPath {
-    const NAME: &'static str;
-    type CounterH: Send + 'static;
-    type QueueH: Send + 'static;
-
-    fn counter(n: usize, max_ops: usize) -> Vec<Self::CounterH>;
-    fn queue(n: usize, max_ops: usize) -> Vec<Self::QueueH>;
-    fn faa(h: &mut Self::CounterH) -> i64;
-    fn enq_deq(h: &mut Self::QueueH, v: i64);
-    fn counter_stats(h: &Self::CounterH) -> WorkStats;
-    fn queue_stats(h: &Self::QueueH) -> WorkStats;
-}
-
-/// The pointer-CAS segmented-log path, one decide per op.
-struct PtrPath;
-
-impl UniPath for PtrPath {
-    const NAME: &'static str = "pointer";
-    type CounterH = WfHandle<Counter>;
-    type QueueH = WfHandle<FifoQueue>;
-
-    fn counter(n: usize, max_ops: usize) -> Vec<Self::CounterH> {
-        WfUniversal::new_per_op(Counter::new(0), n, max_ops)
-    }
-    fn queue(n: usize, max_ops: usize) -> Vec<Self::QueueH> {
-        WfUniversal::new_per_op(FifoQueue::new(), n, max_ops)
-    }
-    fn faa(h: &mut Self::CounterH) -> i64 {
-        match h.invoke(CounterOp::FetchAndAdd(1)) {
-            CounterResp::Value(v) => v,
-            CounterResp::Ack => unreachable!("fetch-and-add returns a value"),
         }
     }
-    fn enq_deq(h: &mut Self::QueueH, v: i64) {
-        let _ = h.invoke(QueueOp::Enq(v));
-        let _ = h.invoke(QueueOp::Deq);
+
+    fn merge(&mut self, other: WorkStats) {
+        self.max_steps = self.max_steps.max(other.max_steps);
+        self.decides += other.decides;
+        self.cas_failures += other.cas_failures;
+        self.invokes += other.invokes;
     }
-    fn counter_stats(h: &Self::CounterH) -> WorkStats {
-        wf_stats(h)
+
+    /// `"x.xxx"` per-invoke rendering of one hot counter.
+    fn per_invoke(&self, count: usize) -> String {
+        format!("{:.3}", count as f64 / self.invokes.max(1) as f64)
     }
-    fn queue_stats(h: &Self::QueueH) -> WorkStats {
-        wf_stats(h)
+
+    /// One report row; an unrecorded `ns` or `rss` renders as `-`.
+    fn row(
+        &self,
+        workload: &str,
+        name: &str,
+        n: usize,
+        per: usize,
+        ns: Option<f64>,
+        rss: Option<f64>,
+    ) -> [String; 9] {
+        [
+            workload.to_string(),
+            name.to_string(),
+            n.to_string(),
+            per.to_string(),
+            ns.map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
+            self.max_steps.to_string(),
+            self.per_invoke(self.decides),
+            self.per_invoke(self.cas_failures),
+            rss.map_or_else(|| "-".to_string(), |r| format!("{r:.1}")),
+        ]
     }
 }
 
-/// The pointer-CAS path with batch combining (the `WfUniversal::new`
-/// default): one winning decide threads every pending announced op.
-struct BatchedPath;
-
-impl UniPath for BatchedPath {
-    const NAME: &'static str = "batched";
-    type CounterH = WfHandle<Counter>;
-    type QueueH = WfHandle<FifoQueue>;
-
-    fn counter(n: usize, max_ops: usize) -> Vec<Self::CounterH> {
-        WfUniversal::new(Counter::new(0), n, max_ops)
-    }
-    fn queue(n: usize, max_ops: usize) -> Vec<Self::QueueH> {
-        WfUniversal::new(FifoQueue::new(), n, max_ops)
-    }
-    fn faa(h: &mut Self::CounterH) -> i64 {
-        PtrPath::faa(h)
-    }
-    fn enq_deq(h: &mut Self::QueueH, v: i64) {
-        PtrPath::enq_deq(h, v);
-    }
-    fn counter_stats(h: &Self::CounterH) -> WorkStats {
-        wf_stats(h)
-    }
-    fn queue_stats(h: &Self::QueueH) -> WorkStats {
-        wf_stats(h)
-    }
-}
-
-/// The seed `ConsensusCell` arena path (the *before* leg).
-struct CellPath;
-
-impl UniPath for CellPath {
-    const NAME: &'static str = "cell";
-    type CounterH = waitfree_sync::universal_cell::CellHandle<Counter>;
-    type QueueH = waitfree_sync::universal_cell::CellHandle<FifoQueue>;
-
-    fn counter(n: usize, max_ops: usize) -> Vec<Self::CounterH> {
-        CellUniversal::new(Counter::new(0), n, max_ops)
-    }
-    fn queue(n: usize, max_ops: usize) -> Vec<Self::QueueH> {
-        CellUniversal::new(FifoQueue::new(), n, max_ops)
-    }
-    fn faa(h: &mut Self::CounterH) -> i64 {
-        match h.invoke(CounterOp::FetchAndAdd(1)) {
-            CounterResp::Value(v) => v,
-            CounterResp::Ack => unreachable!("fetch-and-add returns a value"),
-        }
-    }
-    fn enq_deq(h: &mut Self::QueueH, v: i64) {
-        let _ = h.invoke(QueueOp::Enq(v));
-        let _ = h.invoke(QueueOp::Deq);
-    }
-    fn counter_stats(h: &Self::CounterH) -> WorkStats {
-        WorkStats { max_steps: h.max_threading_steps(), hot: None }
-    }
-    fn queue_stats(h: &Self::QueueH) -> WorkStats {
-        WorkStats { max_steps: h.max_threading_steps(), hot: None }
-    }
-}
-
-/// n threads each perform `ops` fetch-and-adds on one shared counter
-/// (handles pre-built by the caller, outside the timed region).
-fn counter_workload<P: UniPath>(handles: Vec<P::CounterH>, ops: usize) -> WorkStats {
+/// Run `body` on one thread per handle and merge the stats each returns.
+fn on_threads<S, F>(handles: Vec<WfHandle<S>>, body: F) -> WorkStats
+where
+    S: waitfree_model::ObjectSpec + Send + Sync + 'static,
+    S::Op: Send + Sync,
+    F: Fn(&mut WfHandle<S>) + Copy + Send + 'static,
+{
     let joins: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
             thread::spawn(move || {
-                for _ in 0..ops {
-                    P::faa(&mut h);
-                }
-                P::counter_stats(&h)
+                body(&mut h);
+                WorkStats::of(&h)
             })
         })
         .collect();
@@ -257,48 +165,58 @@ fn counter_workload<P: UniPath>(handles: Vec<P::CounterH>, ops: usize) -> WorkSt
     agg
 }
 
-/// n threads each perform `ops` operations (enq/deq pairs) on one shared
-/// FIFO queue (handles pre-built by the caller).
-fn queue_workload<P: UniPath>(handles: Vec<P::QueueH>, ops: usize) -> WorkStats {
-    let joins: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            thread::spawn(move || {
-                for i in 0..ops / 2 {
-                    P::enq_deq(&mut h, i as i64);
-                }
-                P::queue_stats(&h)
-            })
-        })
-        .collect();
-    let mut agg = WorkStats::default();
-    for j in joins {
-        agg.merge(j.join().unwrap());
-    }
-    agg
+/// A fresh `cfg` object over `initial` with `n` registered handles
+/// (built by the caller's untimed setup).
+fn handles<S: waitfree_model::ObjectSpec>(
+    initial: S,
+    n: usize,
+    cfg: UniversalConfig,
+) -> Vec<WfHandle<S>> {
+    let obj = WfUniversal::with_config(initial, cfg);
+    (0..n).map(|_| obj.register()).collect()
 }
 
-/// ns/op plus merged stats across all samples for one (path, workload,
-/// n) cell. Construction runs in `measure_with_setup`'s untimed setup;
-/// ns/op divides by the operations actually executed (the queue
-/// workload issues enq/deq pairs, so an odd `ops` rounds down to
-/// `2 * (ops / 2)` per thread).
-fn run_one<P: UniPath>(workload: &str, n: usize, ops: usize, samples: usize) -> (f64, WorkStats) {
+/// ns/op plus merged stats across all samples for one (leg, workload,
+/// n) cell: n threads each perform `ops` fetch-and-adds on one shared
+/// counter, or `ops` operations as enq/deq pairs on one shared FIFO
+/// queue. Construction runs in `measure_with_setup`'s untimed setup;
+/// ns/op divides by the operations actually executed (an odd `ops`
+/// rounds the queue workload down to `2 * (ops / 2)` per thread).
+fn run_one(
+    cfg: UniversalConfig,
+    workload: &str,
+    n: usize,
+    ops: usize,
+    samples: usize,
+) -> (f64, WorkStats) {
     let mut agg = WorkStats::default();
     let (median, executed) = match workload {
         "counter" => (
             measure_with_setup(
                 samples,
-                || P::counter(n, ops + 1),
-                |hs| agg.merge(counter_workload::<P>(hs, ops)),
+                || handles(Counter::new(0), n, cfg),
+                |hs| {
+                    agg.merge(on_threads(hs, move |h| {
+                        for _ in 0..ops {
+                            let _ = h.invoke(CounterOp::FetchAndAdd(1));
+                        }
+                    }));
+                },
             ),
             n * ops,
         ),
         "queue" => (
             measure_with_setup(
                 samples,
-                || P::queue(n, ops + 1),
-                |hs| agg.merge(queue_workload::<P>(hs, ops)),
+                || handles(FifoQueue::new(), n, cfg),
+                |hs| {
+                    agg.merge(on_threads(hs, move |h| {
+                        for i in 0..ops / 2 {
+                            let _ = h.invoke(QueueOp::Enq(i as i64));
+                            let _ = h.invoke(QueueOp::Deq);
+                        }
+                    }));
+                },
             ),
             n * 2 * (ops / 2),
         ),
@@ -312,10 +230,9 @@ fn run_one<P: UniPath>(workload: &str, n: usize, ops: usize, samples: usize) -> 
 const CHURN_OPS_PER_GEN: usize = 8;
 
 /// n threads each cycle register → operate → retire on one shared
-/// *dynamic* universal object until they have executed `ops` operations:
-/// the membership hot path (slot claim, announce-chunk reuse, retirement
-/// reclaim) measured alongside the decide hot path. Only the pointer
-/// paths appear — the cell baseline has no registry.
+/// universal object until they have executed `ops` operations: the
+/// membership hot path (slot claim, announce-cell reuse, retirement
+/// reclaim) measured alongside the decide hot path.
 fn churn_workload(obj: &WfUniversal<Counter>, n: usize, ops: usize) -> WorkStats {
     let joins: Vec<_> = (0..n)
         .map(|_| {
@@ -327,7 +244,7 @@ fn churn_workload(obj: &WfUniversal<Counter>, n: usize, ops: usize) -> WorkStats
                     for _ in 0..CHURN_OPS_PER_GEN {
                         let _ = h.invoke(CounterOp::FetchAndAdd(1));
                     }
-                    agg.merge(wf_stats(&h));
+                    agg.merge(WorkStats::of(&h));
                     h.retire();
                 }
                 agg
@@ -341,28 +258,22 @@ fn churn_workload(obj: &WfUniversal<Counter>, n: usize, ops: usize) -> WorkStats
     agg
 }
 
-/// ns/op plus merged stats for one churn row (`batched` picks the
-/// decide mode). Object construction is hoisted like the static rows;
-/// registration/retirement is deliberately *inside* the timed region —
-/// membership churn is the workload.
-fn run_churn(batched: bool, n: usize, ops: usize, samples: usize) -> (f64, WorkStats) {
+/// ns/op plus merged stats for one churn row. Object construction is
+/// hoisted like the contended rows; registration/retirement is
+/// deliberately *inside* the timed region — membership churn is the
+/// workload.
+fn run_churn(cfg: UniversalConfig, n: usize, ops: usize, samples: usize) -> (f64, WorkStats) {
     let mut agg = WorkStats::default();
     let median = measure_with_setup(
         samples,
-        || {
-            if batched {
-                WfUniversal::new_dynamic(Counter::new(0), CHURN_OPS_PER_GEN)
-            } else {
-                WfUniversal::new_dynamic_per_op(Counter::new(0), CHURN_OPS_PER_GEN)
-            }
-        },
+        || WfUniversal::with_config(Counter::new(0), cfg),
         |obj| agg.merge(churn_workload(&obj, n, ops)),
     );
     let executed = n * (ops / CHURN_OPS_PER_GEN) * CHURN_OPS_PER_GEN;
     (median.as_nanos() as f64 / executed.max(1) as f64, agg)
 }
 
-/// n threads hammer one shared *dynamic* counter for `per` ops each —
+/// n threads hammer one shared counter for `per` ops each —
 /// long enough for the checkpointed configuration to cycle through many
 /// truncations. Handles retire at the end so the final reclamation pass
 /// runs, but the object itself stays alive until after the RSS sample.
@@ -375,7 +286,7 @@ fn steady_workload(obj: &WfUniversal<Counter>, n: usize, per: usize) -> WorkStat
                 for _ in 0..per {
                     let _ = h.invoke(CounterOp::FetchAndAdd(1));
                 }
-                let stats = wf_stats(&h);
+                let stats = WorkStats::of(&h);
                 h.retire();
                 stats
             })
@@ -394,7 +305,7 @@ fn steady_workload(obj: &WfUniversal<Counter>, n: usize, per: usize) -> WorkStat
 /// checkpointed leg runs before the unbounded leg in `main` for the
 /// same reason: a fresh heap is the only honest baseline.
 fn run_steady(
-    checkpointed: bool,
+    cfg: UniversalConfig,
     n: usize,
     per: usize,
     samples: usize,
@@ -403,13 +314,7 @@ fn run_steady(
     let mut delta = None;
     let median = measure_with_setup(
         samples,
-        || {
-            if checkpointed {
-                WfUniversal::new_dynamic_checkpointed(Counter::new(0), per + 2, STEADY_EVERY)
-            } else {
-                WfUniversal::new_dynamic(Counter::new(0), per + 2)
-            }
-        },
+        || WfUniversal::with_config(Counter::new(0), cfg),
         |obj| {
             let before = rss_mib();
             agg.merge(steady_workload(&obj, n, per));
@@ -441,7 +346,7 @@ fn main() {
 
     let mut report = Report::new(
         "bench_universal",
-        "Universal object: ConsensusCell arena vs pointer-CAS log (per-op and batched decides)",
+        "Universal object: per-op vs batched decides on the pointer-CAS log",
         &[
             "workload",
             "impl",
@@ -456,48 +361,26 @@ fn main() {
     );
     report.note(format!("ops_per_thread={ops} samples={samples} (median of whole-workload runs)"));
     report.note(
-        "object construction is hoisted out of the timed region (measure_with_setup): \
-         the seed path's eager O(n^2*max_ops) arena is billed to setup, not ns/op; \
+        "object construction is hoisted out of the timed region (measure_with_setup); \
          trajectory entries without the \"construction\" config marker predate this \
          and include construction in their figures",
     );
     report.note(
-        "decides/op and cas_fail/op are the pointer paths' hot-path counters per \
-         completed invoke (the cell baseline is uninstrumented); batch combining \
-         exists to shrink exactly these",
+        "decides/op and cas_fail/op are the hot-path counters per completed invoke; \
+         batch combining exists to shrink exactly these",
     );
 
     for workload in ["counter", "queue"] {
         for n in THREAD_COUNTS {
-            let (cell_ns, cell_stats) = run_one::<CellPath>(workload, n, ops, samples);
-            let (ptr_ns, ptr_stats) = run_one::<PtrPath>(workload, n, ops, samples);
-            let (bat_ns, bat_stats) = run_one::<BatchedPath>(workload, n, ops, samples);
-            let legs = [
-                (CellPath::NAME, cell_ns, &cell_stats),
-                (PtrPath::NAME, ptr_ns, &ptr_stats),
-                (BatchedPath::NAME, bat_ns, &bat_stats),
-            ];
-            for (name, ns, stats) in legs {
-                report.row(&[
-                    workload.to_string(),
-                    name.to_string(),
-                    n.to_string(),
-                    ops.to_string(),
-                    format!("{ns:.1}"),
-                    stats.max_steps.to_string(),
-                    stats.per_invoke(|h| h.decides),
-                    stats.per_invoke(|h| h.cas_failures),
-                    "-".to_string(),
-                ]);
-            }
-            report.note(format!(
-                "speedup {workload} n={n}: {:.2}x (cell -> pointer), {:.2}x (pointer -> batched)",
-                cell_ns / ptr_ns,
-                ptr_ns / bat_ns,
-            ));
-            // The helping bound must hold on every path even while racing
-            // at full speed; 2n + 8 matches the stress tests' slack.
-            for (name, _, stats) in legs {
+            let legs = DECIDE_LEGS.map(|(name, combine)| {
+                let (ns, stats) = run_one(decide_mode(combine), workload, n, ops, samples);
+                (name, ns, stats)
+            });
+            for (name, ns, stats) in &legs {
+                report.row(&stats.row(workload, name, n, ops, Some(*ns), None));
+                // The helping bound must hold in both modes even while
+                // racing at full speed; 2n + 8 matches the stress tests'
+                // slack.
                 if stats.max_steps > 2 * n + 8 {
                     report.fail(format!(
                         "{workload} n={n} {name}: {} threading steps exceeds the O(n) bound",
@@ -505,48 +388,31 @@ fn main() {
                     ));
                 }
             }
-            if workload == "counter" && n == 4 {
-                let speedup = ptr_ns / bat_ns;
-                if speedup < 1.3 {
-                    report.note(format!(
-                        "WARNING: contended-counter batched speedup at n=4 is {speedup:.2}x, \
-                         below the 1.3x target (expected on single-core hosts, where threads \
-                         serialize and announce-time backlogs rarely form; the combining win \
-                         shows up in decides/op and the failpoint-driven step-count tests)"
-                    ));
-                }
+            let speedup = legs[0].1 / legs[1].1;
+            report.note(format!("speedup {workload} n={n}: {speedup:.2}x (pointer -> batched)"));
+            if workload == "counter" && n == 4 && speedup < 1.3 {
+                report.note(format!(
+                    "WARNING: contended-counter batched speedup at n=4 is {speedup:.2}x, \
+                     below the 1.3x target (expected on single-core hosts, where threads \
+                     serialize and announce-time backlogs rarely form; the combining win \
+                     shows up in decides/op and the failpoint-driven step-count tests)"
+                ));
             }
         }
     }
 
-    // The churn workload: dynamic membership (register → operate →
-    // retire per generation) on the pointer paths. The helping bound
-    // here is over the registry high-water, which concurrent claim races
-    // can push transiently past n, so the gate uses 4n + 8 slack.
+    // The churn workload: register → operate → retire per generation.
+    // The helping bound here is over the registry high-water, which
+    // concurrent claim races can push transiently past n, so the gate
+    // uses 4n + 8 slack.
     report.note(format!(
         "churn workload: every {CHURN_OPS_PER_GEN} ops the thread retires its handle and \
-         re-registers (slot claim + announce reuse timed in); cell has no registry, \
-         so only the pointer paths have churn rows"
+         re-registers (slot claim + announce reuse timed in)"
     ));
     for n in THREAD_COUNTS {
-        let (ptr_ns, ptr_stats) = run_churn(false, n, ops, churn_samples);
-        let (bat_ns, bat_stats) = run_churn(true, n, ops, churn_samples);
-        let legs = [
-            (PtrPath::NAME, ptr_ns, &ptr_stats),
-            (BatchedPath::NAME, bat_ns, &bat_stats),
-        ];
-        for (name, ns, stats) in legs {
-            report.row(&[
-                "churn".to_string(),
-                name.to_string(),
-                n.to_string(),
-                ops.to_string(),
-                format!("{ns:.1}"),
-                stats.max_steps.to_string(),
-                stats.per_invoke(|h| h.decides),
-                stats.per_invoke(|h| h.cas_failures),
-                "-".to_string(),
-            ]);
+        for (name, combine) in DECIDE_LEGS {
+            let (ns, stats) = run_churn(decide_mode(combine), n, ops, churn_samples);
+            report.row(&stats.row("churn", name, n, ops, Some(ns), None));
             if stats.max_steps > 4 * n + 8 {
                 report.fail(format!(
                     "churn n={n} {name}: {} threading steps exceeds the O(active) bound \
@@ -564,33 +430,25 @@ fn main() {
     // would mask the comparison).
     let steady_per = steady_ops / STEADY_THREADS;
     report.note(format!(
-        "steady workload: {STEADY_THREADS} threads x {steady_per} ops on one dynamic object \
+        "steady workload: {STEADY_THREADS} threads x {steady_per} ops on one object \
          ({steady_samples} sample(s)); checkpointed cadence every {STEADY_EVERY} decided ops; \
          rss_mib is the first sample's VmRSS delta across the timed region (checkpointed leg \
          measured first, on the unexpanded heap)"
     ));
     {
         let n = STEADY_THREADS;
-        let (cp_ns, cp_rss, cp_stats) = run_steady(true, n, steady_per, steady_samples);
+        let checkpointed =
+            UniversalConfig { checkpoint_every: Some(STEADY_EVERY), ..UniversalConfig::default() };
+        let (cp_ns, cp_rss, cp_stats) = run_steady(checkpointed, n, steady_per, steady_samples);
         // One sample for the reference leg: it exists for its RSS
         // figure, and its timing (see the module doc) isn't recorded.
-        let (un_ns, un_rss, un_stats) = run_steady(false, n, steady_per, 1);
+        let (un_ns, un_rss, un_stats) = run_steady(UniversalConfig::default(), n, steady_per, 1);
         let legs = [
             ("checkpointed", Some(cp_ns), cp_rss, &cp_stats),
             ("unbounded", None, un_rss, &un_stats),
         ];
         for (name, ns, rss, stats) in legs {
-            report.row(&[
-                "steady".to_string(),
-                name.to_string(),
-                n.to_string(),
-                steady_per.to_string(),
-                ns.map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
-                stats.max_steps.to_string(),
-                stats.per_invoke(|h| h.decides),
-                stats.per_invoke(|h| h.cas_failures),
-                rss.map_or_else(|| "-".to_string(), |r| format!("{r:.1}")),
-            ]);
+            report.row(&stats.row("steady", name, n, steady_per, ns, rss));
             // Checkpoint positions are extra helping-scan iterations:
             // the O(n) bound gains a 1/cadence factor, nothing more.
             let base = 2 * n + 8;
@@ -647,20 +505,13 @@ mod tests {
 
     #[test]
     fn stats_merge_maxes_steps_and_sums_counters() {
-        let mut a = WorkStats { max_steps: 3, hot: None };
-        a.merge(WorkStats {
-            max_steps: 7,
-            hot: Some(HotCounters { decides: 2, cas_failures: 1, invokes: 4 }),
-        });
-        a.merge(WorkStats {
-            max_steps: 5,
-            hot: Some(HotCounters { decides: 4, cas_failures: 0, invokes: 6 }),
-        });
+        let mut a = WorkStats { max_steps: 3, ..WorkStats::default() };
+        assert_eq!(a.per_invoke(a.decides), "0.000", "no invokes yet: no division by zero");
+        a.merge(WorkStats { max_steps: 7, decides: 2, cas_failures: 1, invokes: 4 });
+        a.merge(WorkStats { max_steps: 5, decides: 4, cas_failures: 0, invokes: 6 });
         assert_eq!(a.max_steps, 7);
-        let h = a.hot.unwrap();
-        assert_eq!((h.decides, h.cas_failures, h.invokes), (6, 1, 10));
-        assert_eq!(a.per_invoke(|h| h.decides), "0.600");
-        assert_eq!(a.per_invoke(|h| h.cas_failures), "0.100");
-        assert_eq!(WorkStats::default().per_invoke(|h| h.decides), "-");
+        assert_eq!((a.decides, a.cas_failures, a.invokes), (6, 1, 10));
+        assert_eq!(a.per_invoke(a.decides), "0.600");
+        assert_eq!(a.per_invoke(a.cas_failures), "0.100");
     }
 }

@@ -19,7 +19,8 @@ use waitfree_objects::counter::{Counter, CounterOp};
 use waitfree_objects::list::ConsList;
 use waitfree_objects::queue::{FifoQueue, QueueOp};
 use waitfree_objects::stack::{Stack, StackOp};
-use waitfree_sync::wrappers::WfCounterHandle;
+use waitfree_sync::universal::UniversalConfig;
+use waitfree_sync::wrappers::WfCounter;
 
 fn main() {
     let mut report = Report::new(
@@ -90,10 +91,10 @@ fn main() {
     {
         let threads = 4;
         let per = 2000;
-        let handles = WfCounterHandle::create(threads, per + 1);
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|mut h| {
+        let counter = WfCounter::new(UniversalConfig::default());
+        let joins: Vec<_> = (0..threads)
+            .map(|_| {
+                let mut h = counter.register();
                 waitfree_sched::thread::spawn(move || {
                     for _ in 0..per {
                         h.fetch_add(1);

@@ -16,7 +16,7 @@ const SAMPLE_WINDOW: Duration = Duration::from_millis(120);
 /// Time `f`, printing `group/name: <median> per iter (<iters> iters)`.
 ///
 /// The closure is first run once (warm-up + cost estimate), then timed in
-/// batches sized so each sample takes roughly [`SAMPLE_WINDOW`].
+/// batches sized so each sample takes roughly `SAMPLE_WINDOW`.
 pub fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
     // Warm-up and cost estimate.
     let start = Instant::now();
@@ -44,7 +44,7 @@ pub fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
 /// For workload-shaped benchmarks — whole multi-threaded runs taking
 /// milliseconds each — where the caller wants the number back (to emit
 /// JSON, compute speedups) rather than a printed line. The per-call
-/// median tolerates scheduler noise the same way [`bench`]'s does.
+/// median tolerates scheduler noise the same way [`bench()`]'s does.
 #[must_use]
 pub fn measure<F: FnMut()>(samples: usize, mut f: F) -> Duration {
     assert!(samples > 0, "need at least one sample");

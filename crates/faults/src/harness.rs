@@ -1,5 +1,5 @@
 //! The crash/stall stress harness: spawn `n` worker threads, let an
-//! adversary (installed via [`failpoints`](crate::failpoints)) crash or
+//! adversary (installed via [`failpoints`]) crash or
 //! stall a subset mid-operation, and collect a classified outcome per
 //! thread.
 //!

@@ -6,7 +6,7 @@
 //! compiles to exactly what it compiled to before the facade existed.
 //!
 //! With the feature on, each type wraps its std counterpart and calls
-//! [`crate::runtime`]'s schedule point before performing the real
+//! `crate::runtime`'s schedule point before performing the real
 //! hardware operation. Outside a scheduled run the shims skip straight
 //! to the hardware op, so ordinary `std::thread` tests keep working even
 //! when the feature is enabled.
@@ -16,13 +16,13 @@
 //! memory reorderings. Each operation's `Ordering` (and, for
 //! compare-exchange, the failure ordering and the outcome) is recorded
 //! in the run trace and passed through to the underlying std op
-//! unchanged; the happens-before pass ([`crate::hb`]) replays the trace
+//! unchanged; the happens-before pass (`crate::hb`) replays the trace
 //! and checks that every observed value is justified by those declared
 //! orderings alone.
 //!
 //! Every traced method is `#[track_caller]`, so the trace records the
 //! *workload's* source location for each op — the key that lets
-//! [`crate::hb`] resolve observed synchronization edges against the
+//! `crate::hb` resolve observed synchronization edges against the
 //! ordering contract `wf-lint` extracts from the audit comments.
 //!
 //! [`diag`] is the deliberate escape hatch for instrumentation-plane

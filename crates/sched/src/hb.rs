@@ -32,7 +32,7 @@
 //! SC interleaving guaranteed the visibility, the declared orderings did
 //! not, and on weakly-ordered hardware the load may return a stale value.
 //!
-//! # Model limits (see DESIGN.md §10)
+//! # Model limits (see DESIGN.md §9)
 //!
 //! * Per-op SC granularity: the pass judges the values the SC scheduler
 //!   actually produced; it does not *generate* weak behaviours (no

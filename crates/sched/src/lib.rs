@@ -20,25 +20,25 @@
 //! `Ordering`, `spawn`/`yield_now`/`JoinHandle`). Without the `sched`
 //! cargo feature they are **pure re-exports of std** — zero new code,
 //! zero cost; with it, every atomic op becomes a scheduling point of the
-//! runtime in [`runtime`]. Code outside a scheduled run falls through to
+//! runtime in `runtime`. Code outside a scheduled run falls through to
 //! the real operation either way.
 //!
 //! ## Exploration strategies
 //!
-//! All seed-replayable ([`strategy`]): uniform [`RandomWalk`], PCT
-//! priority scheduling ([`Pct`]) with configurable bug depth, bounded
-//! exhaustive [`Dfs`] for tiny configs, plus [`Script`] (pin one
-//! interleaving as a regression test) and [`OpRandom`]
+//! All seed-replayable (`strategy`): uniform `RandomWalk`, PCT
+//! priority scheduling (`Pct`) with configurable bug depth, bounded
+//! exhaustive `Dfs` for tiny configs, plus `Script` (pin one
+//! interleaving as a regression test) and `OpRandom`
 //! (operation-granularity schedules for cross-implementation
 //! equivalence).
 //!
 //! ## Verdicts
 //!
-//! [`recorder::HistoryRecorder`] logs invoke/response events from a
-//! scheduled run; [`lincheck::run_and_check`] feeds them to
-//! `waitfree_model::linearize`; [`lincheck::campaign`] sweeps seed
+//! `recorder::HistoryRecorder` logs invoke/response events from a
+//! scheduled run; `lincheck::run_and_check` feeds them to
+//! `waitfree_model::linearize`; `lincheck::campaign` sweeps seed
 //! ranges and prints every failing schedule (strategy, seed, decision
-//! trace) for bit-for-bit replay via [`lincheck::replay`].
+//! trace) for bit-for-bit replay via `lincheck::replay`.
 //!
 //! ## Fault injection under the scheduler
 //!
@@ -59,7 +59,7 @@
 //! reorderings (that is loom's territory). The gap is checked rather
 //! than ignored: every operation's `Ordering` (and CAS failure
 //! ordering/outcome) lands in the run trace in execution order, and the
-//! happens-before pass in [`hb`] replays that trace to verify each
+//! happens-before pass in `hb` replays that trace to verify each
 //! observed value is justified by the declared orderings alone, flagging
 //! reads that only the SC serialization made safe.
 

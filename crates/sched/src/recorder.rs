@@ -7,9 +7,9 @@
 //! across a schedule point — `invoke`/`respond` only push one event —
 //! so recording does not perturb the explored interleavings, and an
 //! injected crash between an invoke and its respond simply leaves the
-//! operation pending (which [`PendingPolicy::MayTakeEffect`]
-//! (`waitfree_model::PendingPolicy`) then treats correctly: the crashed
-//! operation may or may not have taken effect).
+//! operation pending (which
+//! [`waitfree_model::PendingPolicy::MayTakeEffect`] then treats
+//! correctly: the crashed operation may or may not have taken effect).
 
 use std::sync::{Arc, Mutex, PoisonError};
 

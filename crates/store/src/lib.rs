@@ -26,7 +26,7 @@
 //!   **canonical ascending shard order**, votes are gathered, then the
 //!   unanimous verdict is decided (`Resolve`) into the same logs.
 //!   Locks are acquired whole-shard-atomically and only in ascending
-//!   order, so no hold-and-wait cycle can form (DESIGN §13). Because
+//!   order, so no hold-and-wait cycle can form (DESIGN §10). Because
 //!   the descriptor is replicated to every involved shard, *any*
 //!   client that runs into its locks can finish it: conflicting ops
 //!   receive the full holder descriptor and **help** the stalled
@@ -51,11 +51,10 @@
 //!   (`know[s][t] <= version[t]`, the same invariant
 //!   `waitfree_sched::hb` enforces on memory traces).
 //!
-//! Shards are built on the dynamic-membership registry (PR 6) —
+//! Every shard is one `WfUniversal` —
 //! [`ShardedStore::handle`] registers on every shard, handles retire —
-//! and can be individually checkpointed/truncated (PR 7) via
-//! [`StoreConfig::checkpoint_every`], so the store exercises every
-//! prior subsystem at once.
+//! checkpointed and truncated at [`StoreConfig::checkpoint_every`], so
+//! the store exercises every layer of the universal object at once.
 //!
 //! ## Progress guarantees, stated honestly
 //!
@@ -75,7 +74,7 @@
 //! linearization of the flat-map spec allows. The local read path
 //! keeps the rule because the replica it reads *is* the decided
 //! prefix: a lock visible at the observed frontier blocks the read
-//! ([`ShardState::peek`]), and DESIGN §14 gives the happens-before
+//! ([`ShardState::peek`]), and DESIGN §11 gives the happens-before
 //! argument for why a frontier that shows one shard's resolve always
 //! shows every sibling shard's prepare.
 //!
@@ -97,7 +96,7 @@ use std::sync::Arc;
 
 use waitfree_faults::failpoint;
 use waitfree_sched::atomic::{AtomicU64, Ordering};
-use waitfree_sync::universal::{WfHandle, WfUniversal};
+use waitfree_sync::universal::{UniversalConfig, WfHandle, WfUniversal};
 
 pub mod model;
 pub mod router;
@@ -116,14 +115,17 @@ pub struct StoreConfig {
     /// processes — see [`router`]).
     pub seed: u64,
     /// Per-shard op budget for each registered [`StoreHandle`]
-    /// (multi-key ops and helping consume several per shard). It sizes
-    /// nothing; the default outlasts any process.
+    /// (multi-key ops and helping consume several per shard): every
+    /// shard's [`UniversalConfig::max_ops`]. It sizes nothing; the
+    /// default outlasts any process.
     pub ops_per_handle: usize,
-    /// Decide a checkpoint image into each shard's log every this many
-    /// positions (PR 7 truncation machinery). `None` = unbounded logs.
+    /// Every shard's [`UniversalConfig::checkpoint_every`]: decide a
+    /// checkpoint image into the shard's log every this many positions
+    /// and reclaim the segments behind it. `None` = unbounded logs.
     pub checkpoint_every: Option<usize>,
-    /// Hard per-shard log capacity (`LogFull` beyond it). `None` =
-    /// grow on demand. Mutually exclusive with `checkpoint_every`.
+    /// Every shard's [`UniversalConfig::cap`] (`LogFull` beyond it).
+    /// `None` = grow on demand. Mutually exclusive with
+    /// `checkpoint_every`.
     pub capacity: Option<usize>,
 }
 
@@ -132,10 +134,7 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 4,
             seed: 0x5eed_5709_e5ca_1ab1,
-            // 2⁵⁶ on a 64-bit target — centuries at any achievable
-            // rate. A slot's budget ends at (ops its earlier occupants
-            // actually ran) + this, which therefore cannot overflow.
-            ops_per_handle: usize::MAX >> 8,
+            ops_per_handle: UniversalConfig::default().max_ops,
             checkpoint_every: None,
             capacity: None,
         }
@@ -186,33 +185,26 @@ where
     V: Clone + Eq + Hash + Debug + Send + Sync + 'static,
     M: Merge<V> + Send + Sync + 'static,
 {
-    /// Build a store per `cfg`. Every shard is a dynamic-membership
-    /// universal object (PR 6), checkpointed at the configured cadence
-    /// (PR 7) or capacity-capped if requested.
+    /// Build a store per `cfg`: `cfg.shards` universal objects, each
+    /// with the batch-combining [`UniversalConfig`] that `cfg`'s
+    /// `checkpoint_every`, `capacity` and `ops_per_handle` describe.
     ///
     /// # Panics
-    /// If `cfg.shards == 0`, or both `checkpoint_every` and `capacity`
-    /// are set (a capped log cannot also truncate).
+    /// If `cfg.shards == 0`, or `cfg`'s log settings are ones
+    /// [`WfUniversal::with_config`] rejects (a zero cadence, or both
+    /// `checkpoint_every` and `capacity`: a capped log cannot also
+    /// truncate).
     #[must_use]
     pub fn new(cfg: &StoreConfig) -> Self {
         assert!(cfg.shards > 0, "a store has at least one shard");
-        assert!(
-            cfg.checkpoint_every.is_none() || cfg.capacity.is_none(),
-            "checkpoint_every and capacity are mutually exclusive"
-        );
+        let log = UniversalConfig {
+            checkpoint_every: cfg.checkpoint_every,
+            cap: cfg.capacity,
+            max_ops: cfg.ops_per_handle,
+            ..UniversalConfig::default()
+        };
         let shards = (0..cfg.shards)
-            .map(|s| {
-                let init = ShardState::new(s, cfg.shards, cfg.seed);
-                match (cfg.checkpoint_every, cfg.capacity) {
-                    (Some(every), None) => {
-                        WfUniversal::new_dynamic_checkpointed(init, cfg.ops_per_handle, every)
-                    }
-                    (None, Some(cap)) => {
-                        WfUniversal::with_capacity_dynamic(init, cfg.ops_per_handle, cap)
-                    }
-                    _ => WfUniversal::new_dynamic(init, cfg.ops_per_handle),
-                }
-            })
+            .map(|s| WfUniversal::with_config(ShardState::new(s, cfg.shards, cfg.seed), log))
             .collect();
         ShardedStore {
             shards,
@@ -357,7 +349,7 @@ where
     /// at the observed frontier hands back the holder descriptor — the
     /// reader helps that multi-op to completion and retries, exactly
     /// like every mutator, so a cross-shard multi-op can never be
-    /// observed half-applied (module docs; DESIGN §14).
+    /// observed half-applied (module docs; DESIGN §11).
     ///
     /// For a read that is *decide-ordered* into the shard log (a
     /// linearization witness at a known log position), see
@@ -367,7 +359,7 @@ where
         let s = route(self.seed, self.nshards(), key);
         // progress: wait-free — a retry only follows helping the blocking
         // multi-op to completion, so iterations are bounded by the multi-ops
-        // admitted before this read's frontier (DESIGN §14).
+        // admitted before this read's frontier (DESIGN §11).
         loop {
             match self.shards[s].read(|st| st.peek(key)) {
                 Ok((val, version)) => {
@@ -611,7 +603,7 @@ where
     /// protocol is identical and every step idempotent.
     ///
     /// Phase 1 prepares in ascending shard order (the canonical lock
-    /// order — see DESIGN §13 for why no cycle of blocked multi-ops
+    /// order — see DESIGN §10 for why no cycle of blocked multi-ops
     /// can form). `Resolved` short-circuits: someone finished the
     /// verdict already, but phase 2 still visits every shard because
     /// the finisher may have crashed mid-resolve. `Stale` ends the

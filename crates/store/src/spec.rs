@@ -38,7 +38,7 @@
 //!   runs one multi-op at a time, so a shard keeps **one tombstone per
 //!   originator**, not one per multi-op: a `Prepare` for an id its
 //!   originator has since superseded is answered
-//!   [`ShardResp::Stale`] (see [`ShardState::origins`]).
+//!   [`ShardResp::Stale`] (see `ShardState::origins`).
 //!
 //! * **Snapshot markers** ([`ShardOp::Marker`]). Deciding `Marker{e}`
 //!   captures this shard's contribution to global snapshot `e`
@@ -47,7 +47,7 @@
 //!   invoking ([`Ctx::epoch`]), and a mutation stamped `>= e` that gets
 //!   decided before shard-local marker `e` triggers a pre-mutation
 //!   *early capture* — the part is photographed before the mutation
-//!   applies, so the straggler is excluded. See DESIGN §13 for the
+//!   applies, so the straggler is excluded. See DESIGN §10 for the
 //!   argument that this yields a causally consistent cut.
 //!
 //! All maps are `BTreeMap`s (not hash maps): the state must
@@ -71,7 +71,7 @@ use crate::router::route;
 /// order it runs them and starts `(o, s + 1)` only after `(o, s)` is
 /// resolved and settled on every involved shard, so within one origin a
 /// larger seq supersedes every smaller one — the rule
-/// [`ShardState::origins`] relies on. A bare `MultiId(n)` with
+/// `ShardState::origins` relies on. A bare `MultiId(n)` with
 /// `n < 2^40` is origin 0, seq `n`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MultiId(pub u64);
@@ -125,7 +125,7 @@ pub struct Ctx {
     /// indexed by shard — the shard count is fixed at construction, so
     /// a flat vector copies by memcpy where a `BTreeMap` would
     /// re-allocate nodes on every mutating op. Merged into
-    /// [`ShardState::know`] so the debug-mode cut check can verify the
+    /// `ShardState::know` so the debug-mode cut check can verify the
     /// snapshot against real cross-shard dependencies. May be shorter
     /// than the shard count (a client that has observed nothing sends
     /// an empty vector); absent entries mean version 0.
@@ -201,7 +201,7 @@ pub struct SnapPart<K: Ord, V> {
     /// shards): the only commits that can be torn in this cut, so the
     /// only ones a capture needs to carry. Bounded by in-flight
     /// multi-ops (plus crashed resolvers), **not** by all commits ever
-    /// — see [`ShardState::unsettled`].
+    /// — see `ShardState::unsettled`.
     pub unsettled: BTreeMap<MultiId, Vec<usize>>,
     /// Mutation counter at the cut.
     pub version: u64,
@@ -253,7 +253,7 @@ pub enum ShardOp<K: Ord, V, M> {
     /// consistent cut, so drop it from the capture window. Carries a
     /// `Ctx` so the stamp rule and the knowledge vector order it
     /// against open snapshots like any other mutation — that ordering
-    /// is what makes dropping it sound (see [`ShardState::unsettled`]).
+    /// is what makes dropping it sound (see `ShardState::unsettled`).
     Settle { id: MultiId, ctx: Ctx },
     Marker { epoch: u64 },
 }

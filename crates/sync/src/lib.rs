@@ -11,13 +11,12 @@
 //!   consensus from `compare_exchange` (Theorem 7 on silicon), plus the
 //!   two-process fetch-and-add and swap variants of Theorem 4;
 //! * [`universal`] — a wait-free universal object: any
-//!   [`ObjectSpec`](waitfree_model::ObjectSpec) shared among n threads via
-//!   a segmented log of pointer-CAS consensus cells with announce-array
-//!   helping (the practical shape of §4's construction, optimised for the
-//!   hot path — `Arc`'d entries, single-CAS decides, lazy log growth);
-//! * [`universal_cell`] — the original [`consensus::ConsensusCell`]-based
-//!   rendering of the same algorithm, kept as the fidelity baseline and
-//!   the *before* leg of the `bench_universal` comparison;
+//!   [`ObjectSpec`](waitfree_model::ObjectSpec) shared among dynamically
+//!   registering clients via a segmented log of pointer-CAS consensus
+//!   slots with announce-registry helping (the practical shape of §4's
+//!   construction — boxed entries owned by their log slot, single-CAS
+//!   batch-combining decides, lazy log growth, checkpointed
+//!   truncation), built from one [`universal::UniversalConfig`];
 //! * [`lockfree`] — specialized lock-free baselines (Treiber stack,
 //!   Michael–Scott queue) on raw `AtomicPtr` CAS with drop-deferred
 //!   reclamation;
@@ -56,5 +55,4 @@ pub mod faa_queue;
 pub mod lockfree;
 pub mod locked;
 pub mod universal;
-pub mod universal_cell;
 pub mod wrappers;

@@ -1,93 +1,87 @@
-//! A wait-free universal object on hardware atomics — the optimised
-//! pointer-CAS rendering, with batch combining, dynamic membership, and
-//! checkpointed log truncation.
+//! A wait-free universal object on hardware atomics: one log, decided
+//! by pointer CAS, with batch combining, dynamic membership and
+//! checkpointed truncation.
 //!
 //! The practical rendering of §4's universality result: a shared log in
 //! which each position is decided by a *single* `AtomicPtr`
 //! compare-exchange (Theorem 7 compiled to one hardware primitive), plus
 //! an announce registry with a helping discipline that bounds every
 //! operation — the difference between *lock-free* (someone wins) and
-//! *wait-free* (everyone finishes) is exactly the helping.
+//! *wait-free* (everyone finishes) is exactly the helping. The literal
+//! Figure 4-5 rendering the explorer checks lives in `waitfree-core`
+//! (`universal::consensus_cons`, `universal::log`); this module is the
+//! one hardware implementation, built one way —
+//! [`WfUniversal::with_config`] over a [`UniversalConfig`] — and joined
+//! one way, [`WfUniversal::register`].
 //!
-//! This module replaces the original 3-atomic-op
-//! [`ConsensusCell`](crate::consensus::ConsensusCell) hot path, which is
-//! preserved verbatim in [`crate::universal_cell`] as the fidelity
-//! baseline for the explorer/model crates and for the before/after
-//! benchmark (`bench_universal`). The structural changes that make this
-//! path fast:
-//!
-//! * **Pointer consensus over arena segments.** A log position is one
+//! * **Pointer consensus over log segments.** A log position is one
 //!   `AtomicPtr<LogEntry>`: null means undecided, and the first
 //!   successful CAS from null wins. Proposals are plain heap `Box`es
 //!   owned by the winning slot — there is *no per-entry reference
 //!   count*. Entry lifetime is governed wholesale, per segment, by the
 //!   checkpoint/frontier scheme below, so the decide/replay/collect hot
-//!   path never touches reclamation bookkeeping. (Earlier revisions
-//!   used `Arc<Entry>` and paid two atomic refcount ops per hand-off.)
-//!   Helpers read another slot's announced entry through a per-handle
-//!   *hazard pointer* with a single validating re-load — wait-free: a
-//!   failed validation means the owner moved on, so there is nothing
-//!   left to help there.
-//! * **Segmented, lazily grown log.** Instead of an eagerly allocated
-//!   `2·n·max_ops + 16` arena of n-slot cells (O(n²·max_ops) memory
-//!   before the first op), the log is a linked list of fixed-size
-//!   segments. A thread that walks off the end allocates the next
-//!   segment and installs it with a CAS on the link; the loser of that
-//!   race frees its duplicate and follows the winner — growth is itself
-//!   wait-free (one CAS attempt, then proceed). [`WfUniversal::new`]
-//!   builds an *unbounded* log; [`UniversalError::LogFull`] remains as
-//!   an explicit opt-in cap via [`WfUniversal::with_capacity`] for the
-//!   fault tests.
-//! * **Checkpointed truncation** (this PR's layer; the paper's
-//!   strongly-wait-free variant, §4.1 end — see the abstract model in
-//!   `waitfree-core`'s `universal::log`). With
-//!   [`WfUniversal::new_checkpointed`] (or the dynamic variant), a
-//!   handle whose replay frontier has advanced `every` positions past
-//!   the latest checkpoint proposes a [`LogEntry::Checkpoint`] carrying
-//!   its replica state: one ordinary consensus decide, wait-free — the
-//!   loser of the checkpoint CAS just frees its image and moves on,
-//!   and replayers treat a checkpoint as an empty batch (their replica
-//!   already equals the image when they reach it). Each handle
-//!   publishes a *replay frontier* in its registry slot; whole segments
-//!   strictly behind `min(latest checkpoint, min over active handles'
-//!   frontiers)` are detached from the chain and freed once no
-//!   walker's segment hazard covers them. Retired, dropped, and
-//!   crashed handles publish `usize::MAX` (never pinning memory), and
-//!   a late registrant bootstraps its replica from the oldest retained
-//!   checkpoint — at least one is retained by construction, since the
-//!   reclaim bound never passes the newest one.
-//!   Steady-state memory is O(frontier spread), not O(total ops).
-//! * **Batch combining** (default; see DESIGN.md §9). Before deciding
-//!   position `k`, a thread scans the announce registry and collects
-//!   *every* currently-pending announced operation into one
+//!   path never touches reclamation bookkeeping. Helpers read another
+//!   slot's announced entry through a per-handle *hazard pointer* with a
+//!   single validating re-load — wait-free: a failed validation means
+//!   the owner moved on, so there is nothing left to help there.
+//! * **Segmented, lazily grown log.** The log is a linked list of
+//!   [`SEGMENT_SIZE`]-position segments. A thread that walks off the end
+//!   allocates the next segment and installs it with a CAS on the link;
+//!   the loser of that race frees its duplicate and follows the winner —
+//!   growth is itself wait-free (one CAS attempt, then proceed). The log
+//!   is unbounded unless [`UniversalConfig::cap`] opts into a position
+//!   cap ([`UniversalError::LogFull`]) for the fault tests.
+//! * **Checkpointed truncation** ([`UniversalConfig::checkpoint_every`];
+//!   the paper's strongly-wait-free variant, §4.1 end — see the abstract
+//!   model in `waitfree-core`'s `universal::log`). A handle whose replay
+//!   frontier has advanced `every` positions past the latest checkpoint
+//!   proposes a [`LogEntry::Checkpoint`] carrying its replica state: one
+//!   ordinary consensus decide, wait-free — the loser of the checkpoint
+//!   CAS just frees its image and moves on, and replayers treat a
+//!   checkpoint as an empty batch (their replica already equals the
+//!   image when they reach it). Each handle publishes a *replay
+//!   frontier* in its registry slot; whole segments strictly behind
+//!   `min(latest checkpoint, min over active handles' frontiers)` are
+//!   detached from the chain and freed once no walker's segment hazard
+//!   covers them. Retired, dropped, and crashed handles publish
+//!   `usize::MAX` (never pinning memory), and a late registrant
+//!   bootstraps its replica from the oldest retained checkpoint — at
+//!   least one is retained by construction, since the reclaim bound
+//!   never passes the newest one. Steady-state memory is O(frontier
+//!   spread), not O(total ops).
+//! * **Batch combining** ([`UniversalConfig::combine`], the default).
+//!   Before deciding position `k`, a thread scans the announce registry
+//!   and collects *every* currently-pending announced operation into one
 //!   [`LogEntry::Batch`], so a single winning CAS threads up to `n`
 //!   operations and the losers find their op already decided instead of
 //!   retrying. Under contention this drops decides per completed
 //!   operation from ~1 toward 1/n (amortized O(1) RMWs on the contended
 //!   slot), while the worst case keeps the per-op helping bound — the
 //!   scan starts at position `k`'s preferred thread, so the batch is
-//!   always a superset of the per-op candidate. [`WfUniversal::new_per_op`]
-//!   preserves the PR-2 one-op-per-decide candidate selection for
-//!   benchmarks and differential tests.
-//! * **Dynamic membership** (PR 6's layer). The paper fixes the
-//!   process set `n` at creation time; a production service does not.
-//!   Following the infinite-arrival construction of
-//!   Bonin–Mostéfaoui–Perrin (PAPERS.md), the static announce array is
-//!   replaced by a *registry*: a segmented, lazily grown array of
-//!   handle slots, each claimed by one CAS. [`WfUniversal::register`]
-//!   is wait-free — every failed claim CAS implies a *different*
-//!   concurrent registrant's success, so the scan's step count is
-//!   bounded by the number of concurrently arriving clients.
-//!   [`WfHandle::retire`] marks a slot departed; a quiesced retired
-//!   slot is reclaimed (lazily, by the next registrant to scan past
-//!   it), so registry memory is bounded by the *peak number of
-//!   concurrently active handles*, never by total arrivals. A client
-//!   that crashes without retiring degrades gracefully: its at-most-one
-//!   pending op stays announced and helpable forever, and it costs
-//!   exactly one registry slot — never a wedged helping loop, because
-//!   helpers skip a slot with nothing pending in two loads.
+//!   always a superset of the per-op candidate. `combine: false` is the
+//!   paper's literal one-op-per-decide candidate rule; with the
+//!   sequential spec it is the differential oracle the equivalence
+//!   tests and `bench_universal` compare combining against.
+//! * **Dynamic membership.** The paper fixes the process set `n` at
+//!   creation time; a long-running service does not. Following the
+//!   infinite-arrival construction of Bonin–Mostéfaoui–Perrin
+//!   (PAPERS.md), the announce array is a *registry*: a segmented,
+//!   lazily grown array of handle slots, each claimed by one CAS.
+//!   [`WfUniversal::register`] is wait-free — every failed claim CAS
+//!   implies a *different* concurrent registrant's success, so the
+//!   scan's step count is bounded by the number of concurrently arriving
+//!   clients. [`WfHandle::retire`] marks a slot departed; a quiesced
+//!   retired slot is reclaimed (lazily, by the next registrant to scan
+//!   past it), so registry memory is bounded by the *peak number of
+//!   concurrently active handles*, never by total arrivals. A fixed
+//!   process set is `n` sequential `register()` calls on a fresh object
+//!   (which claim slots `0..n` in order). A client that crashes without
+//!   retiring degrades gracefully: its at-most-one pending op stays
+//!   announced and helpable forever, and it costs exactly one registry
+//!   slot — never a wedged helping loop, because helpers skip a slot
+//!   with nothing pending in two loads.
 //!
-//! How an operation executes (unchanged from Figure 4-5's algorithm):
+//! How an operation executes (Figure 4-5's algorithm):
 //!
 //! 1. **Announce** the operation in the caller's announce cell (one
 //!    `AtomicPtr` per slot holding the latest entry; the displaced
@@ -100,8 +94,8 @@
 //!    registered-slot high-water), in per-op mode the preferred slot's
 //!    pending entry or the caller's own. Once every position
 //!    periodically prefers each slot, an announced operation is
-//!    threaded within `hi` positions: the wait-free bound, restated
-//!    over peak active handles instead of a static `n`.
+//!    threaded within `hi` positions: the wait-free bound, over peak
+//!    active handles.
 //! 3. **Replay** the log from the handle's cached state up to the caller's
 //!    entry to compute the response (§4.1's `eval`/`apply`).
 //!
@@ -153,7 +147,7 @@
 //!   additionally publishes `hint ≥ cursor` when an invocation
 //!   completes: a completed op's position is always below the hint,
 //!   which is what makes the Acquire frontier load a sound
-//!   linearization point for [`WfHandle::read`] (see DESIGN.md §14).
+//!   linearization point for [`WfHandle::read`] (see DESIGN.md §11).
 //!   The threading start is
 //!   additionally clamped to the handle's own replay cursor — a safety
 //!   requirement, not a heuristic: positions at or above the cursor are
@@ -194,7 +188,7 @@
 //!   order (hazard-publish-then-revalidate vs. replace-then-scan;
 //!   frontier-publish-then-hazard-clear vs. hazard-check-then-fresh
 //!   -bound; detach high-water before unlink vs. hop-then-validate —
-//!   see DESIGN.md §12 for the audit), and none of these words is on
+//!   see DESIGN.md §8 for the audit), and none of these words is on
 //!   the per-decide fast path, so there is nothing to relax.
 //!
 //! # Failpoint sites (feature `failpoints`)
@@ -213,11 +207,10 @@
 //! | `universal::checkpoint` | after the checkpoint cadence check, before the image is built and proposed |
 //! | `universal::reclaim`    | inside `try_reclaim`, after the reclaim lock is taken, before anything is detached |
 //!
-//! The shared sites carry the same names as the baseline's
-//! ([`crate::universal_cell`]), so one adversary plan stresses either
-//! path (`universal::collect` fires only on the combining path;
-//! `universal::register`/`universal::retire`/`universal::checkpoint`/
-//! `universal::reclaim` only on this one). A thread crashed at
+//! `universal::collect` fires only with `combine: true`, and
+//! `universal::checkpoint`/`universal::reclaim` only with
+//! `checkpoint_every` set; one adversary plan over the other sites
+//! stresses every configuration. A thread crashed at
 //! `universal::announce` has published nothing; one crashed at any
 //! later site has an announced operation that helpers may still
 //! thread, and a collect scan mutates nothing shared (its hazard
@@ -276,19 +269,19 @@ const SLOT_RETIRED: usize = 2;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UniversalError {
     /// The log reached its opt-in position cap
-    /// ([`WfUniversal::with_capacity`]) with no undecided position left.
+    /// ([`UniversalConfig::cap`]) with no undecided position left.
     /// The operation was already announced and *may still take effect*
     /// through helping; the object as a whole cannot accept further
-    /// operations. Never returned by objects built with
-    /// [`WfUniversal::new`], whose log grows without bound.
+    /// operations. Never returned without a cap: the log then grows
+    /// without bound.
     LogFull {
         /// First position past the cap.
         position: usize,
         /// The configured position cap.
         capacity: usize,
     },
-    /// This handle used all `max_ops` announce slots; the operation was
-    /// not announced and has no effect.
+    /// This registration used its whole [`UniversalConfig::max_ops`]
+    /// budget; the operation was not announced and has no effect.
     BudgetExhausted {
         /// The invoking thread.
         tid: usize,
@@ -355,10 +348,10 @@ pub struct CpImage<S: ObjectSpec> {
 /// preferred thread), which is their linearization order; replay applies
 /// them in member order and response lookup keys on `(tid, seq)`.
 /// [`WfHandle::decided_log`] flattens batches so the Wing–Gong checker
-/// and the cross-implementation equivalence tests keep per-op
-/// granularity. A checkpoint contributes no members: replayers that
-/// reach it already hold a replica equal to its image, so they skip it,
-/// while a bootstrapping registrant *starts* from it.
+/// and the per-op/batched equivalence tests keep per-op granularity.
+/// A checkpoint contributes no members: replayers that reach it
+/// already hold a replica equal to its image, so they skip it, while a
+/// bootstrapping registrant *starts* from it.
 #[derive(Debug)]
 pub enum LogEntry<S: ObjectSpec> {
     /// One operation. The per-op path always produces this; the
@@ -547,22 +540,56 @@ impl Drop for ReclaimGuard<'_> {
     }
 }
 
-struct Shared<S: ObjectSpec> {
-    /// Per-*registration* operation budget: each `register` grants a
-    /// fresh `max_ops` announce sequence numbers on the claimed slot.
-    max_ops: usize,
-    /// Opt-in position cap; `None` lets the log grow without bound.
-    cap: Option<usize>,
+/// Everything that can differ between two [`WfUniversal`] objects over
+/// the same specification. `Default` is the plain hot path: combining,
+/// no truncation, no cap, a budget no process outlives.
+///
+/// | field | `Default` | effect |
+/// |-------|-----------|--------|
+/// | `combine` | `true` | batch every pending announced op into one decide; `false` threads one op per decide |
+/// | `checkpoint_every` | `None` | `Some(e)`: decide a checkpoint every `e` positions and reclaim the segments behind it |
+/// | `cap` | `None` | `Some(c)`: positions `≥ c` do not exist ([`UniversalError::LogFull`]); excludes `checkpoint_every` |
+/// | `max_ops` | `usize::MAX >> 8` | operations per registration before [`UniversalError::BudgetExhausted`] |
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UniversalConfig {
     /// Combining mode: scan the announce registry and propose all
-    /// pending ops as one batch per decide (the default hot path).
-    /// `false` keeps the PR-2 one-op-per-decide candidate selection.
-    combine: bool,
+    /// pending ops as one batch per decide. `false` is the paper's
+    /// one-op-per-decide candidate rule (the preferred slot's pending
+    /// entry, else the caller's own).
+    pub combine: bool,
     /// Checkpoint cadence: decide a [`LogEntry::Checkpoint`] once a
-    /// handle's replay frontier is `every` positions past the latest
-    /// one. `None` disables truncation entirely (the reclaim bound
-    /// stays 0 and `oldest` never moves — exactly the pre-checkpoint
-    /// behaviour).
-    checkpoint_every: Option<usize>,
+    /// handle's replay frontier is this many positions past the latest
+    /// one, and free the segments behind every frontier. `None`
+    /// disables truncation entirely (the reclaim bound stays 0 and the
+    /// chain root never moves).
+    pub checkpoint_every: Option<usize>,
+    /// Opt-in position cap, for tests that need to observe
+    /// [`UniversalError::LogFull`]; `None` lets the log grow without
+    /// bound. The log still grows segment by segment; only the cap is
+    /// enforced eagerly.
+    pub cap: Option<usize>,
+    /// Per-*registration* operation budget: each `register` grants this
+    /// many fresh announce sequence numbers on the claimed slot. It
+    /// sizes nothing.
+    pub max_ops: usize,
+}
+
+impl Default for UniversalConfig {
+    fn default() -> Self {
+        UniversalConfig {
+            combine: true,
+            checkpoint_every: None,
+            cap: None,
+            // 2⁵⁶ on a 64-bit target — centuries at any achievable
+            // rate. A slot's budget ends at (ops its earlier occupants
+            // actually ran) + this, which therefore cannot overflow.
+            max_ops: usize::MAX >> 8,
+        }
+    }
+}
+
+struct Shared<S: ObjectSpec> {
+    cfg: UniversalConfig,
     /// First registry segment (slot indices 0..REGISTRY_SEGMENT). Later
     /// segments hang off its `next` chain and are owned by it.
     reg_head: Box<RegSegment<S::Op>>,
@@ -615,10 +642,7 @@ struct Shared<S: ObjectSpec> {
 impl<S: ObjectSpec> fmt::Debug for Shared<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
-            .field("max_ops", &self.max_ops)
-            .field("cap", &self.cap)
-            .field("combine", &self.combine)
-            .field("checkpoint_every", &self.checkpoint_every)
+            .field("cfg", &self.cfg)
             // ordering: Acquire [pairs: universal.slots_hi] —
             // diagnostics read cross-thread state; Acquire keeps the
             // printed values consistent with the structures they
@@ -953,7 +977,7 @@ impl<S: ObjectSpec> Shared<S> {
     ///    hazard, so passing the hazard check guarantees the fresh
     ///    bound already reflects that registrant's frontier.
     fn try_reclaim(&self) {
-        if self.checkpoint_every.is_none() {
+        if self.cfg.checkpoint_every.is_none() {
             return;
         }
         if self
@@ -1113,8 +1137,7 @@ impl<S: ObjectSpec> Shared<S> {
         // the two SeqCst sites this crate keeps deliberately (the
         // other is the announce/done handshake): every decide must
         // take effect in one total order all threads agree on, which
-        // release/acquire alone does not give. Kept at the strongest
-        // ordering exactly as the cell path's winner CAS was; Acquire
+        // release/acquire alone does not give. Acquire
         // failure — pairs with the winner's (SeqCst ⊇ Release) store
         // so the winning LogEntry's members are visible before we
         // read them.
@@ -1149,44 +1172,43 @@ unsafe impl<S: ObjectSpec + Send + Sync> Sync for Shared<S> where S::Op: Send + 
 /// A wait-free universal object wrapping a sequential specification `S`.
 ///
 /// The object is a cloneable front-end over the shared state; clients
-/// join and leave dynamically. Create with [`WfUniversal::new_dynamic`]
-/// (batch combining, the default hot path),
-/// [`WfUniversal::new_dynamic_per_op`], or
-/// [`WfUniversal::new_dynamic_checkpointed`] (bounded memory), then
-/// call [`WfUniversal::register`] to obtain a [`WfHandle`] per client
-/// and [`WfHandle::retire`] when a client departs. The fixed-membership
-/// constructors ([`WfUniversal::new`] and friends) remain as one-shot
-/// conveniences that register `n` handles up front. See
-/// [`crate::wrappers`] for typed instantiations, and
-/// [`crate::universal_cell`] for the unoptimised reference rendering.
+/// join and leave dynamically. Build it with
+/// [`WfUniversal::with_config`], call [`WfUniversal::register`] to
+/// obtain a [`WfHandle`] per client and [`WfHandle::retire`] when a
+/// client departs. See [`crate::wrappers`] for typed instantiations.
 ///
 /// # Example
 ///
 /// ```
-/// use waitfree_model::Pid;
 /// use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
-/// use waitfree_sync::universal::WfUniversal;
+/// use waitfree_sync::universal::{UniversalConfig, WfUniversal};
 ///
-/// // Fixed membership: n handles up front.
-/// let mut handles = WfUniversal::new(Counter::new(0), 2, 16);
-/// let mut h0 = handles.remove(0);
-/// assert_eq!(h0.invoke(CounterOp::FetchAndAdd(5)), CounterResp::Value(0));
-/// assert_eq!(h0.invoke(CounterOp::Get), CounterResp::Value(5));
-///
-/// // Dynamic membership: clients arrive, operate, and depart.
-/// let obj = WfUniversal::new_dynamic(Counter::new(0), 16);
+/// let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
 /// let mut a = obj.register();
-/// assert_eq!(a.invoke(CounterOp::FetchAndAdd(1)), CounterResp::Value(0));
+/// assert_eq!(a.invoke(CounterOp::FetchAndAdd(5)), CounterResp::Value(0));
+/// let mut b = obj.register(); // a second client, registry slot 1
+/// assert_eq!(b.invoke(CounterOp::Get), CounterResp::Value(5));
 /// a.retire();
-/// let mut b = obj.register(); // reuses a's registry slot
-/// assert_eq!(b.invoke(CounterOp::Get), CounterResp::Value(1));
-/// assert_eq!(obj.registry_slots(), 1);
+/// let mut c = obj.register(); // reuses a's registry slot
+/// assert_eq!(c.tid(), 0);
+/// assert_eq!(c.invoke(CounterOp::Get), CounterResp::Value(5));
+/// assert_eq!(obj.registry_slots(), 2);
+///
+/// // Bounded memory for a long-running service: checkpoint every 64
+/// // positions and free the segments behind every replica.
+/// let cfg = UniversalConfig { checkpoint_every: Some(64), ..UniversalConfig::default() };
+/// let service = WfUniversal::with_config(Counter::new(0), cfg);
+/// let mut h = service.register();
+/// for _ in 0..1_000 {
+///     h.invoke(CounterOp::Add(1));
+/// }
+/// assert!(service.reclaimed_segments() > 0);
 /// ```
 pub struct WfUniversal<S: ObjectSpec> {
     shared: Arc<Shared<S>>,
     /// The initial abstract state, cloned into each registered handle's
     /// local replica (every replica replays the same log from it — or,
-    /// on the checkpointed path, from a retained checkpoint image).
+    /// with checkpointing, from a retained checkpoint image).
     initial: S,
 }
 
@@ -1203,131 +1225,31 @@ impl<S: ObjectSpec> fmt::Debug for WfUniversal<S> {
 }
 
 impl<S: ObjectSpec> WfUniversal<S> {
-    /// Build the object for `n` threads, each performing at most
-    /// `max_ops` operations, returning one handle per thread. Decides
-    /// use batch combining (see the module docs and DESIGN.md §9).
+    /// Build the object over `initial` as `cfg` describes (see
+    /// [`UniversalConfig`] for the fields and their defaults). No
+    /// process set is fixed: each [`WfUniversal::register`] call claims
+    /// (or recycles) a registry slot and grants a fresh `cfg.max_ops`
+    /// operation budget.
     ///
     /// The log starts as a single [`SEGMENT_SIZE`] segment and grows
-    /// lazily: memory is O(positions actually decided), not
-    /// O(n²·max_ops) up front, and [`UniversalError::LogFull`] is never
-    /// returned. Without checkpointing the log is never truncated; use
-    /// [`WfUniversal::new_checkpointed`] for bounded steady-state
-    /// memory.
-    // The fixed-membership constructors are factories: they drop the
-    // front-end and hand out only the per-thread handles.
-    #[allow(clippy::new_ret_no_self)]
+    /// lazily: memory is O(positions actually decided). Without
+    /// `checkpoint_every` it is never truncated.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.checkpoint_every` is `Some(0)`, or is set together with
+    /// `cfg.cap`: a capped log never truncates, so the pair has no
+    /// meaning.
     #[must_use]
-    pub fn new(initial: S, n: usize, max_ops: usize) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, true, None)
-    }
-
-    /// [`WfUniversal::new`] with the combining layer disabled: every
-    /// decide threads exactly one operation (the preferred thread's
-    /// pending entry, else the caller's own). The before/after leg for
-    /// `bench_universal` and the differential tests.
-    #[must_use]
-    pub fn new_per_op(initial: S, n: usize, max_ops: usize) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, false, None)
-    }
-
-    /// [`WfUniversal::new`] with checkpointed log truncation: every
-    /// `every` replayed positions a handle decides a
-    /// [`LogEntry::Checkpoint`] into the log, and segments wholly
-    /// behind `min(latest checkpoint, active handles' replay
-    /// frontiers)` are detached and freed. Steady-state memory is
-    /// O(frontier spread); see the module docs.
-    #[must_use]
-    pub fn new_checkpointed(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        every: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, true, Some(every))
-    }
-
-    /// [`WfUniversal::new_checkpointed`] with combining disabled.
-    #[must_use]
-    pub fn new_checkpointed_per_op(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        every: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, None, false, Some(every))
-    }
-
-    /// [`WfUniversal::new`] with an explicit position cap, for tests
-    /// that need to observe [`UniversalError::LogFull`]. The log still
-    /// grows segment by segment; only the cap is enforced eagerly.
-    #[must_use]
-    pub fn with_capacity(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        capacity: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, Some(capacity), true, None)
-    }
-
-    /// [`WfUniversal::with_capacity`] with combining disabled — a
-    /// position cap over the per-op decide path.
-    #[must_use]
-    pub fn with_capacity_per_op(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        capacity: usize,
-    ) -> Vec<WfHandle<S>> {
-        Self::build(initial, n, max_ops, Some(capacity), false, None)
-    }
-
-    /// Build a dynamic-membership object: no fixed process set. Each
-    /// [`WfUniversal::register`] call claims (or recycles) a registry
-    /// slot and grants a fresh `max_ops` operation budget. Decides use
-    /// batch combining.
-    #[must_use]
-    pub fn new_dynamic(initial: S, max_ops: usize) -> Self {
-        Self::make(initial, max_ops, None, true, None)
-    }
-
-    /// [`WfUniversal::new_dynamic`] with the combining layer disabled.
-    #[must_use]
-    pub fn new_dynamic_per_op(initial: S, max_ops: usize) -> Self {
-        Self::make(initial, max_ops, None, false, None)
-    }
-
-    /// [`WfUniversal::new_dynamic`] with checkpointed log truncation
-    /// (see [`WfUniversal::new_checkpointed`]): the long-running-service
-    /// configuration — unbounded arrivals, bounded memory.
-    #[must_use]
-    pub fn new_dynamic_checkpointed(initial: S, max_ops: usize, every: usize) -> Self {
-        Self::make(initial, max_ops, None, true, Some(every))
-    }
-
-    /// [`WfUniversal::new_dynamic`] with an explicit log-position cap,
-    /// for tests that need [`UniversalError::LogFull`] under churn.
-    #[must_use]
-    pub fn with_capacity_dynamic(initial: S, max_ops: usize, capacity: usize) -> Self {
-        Self::make(initial, max_ops, Some(capacity), true, None)
-    }
-
-    fn make(
-        initial: S,
-        max_ops: usize,
-        cap: Option<usize>,
-        combine: bool,
-        checkpoint_every: Option<usize>,
-    ) -> Self {
-        if let Some(every) = checkpoint_every {
-            assert!(every >= 1, "checkpoint cadence must be at least 1");
-        }
+    pub fn with_config(initial: S, cfg: UniversalConfig) -> Self {
+        assert!(cfg.checkpoint_every != Some(0), "checkpoint_every must be at least 1");
+        assert!(
+            cfg.checkpoint_every.is_none() || cfg.cap.is_none(),
+            "checkpoint_every and cap are mutually exclusive"
+        );
         WfUniversal {
             shared: Arc::new(Shared {
-                max_ops,
-                cap,
-                combine,
-                checkpoint_every,
+                cfg,
                 reg_head: RegSegment::new(0),
                 slots_hi: AtomicUsize::new(0),
                 active: AtomicUsize::new(0),
@@ -1347,18 +1269,17 @@ impl<S: ObjectSpec> WfUniversal<S> {
         }
     }
 
-    fn build(
-        initial: S,
-        n: usize,
-        max_ops: usize,
-        cap: Option<usize>,
-        combine: bool,
-        checkpoint_every: Option<usize>,
-    ) -> Vec<WfHandle<S>> {
-        let obj = Self::make(initial, max_ops, cap, combine, checkpoint_every);
-        // Sequential registration claims slots 0..n in order, so the
-        // fixed-membership API keeps its tid == index contract.
-        (0..n).map(|_| obj.register()).collect()
+    /// [`WfUniversal::with_config`] with `checkpoint_every: Some(every)`
+    /// and the given budget. Exists only because the repository's
+    /// benchmark (`benchmark/src/sut.rs`, frozen between benchmark PRs)
+    /// spells the checkpointed configuration this way; new code passes
+    /// a [`UniversalConfig`].
+    #[must_use]
+    pub fn new_dynamic_checkpointed(initial: S, max_ops: usize, every: usize) -> Self {
+        Self::with_config(
+            initial,
+            UniversalConfig { checkpoint_every: Some(every), max_ops, ..UniversalConfig::default() },
+        )
     }
 
     /// Join the object: claim a registry slot and return a fresh handle
@@ -1372,7 +1293,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
     /// encountered on the way are reclaimed and reused (that is what
     /// keeps registry memory bounded by peak active handles).
     ///
-    /// On a checkpointed object the new handle bootstraps its replica
+    /// With checkpointing the new handle bootstraps its replica
     /// from the *oldest* checkpoint in the retained log — the first
     /// one the walk from the retained root finds — instead of
     /// replaying from position 0 (which may be truncated away); it
@@ -1445,12 +1366,12 @@ impl<S: ObjectSpec> WfUniversal<S> {
 
         // Bootstrap the replica. Without checkpointing, reclamation
         // never runs: replay starts at position 0 in the immortal
-        // base-0 segment, exactly the pre-checkpoint behaviour.
+        // base-0 segment.
         let anchor: *const Segment<S>;
         let mut state = self.initial.clone();
         let mut applied: Vec<usize> = Vec::new();
         let mut cursor = 0usize;
-        if shared.checkpoint_every.is_none() {
+        if shared.cfg.checkpoint_every.is_none() {
             slot.frontier.store(0, Ordering::SeqCst);
             anchor = shared.oldest.load(Ordering::SeqCst);
         } else {
@@ -1579,7 +1500,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
             thread_seg: anchor,
             entry_limbo: Vec::new(),
             next_seq: base,
-            budget_end: base + shared.max_ops,
+            budget_end: base + shared.cfg.max_ops,
             retired: false,
             last_threading_steps: 0,
             max_threading_steps: 0,
@@ -1664,8 +1585,8 @@ impl<S: ObjectSpec> WfUniversal<S> {
 
 /// One client's handle onto a [`WfUniversal`] object. Not `Clone`: the
 /// registry-slot identity is baked in. Obtained from
-/// [`WfUniversal::register`] (or the fixed-membership constructors);
-/// returned to the pool with [`WfHandle::retire`]. Dropping a handle
+/// [`WfUniversal::register`]; returned to the pool with
+/// [`WfHandle::retire`]. Dropping a handle
 /// *without* retiring models a crashed client: its slot stays claimed
 /// (one slot leaked, nothing else) and any pending op stays helpable —
 /// but the drop still unpins the handle's frontier and hazards, so a
@@ -1739,8 +1660,8 @@ impl<S: ObjectSpec> WfHandle<S> {
     }
 
     /// The registered-slot high-water: one past the highest slot index
-    /// ever claimed — the `n` of the restated O(peak active handles)
-    /// helping bound. Fixed-membership objects report their `n`.
+    /// ever claimed — the `n` of the O(peak active handles) helping
+    /// bound.
     #[must_use]
     pub fn n(&self) -> usize {
         self.shared.registered()
@@ -1800,11 +1721,10 @@ impl<S: ObjectSpec> WfHandle<S> {
     }
 
     /// Whether decides combine all pending announced ops into one batch
-    /// ([`WfUniversal::new`]) or thread one op each
-    /// ([`WfUniversal::new_per_op`]).
+    /// or thread one op each ([`UniversalConfig::combine`]).
     #[must_use]
     pub fn combining(&self) -> bool {
-        self.shared.combine
+        self.shared.cfg.combine
     }
 
     /// Consensus decides the last completed `invoke` spent threading its
@@ -1856,39 +1776,6 @@ impl<S: ObjectSpec> WfHandle<S> {
     #[must_use]
     pub fn last_decided_position(&self) -> Option<usize> {
         self.last_pos
-    }
-
-    /// Number of log segments installed so far (each [`SEGMENT_SIZE`]
-    /// positions), including any since reclaimed. Starts at 1;
-    /// diagnostics for the growth tests. See
-    /// [`WfUniversal::live_segments`] for the currently-allocated
-    /// count.
-    #[must_use]
-    pub fn segments(&self) -> usize {
-        // ordering: Acquire [pairs: universal.seg_count] — pairs with
-        // the AcqRel fetch_add in `seg_for`, so a count of `n` implies
-        // the `n`th install (and everything before it) is visible to
-        // this reader.
-        self.shared.segments.load(Ordering::Acquire)
-    }
-
-    /// Log segments currently allocated (see
-    /// [`WfUniversal::live_segments`]).
-    #[must_use]
-    pub fn live_segments(&self) -> usize {
-        self.segments() - self.shared.reclaimed.load(Ordering::SeqCst)
-    }
-
-    /// Log segments detached and freed by checkpointed reclamation.
-    #[must_use]
-    pub fn reclaimed_segments(&self) -> usize {
-        self.shared.reclaimed.load(Ordering::SeqCst)
-    }
-
-    /// Checkpoint entries decided into the log so far.
-    #[must_use]
-    pub fn checkpoints(&self) -> usize {
-        self.shared.checkpoints.load(Ordering::SeqCst)
     }
 
     /// Free displaced announce entries no helper hazard covers. The
@@ -2010,7 +1897,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         // threads or helps thread position `k`, and our announced op is
         // decided within `n` positions of the entry hint.
         while slot.done.load(Ordering::SeqCst) <= own.seq {
-            if let Some(cap) = self.shared.cap {
+            if let Some(cap) = self.shared.cfg.cap {
                 if k >= cap {
                     self.publish_hint(k);
                     return Err(UniversalError::LogFull { position: k, capacity: cap });
@@ -2022,7 +1909,7 @@ impl<S: ObjectSpec> WfHandle<S> {
             let hi = self.shared.registered();
             self.thread_seg = self.shared.seg_for(self.thread_seg, k);
             let log_slot = self.shared.slot(self.thread_seg, k);
-            let (candidate, is_own) = if self.shared.combine {
+            let (candidate, is_own) = if self.shared.cfg.combine {
                 self.collect_candidate(k, hi, own, &mut own_solo)
             } else if k % hi == own.tid {
                 // Preferred slot is our own: propose our entry (the
@@ -2089,8 +1976,8 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// # Panics
     ///
     /// Panics if the handle is retired, exceeds its `max_ops` budget,
-    /// or a [`WfUniversal::with_capacity`] log cap is hit — the message
-    /// is the [`UniversalError`] display. Use [`Self::try_invoke`] to
+    /// or a [`UniversalConfig::cap`] is hit — the message is the
+    /// [`UniversalError`] display. Use [`Self::try_invoke`] to
     /// handle exhaustion as a value.
     pub fn invoke(&mut self, op: S::Op) -> S::Resp {
         match self.try_invoke_ref(&op) {
@@ -2129,8 +2016,8 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// [`UniversalError::Retired`] after [`WfHandle::retire`];
     /// [`UniversalError::BudgetExhausted`] after `max_ops` invocations on
     /// this handle; [`UniversalError::LogFull`] when a
-    /// [`WfUniversal::with_capacity`] cap leaves no undecided position
-    /// (never for [`WfUniversal::new`] objects).
+    /// [`UniversalConfig::cap`] leaves no undecided position (never
+    /// without one).
     pub fn try_invoke(&mut self, op: S::Op) -> Result<S::Resp, UniversalError> {
         self.try_invoke_ref(&op)
     }
@@ -2153,7 +2040,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         if seq >= self.budget_end {
             return Err(UniversalError::BudgetExhausted {
                 tid: self.tid,
-                max_ops: self.shared.max_ops,
+                max_ops: self.shared.cfg.max_ops,
             });
         }
         // SAFETY: `slot` points into the registry chain owned by
@@ -2170,7 +2057,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         // real stuck position — in O(1), since the prior attempt
         // published the hint at the cap — without announcing more,
         // while a caught crash on a capped log with room simply
-        // recovers, as the uncapped path always did.
+        // recovers, as on an uncapped log.
         let d = slot.done.load(Ordering::SeqCst);
         let a = slot.announced.load(Ordering::SeqCst);
         if a > d {
@@ -2290,15 +2177,12 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// `cursor`, so its replica *is* the prefix image, and the image
     /// carries the `applied` watermarks so adopters dedup correctly.
     fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.shared.checkpoint_every else {
+        let Some(every) = self.shared.cfg.checkpoint_every else {
             return;
         };
         let k = self.cursor;
         if k < self.shared.cp_pos.load(Ordering::SeqCst) + every {
             return;
-        }
-        if self.shared.cap.is_some_and(|c| k >= c) {
-            return; // a capped log never truncates past its LogFull edge
         }
         failpoint!("universal::checkpoint");
         let image: Box<LogEntry<S>> = Box::new(LogEntry::Checkpoint(Box::new(CpImage {
@@ -2502,7 +2386,7 @@ impl<S: ObjectSpec> WfHandle<S> {
     ///    every *completed* invocation's position, so the read observes
     ///    every operation that returned before it began; ops decided
     ///    after the load are concurrent with the read and legitimately
-    ///    invisible. See DESIGN.md §14 for the full argument.
+    ///    invisible. See DESIGN.md §11 for the full argument.
     /// 2. Replay the replica up to exactly that frontier. The gap is
     ///    fixed at step 1, so the work is bounded — wait-free without
     ///    any helping.
@@ -2588,11 +2472,10 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// The decided *retained* prefix of the log as `(tid, seq)` pairs,
     /// from the oldest retained segment to the first undecided slot,
     /// with batches flattened in decide order — so the Wing–Gong
-    /// checker and the cross-implementation equivalence tests keep
-    /// per-op granularity regardless of how ops were grouped into
-    /// positions (the cell path emits the same shape). Checkpoint
-    /// entries contribute nothing. Without checkpointing "retained"
-    /// is the whole log, exactly as before. Read-only diagnostic;
+    /// checker and the per-op/batched equivalence tests keep per-op
+    /// granularity regardless of how ops were grouped into positions.
+    /// Checkpoint entries contribute nothing. Without checkpointing
+    /// "retained" is the whole log. Read-only diagnostic;
     /// quiescently consistent: call it only when no invoke is in
     /// flight (or under the deterministic scheduler).
     #[must_use]
@@ -2606,7 +2489,7 @@ impl<S: ObjectSpec> WfHandle<S> {
 
     /// The decided retained prefix grouped by log position: one inner
     /// vector of `(tid, seq)` pairs per decide, checkpoint positions
-    /// skipped. Per-op and cell logs have only singleton groups;
+    /// skipped. A per-op log has only singleton groups;
     /// `decided_batches().len()` vs `decided_log().len()` measures how
     /// much combining happened.
     #[must_use]
@@ -2729,10 +2612,39 @@ mod tests {
     use waitfree_sched::thread;
     use waitfree_objects::queue::{FifoQueue, QueueOp, QueueResp};
 
+    /// A fresh object over `initial` with `n` handles registered in
+    /// order, so `tid == index`.
+    fn fixed<S: ObjectSpec>(
+        initial: S,
+        n: usize,
+        cfg: UniversalConfig,
+    ) -> (WfUniversal<S>, Vec<WfHandle<S>>) {
+        let obj = WfUniversal::with_config(initial, cfg);
+        let handles = (0..n).map(|_| obj.register()).collect();
+        (obj, handles)
+    }
+
+    /// [`fixed`] on the default configuration, handles only.
+    fn register_n<S: ObjectSpec>(initial: S, n: usize) -> Vec<WfHandle<S>> {
+        fixed(initial, n, UniversalConfig::default()).1
+    }
+
+    fn checkpointed(every: usize) -> UniversalConfig {
+        UniversalConfig { checkpoint_every: Some(every), ..UniversalConfig::default() }
+    }
+
+    fn capped(cap: usize) -> UniversalConfig {
+        UniversalConfig { cap: Some(cap), ..UniversalConfig::default() }
+    }
+
+    /// The budget tests' configuration: two operations per registration.
+    fn budget_of_two() -> UniversalConfig {
+        UniversalConfig { max_ops: 2, ..UniversalConfig::default() }
+    }
+
     #[test]
     fn single_thread_matches_spec() {
-        let mut handles = WfUniversal::new(FifoQueue::new(), 1, 16);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(FifoQueue::new(), UniversalConfig::default()).register();
         assert_eq!(h.invoke(QueueOp::Enq(1)), QueueResp::Ack);
         assert_eq!(h.invoke(QueueOp::Enq(2)), QueueResp::Ack);
         assert_eq!(h.invoke(QueueOp::Deq), QueueResp::Item(1));
@@ -2746,7 +2658,7 @@ mod tests {
     /// the unsafe log/segment code against the real memory model.
     #[test]
     fn miri_smoke_two_thread_counter() {
-        let mut handles = WfUniversal::new(Counter::new(0), 2, 8);
+        let mut handles = register_n(Counter::new(0), 2);
         let mut b = handles.pop().unwrap();
         let mut a = handles.pop().unwrap();
         let jb = thread::spawn(move || {
@@ -2769,7 +2681,7 @@ mod tests {
     fn counter_is_exact_under_contention() {
         let threads = 4;
         let per = 500;
-        let handles = WfUniversal::new(Counter::new(0), threads, per + 1);
+        let handles = register_n(Counter::new(0), threads);
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
@@ -2795,7 +2707,7 @@ mod tests {
         // distinct old value.
         let threads = 4;
         let per = 300;
-        let handles = WfUniversal::new(Counter::new(0), threads, per);
+        let handles = register_n(Counter::new(0), threads);
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
@@ -2819,7 +2731,7 @@ mod tests {
     fn queue_items_dequeued_exactly_once() {
         let threads = 4;
         let per = 200;
-        let handles = WfUniversal::new(FifoQueue::new(), threads, 2 * per);
+        let handles = register_n(FifoQueue::new(), threads);
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
@@ -2846,7 +2758,7 @@ mod tests {
 
     #[test]
     fn refresh_converges_across_handles() {
-        let mut handles = WfUniversal::new(Counter::new(0), 2, 8);
+        let mut handles = register_n(Counter::new(0), 2);
         let mut h1 = handles.pop().unwrap();
         let mut h0 = handles.pop().unwrap();
         h0.invoke(CounterOp::Add(3));
@@ -2856,7 +2768,7 @@ mod tests {
 
     #[test]
     fn read_observes_every_completed_invoke() {
-        let mut handles = WfUniversal::new(Counter::new(0), 2, 16);
+        let mut handles = register_n(Counter::new(0), 2);
         let mut h1 = handles.pop().unwrap();
         let mut h0 = handles.pop().unwrap();
         h0.invoke(CounterOp::Add(3));
@@ -2872,7 +2784,7 @@ mod tests {
 
     #[test]
     fn read_leaves_no_trace_in_the_log() {
-        let mut handles = WfUniversal::new(Counter::new(0), 2, 64);
+        let mut handles = register_n(Counter::new(0), 2);
         let mut h1 = handles.pop().unwrap();
         let mut h0 = handles.pop().unwrap();
         for _ in 0..5 {
@@ -2898,8 +2810,7 @@ mod tests {
 
     #[test]
     fn read_on_a_retired_handle_is_a_typed_error() {
-        let mut handles = WfUniversal::new(Counter::new(7), 1, 8);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(7), UniversalConfig::default()).register();
         h.invoke(CounterOp::Add(1));
         h.retire();
         match h.try_read(Counter::value) {
@@ -2912,21 +2823,21 @@ mod tests {
     fn read_stays_exact_across_checkpoint_truncation() {
         // Checkpoint every 8 positions on a 2-handle log: drive enough
         // ops that whole segments are reclaimed, reading throughout.
-        let mut handles = WfUniversal::new_checkpointed(Counter::new(0), 2, 512, 8);
+        let (obj, mut handles) = fixed(Counter::new(0), 2, checkpointed(8));
         let mut h1 = handles.pop().unwrap();
         let mut h0 = handles.pop().unwrap();
         for i in 0..300i64 {
             h0.invoke(CounterOp::Add(1));
             assert_eq!(h1.read(Counter::value), i + 1);
         }
-        assert!(h0.reclaimed_segments() > 0, "truncation actually ran");
+        assert!(obj.reclaimed_segments() > 0, "truncation actually ran");
     }
 
     #[test]
     fn concurrent_reads_are_monotone_and_bounded() {
         let threads = 4;
         let per = 300;
-        let handles = WfUniversal::new(Counter::new(0), threads, per + 1);
+        let handles = register_n(Counter::new(0), threads);
         let joins: Vec<_> = handles
             .into_iter()
             .enumerate()
@@ -2962,10 +2873,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "checkpoint_every must be at least 1")]
+    fn zero_checkpoint_cadence_is_rejected_by_name() {
+        let _ = WfUniversal::with_config(Counter::new(0), checkpointed(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_every and cap are mutually exclusive")]
+    fn cap_with_checkpointing_is_rejected_by_name() {
+        let cfg = UniversalConfig { cap: Some(64), ..checkpointed(8) };
+        let _ = WfUniversal::with_config(Counter::new(0), cfg);
+    }
+
+    #[test]
+    fn benchmark_pinned_constructor_is_the_checkpointed_config() {
+        let pinned = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 77, 16);
+        let cfg = UniversalConfig { max_ops: 77, ..checkpointed(16) };
+        let spelled = WfUniversal::with_config(Counter::new(0), cfg);
+        assert_eq!(format!("{pinned:?}"), format!("{spelled:?}"));
+        assert!(format!("{pinned:?}").contains(&format!("{cfg:?}")), "{pinned:?}");
+    }
+
+    #[test]
     #[should_panic(expected = "budget")]
     fn op_budget_is_enforced() {
-        let mut handles = WfUniversal::new(Counter::new(0), 1, 1);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), budget_of_two()).register();
+        h.invoke(CounterOp::Add(1));
         h.invoke(CounterOp::Add(1));
         h.invoke(CounterOp::Add(1));
     }
@@ -2974,8 +2907,7 @@ mod tests {
     fn log_full_is_a_typed_error_not_a_panic() {
         // A deliberately tiny cap: the third operation has no undecided
         // position left.
-        let mut handles = WfUniversal::with_capacity(Counter::new(0), 1, 8, 2);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), capped(2)).register();
         assert!(h.try_invoke(CounterOp::Add(1)).is_ok());
         assert!(h.try_invoke(CounterOp::Add(1)).is_ok());
         match h.try_invoke(CounterOp::Add(1)) {
@@ -2992,8 +2924,7 @@ mod tests {
         // Once an op hits LogFull it stays announced; repeat attempts
         // must keep failing the same way *without* announcing more (the
         // at-most-one-pending invariant would otherwise break).
-        let mut handles = WfUniversal::with_capacity(Counter::new(0), 1, 8, 2);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), capped(2)).register();
         assert!(h.try_invoke(CounterOp::Add(1)).is_ok());
         assert!(h.try_invoke(CounterOp::Add(1)).is_ok());
         for _ in 0..3 {
@@ -3006,22 +2937,22 @@ mod tests {
 
     #[test]
     fn uncapped_log_outgrows_the_old_arena_formula() {
-        // The seed arena would have held 2·1·4 + 16 = 24 positions; the
-        // segmented log happily passes any fixed bound.
+        // Without a cap no position bound exists: the log grows segment
+        // by segment past anything a preallocated arena could hold.
         let per = 3 * SEGMENT_SIZE;
-        let mut handles = WfUniversal::new(Counter::new(0), 1, per + 1);
-        let mut h = handles.remove(0);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
+        let mut h = obj.register();
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
         }
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(per as i64));
-        assert!(h.segments() >= 3, "log grew across segments: {}", h.segments());
+        let installed = obj.installed_segments();
+        assert!(installed >= 3, "log grew across segments: {installed}");
     }
 
     #[test]
     fn budget_error_is_typed_stable_and_effect_free() {
-        let mut handles = WfUniversal::new(Counter::new(0), 1, 2);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), budget_of_two()).register();
         h.invoke(CounterOp::Add(1));
         h.invoke(CounterOp::Add(1));
         for _ in 0..3 {
@@ -3050,8 +2981,7 @@ mod tests {
 
     #[test]
     fn threading_steps_are_counted_and_bounded_solo() {
-        let mut handles = WfUniversal::new(Counter::new(0), 1, 8);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), UniversalConfig::default()).register();
         assert_eq!(h.max_threading_steps(), 0);
         h.invoke(CounterOp::Add(1));
         // Alone, threading one op takes exactly one consensus decide.
@@ -3063,8 +2993,7 @@ mod tests {
 
     #[test]
     fn counters_track_decides_solo() {
-        let mut handles = WfUniversal::new(Counter::new(0), 1, 8);
-        let mut h = handles.remove(0);
+        let mut h = WfUniversal::with_config(Counter::new(0), UniversalConfig::default()).register();
         for _ in 0..5 {
             h.invoke(CounterOp::Add(1));
         }
@@ -3089,8 +3018,9 @@ mod tests {
             QueueOp::Enq(6),
             QueueOp::Deq,
         ];
-        let mut batched = WfUniversal::new(FifoQueue::new(), 1, script.len()).remove(0);
-        let mut per_op = WfUniversal::new_per_op(FifoQueue::new(), 1, script.len()).remove(0);
+        let per_op_cfg = UniversalConfig { combine: false, ..UniversalConfig::default() };
+        let mut batched = register_n(FifoQueue::new(), 1).remove(0);
+        let mut per_op = WfUniversal::with_config(FifoQueue::new(), per_op_cfg).register();
         assert!(!per_op.combining());
         for op in &script {
             assert_eq!(batched.invoke(op.clone()), per_op.invoke(op.clone()), "{op:?}");
@@ -3105,7 +3035,7 @@ mod tests {
         // for every completed op once.
         let threads = 4;
         let per = 300;
-        let handles = WfUniversal::new(Counter::new(0), threads, per);
+        let handles = register_n(Counter::new(0), threads);
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
@@ -3141,15 +3071,16 @@ mod tests {
         // packs positions tighter).
         let threads = 3;
         let per = 400;
-        let handles = WfUniversal::new(Counter::new(0), threads, per);
+        let (obj, handles) = fixed(Counter::new(0), threads, UniversalConfig::default());
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
+                let obj = obj.clone();
                 thread::spawn(move || {
                     for _ in 0..per {
                         h.invoke(CounterOp::Add(1));
                     }
-                    h.segments()
+                    obj.installed_segments()
                 })
             })
             .collect();
@@ -3165,7 +3096,7 @@ mod tests {
 
     #[test]
     fn retired_handle_returns_typed_error_not_a_panic() {
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 8);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut h = obj.register();
         assert_eq!(h.invoke(CounterOp::FetchAndAdd(1)), CounterResp::Value(0));
         assert!(!h.is_retired());
@@ -3195,7 +3126,7 @@ mod tests {
     fn registry_is_bounded_by_peak_active_not_total_arrivals() {
         // 100 arrivals, never more than one active at a time: the whole
         // churn runs on a single recycled slot.
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         for i in 0..100 {
             let mut h = obj.register();
             assert_eq!(h.tid(), 0, "sequential churn reuses slot 0");
@@ -3212,7 +3143,7 @@ mod tests {
 
     #[test]
     fn register_grows_past_a_registry_segment() {
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut handles: Vec<_> = (0..2 * REGISTRY_SEGMENT).map(|_| obj.register()).collect();
         assert_eq!(obj.registry_slots(), 2 * REGISTRY_SEGMENT);
         assert_eq!(obj.peak_active(), 2 * REGISTRY_SEGMENT);
@@ -3232,7 +3163,7 @@ mod tests {
 
     #[test]
     fn budget_renews_per_registration_and_seqs_continue() {
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 2);
+        let obj = WfUniversal::with_config(Counter::new(0), budget_of_two());
         let mut h = obj.register();
         h.invoke(CounterOp::Add(1));
         h.invoke(CounterOp::Add(1));
@@ -3267,7 +3198,7 @@ mod tests {
         // A crashed client: handle dropped, never retired. Its slot is
         // not reclaimable, so the next arrival claims a fresh one — and
         // the object keeps linearizing.
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 8);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut crashed = obj.register();
         crashed.invoke(CounterOp::Add(10));
         drop(crashed);
@@ -3285,7 +3216,7 @@ mod tests {
         // runs in O(1) announce storage, with displaced entries freed
         // through the owner's limbo sweep along the way.
         let per = 4 * ENTRY_LIMBO_SWEEP + 2;
-        let obj = WfUniversal::new_dynamic(Counter::new(0), per + 1);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut h = obj.register();
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
@@ -3300,7 +3231,7 @@ mod tests {
     /// against the real memory model.
     #[test]
     fn miri_smoke_churn_register_retire_respawn() {
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let other = obj.clone();
         let jb = thread::spawn(move || {
             for _ in 0..3 {
@@ -3332,13 +3263,13 @@ mod tests {
         // is bounded by the frontier spread — constant — rather than by
         // total ops, and (d) the state is still exact.
         let every = SEGMENT_SIZE / 2;
-        let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 600, every);
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(every));
         let mut h = obj.register();
         let per = 8 * SEGMENT_SIZE;
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
         }
-        assert!(h.checkpoints() >= 2, "cadence fired: {}", h.checkpoints());
+        assert!(obj.checkpoints() >= 2, "cadence fired: {}", obj.checkpoints());
         assert!(
             obj.reclaimed_segments() >= 4,
             "old segments reclaimed: {}",
@@ -3361,7 +3292,7 @@ mod tests {
         // position 0 (those segments are gone): it must bootstrap from
         // a retained checkpoint image and still observe the full state.
         let every = SEGMENT_SIZE / 2;
-        let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 600, every);
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(every));
         let mut h = obj.register();
         let per = 6 * SEGMENT_SIZE;
         for _ in 0..per {
@@ -3389,7 +3320,7 @@ mod tests {
     fn registrant_adopting_under_reclamation_never_reaches_a_freed_segment() {
         use waitfree_sched::atomic::AtomicBool;
         const ITEMS: i64 = 4096;
-        let obj = WfUniversal::new_dynamic_checkpointed(FifoQueue::from_items(0..ITEMS), usize::MAX >> 8, 8);
+        let obj = WfUniversal::with_config(FifoQueue::from_items(0..ITEMS), checkpointed(8));
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..3)
             .map(|_| {
@@ -3430,16 +3361,15 @@ mod tests {
         let script: Vec<QueueOp> = (0..3 * SEGMENT_SIZE as i64)
             .map(|i| if i % 3 == 2 { QueueOp::Deq } else { QueueOp::Enq(i) })
             .collect();
-        let obj_cp =
-            WfUniversal::new_dynamic_checkpointed(FifoQueue::new(), script.len() + 1, 8);
-        let obj_un = WfUniversal::new_dynamic(FifoQueue::new(), script.len() + 1);
+        let obj_cp = WfUniversal::with_config(FifoQueue::new(), checkpointed(8));
+        let obj_un = WfUniversal::with_config(FifoQueue::new(), UniversalConfig::default());
         let mut cp = obj_cp.register();
         let mut un = obj_un.register();
         for op in &script {
             assert_eq!(cp.invoke(op.clone()), un.invoke(op.clone()), "{op:?}");
         }
         assert_eq!(cp.refresh(), un.refresh());
-        assert!(cp.checkpoints() >= 1);
+        assert!(obj_cp.checkpoints() >= 1);
         assert!(obj_cp.live_segments() < obj_un.live_segments());
     }
 
@@ -3449,7 +3379,7 @@ mod tests {
     /// the hazard/frontier protocol against the real memory model.
     #[test]
     fn miri_smoke_checkpoint_truncation() {
-        let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 200, 16);
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(16));
         let other = obj.clone();
         let jb = thread::spawn(move || {
             let mut h = other.register();
@@ -3482,7 +3412,7 @@ mod tests {
     /// instead of dereferencing the stale cache.
     #[test]
     fn miri_smoke_retired_refresh_after_truncation() {
-        let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 400, 16);
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(16));
         let mut early = obj.register();
         early.invoke(CounterOp::Add(1));
         early.retire();
@@ -3530,12 +3460,13 @@ mod tests {
             fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
         }
 
-        let obj = WfUniversal::new_dynamic_checkpointed(Probe, 300, SEGMENT_SIZE / 2);
+        let obj = WfUniversal::with_config(Probe, checkpointed(SEGMENT_SIZE / 2));
         let mut h = obj.register();
         for _ in 0..4 * SEGMENT_SIZE {
             h.invoke(ProbeOp(Arc::clone(&probe)));
         }
-        assert!(h.segments() >= 4, "log spanned segments: {}", h.segments());
+        let installed = obj.installed_segments();
+        assert!(installed >= 4, "log spanned segments: {installed}");
         assert!(Arc::strong_count(&probe) > 1, "log holds payloads");
         h.retire();
         drop(h);

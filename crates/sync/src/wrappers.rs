@@ -10,17 +10,16 @@
 //! writes alone (Corollaries 5 and 10), but all of them fall out of *one*
 //! construction given a consensus primitive.
 //!
-//! `create` builds [`WfUniversal::new`], so every wrapper rides the
-//! batch-combining decide path by default: under contention one winning
-//! consensus decide threads every currently-pending announced operation
-//! (see `universal`'s module docs). The `sched`-tier campaigns in
+//! Each wrapper is a cloneable front-end (`WfQueue`, `WfStack`,
+//! `WfCounter`, `WfRegister`) built from a [`UniversalConfig`], whose
+//! `register()` hands out handles to arriving clients and whose handles
+//! `retire()` on departure, riding `universal`'s slot registry. With
+//! `UniversalConfig::default()` every wrapper rides the batch-combining
+//! decide path: under contention one winning consensus decide threads
+//! every currently-pending announced operation (see `universal`'s
+//! module docs). The `sched`-tier campaigns in
 //! `tests/sched_linearizability.rs` explore ≥ 1000 random-walk and
 //! ≥ 1000 PCT schedules over each wrapper on exactly this path.
-//!
-//! Each wrapper also has a dynamic-membership front-end (`WfQueue`,
-//! `WfStack`, `WfCounter`, `WfRegister`): a cloneable object whose
-//! `register()` hands out handles to arriving clients and whose handles
-//! `retire()` on departure, riding `universal`'s slot registry.
 
 use waitfree_model::Val;
 use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
@@ -28,7 +27,7 @@ use waitfree_objects::queue::{FifoQueue, QueueOp, QueueResp};
 use waitfree_objects::register::{RegOp, RegResp, RwRegister};
 use waitfree_objects::stack::{Stack, StackOp, StackResp};
 
-use crate::universal::{WfHandle, WfUniversal};
+use crate::universal::{UniversalConfig, WfHandle, WfUniversal};
 
 /// Define a dynamic-membership front-end over one typed wrapper: a
 /// cloneable object with `register()` → handle, plus `retire()` /
@@ -85,7 +84,7 @@ macro_rules! dynamic_front_end {
 }
 
 dynamic_front_end!(
-    /// A wait-free FIFO queue with dynamic membership: clients
+    /// A wait-free FIFO queue: clients
     /// [`register`](WfQueue::register) to obtain a [`WfQueueHandle`]
     /// and retire it on departure.
     WfQueue,
@@ -94,108 +93,65 @@ dynamic_front_end!(
 );
 
 impl WfQueue {
-    /// Create a dynamic wait-free queue; each registration may perform
-    /// up to `max_ops` operations.
+    /// Create an empty wait-free queue; `cfg` picks the decide mode,
+    /// log truncation and budget (see [`UniversalConfig`]).
     #[must_use]
-    pub fn new_dynamic(max_ops: usize) -> Self {
-        WfQueue(WfUniversal::new_dynamic(FifoQueue::new(), max_ops))
-    }
-
-    /// Like [`Self::new_dynamic`], with checkpointed log truncation: a
-    /// checkpoint is decided roughly every `every` log positions and
-    /// segments behind every active handle's replay frontier are freed,
-    /// so a long-running queue holds memory proportional to the
-    /// frontier spread, not its whole history.
-    #[must_use]
-    pub fn new_checkpointed(max_ops: usize, every: usize) -> Self {
-        WfQueue(WfUniversal::new_dynamic_checkpointed(FifoQueue::new(), max_ops, every))
+    pub fn new(cfg: UniversalConfig) -> Self {
+        WfQueue(WfUniversal::with_config(FifoQueue::new(), cfg))
     }
 }
 
 dynamic_front_end!(
-    /// A wait-free LIFO stack with dynamic membership.
+    /// A wait-free LIFO stack.
     WfStack,
     WfStackHandle,
     Stack
 );
 
 impl WfStack {
-    /// Create a dynamic wait-free stack; each registration may perform
-    /// up to `max_ops` operations.
+    /// Create an empty wait-free stack (see [`WfQueue::new`]).
     #[must_use]
-    pub fn new_dynamic(max_ops: usize) -> Self {
-        WfStack(WfUniversal::new_dynamic(Stack::new(), max_ops))
-    }
-
-    /// Like [`Self::new_dynamic`], with checkpointed log truncation
-    /// (see [`WfQueue::new_checkpointed`]).
-    #[must_use]
-    pub fn new_checkpointed(max_ops: usize, every: usize) -> Self {
-        WfStack(WfUniversal::new_dynamic_checkpointed(Stack::new(), max_ops, every))
+    pub fn new(cfg: UniversalConfig) -> Self {
+        WfStack(WfUniversal::with_config(Stack::new(), cfg))
     }
 }
 
 dynamic_front_end!(
-    /// A wait-free counter with dynamic membership.
+    /// A wait-free counter.
     WfCounter,
     WfCounterHandle,
     Counter
 );
 
 impl WfCounter {
-    /// Create a dynamic wait-free counter starting at 0; each
-    /// registration may perform up to `max_ops` operations.
+    /// Create a wait-free counter starting at 0 (see [`WfQueue::new`]).
     #[must_use]
-    pub fn new_dynamic(max_ops: usize) -> Self {
-        WfCounter(WfUniversal::new_dynamic(Counter::new(0), max_ops))
-    }
-
-    /// Like [`Self::new_dynamic`], with checkpointed log truncation
-    /// (see [`WfQueue::new_checkpointed`]).
-    #[must_use]
-    pub fn new_checkpointed(max_ops: usize, every: usize) -> Self {
-        WfCounter(WfUniversal::new_dynamic_checkpointed(Counter::new(0), max_ops, every))
+    pub fn new(cfg: UniversalConfig) -> Self {
+        WfCounter(WfUniversal::with_config(Counter::new(0), cfg))
     }
 }
 
 dynamic_front_end!(
-    /// A wait-free multi-writer register with dynamic membership.
+    /// A wait-free multi-writer register.
     WfRegister,
     WfRegisterHandle,
     RwRegister
 );
 
 impl WfRegister {
-    /// Create a dynamic wait-free register initialized to `initial`;
-    /// each registration may perform up to `max_ops` operations.
+    /// Create a wait-free register initialized to `initial` (see
+    /// [`WfQueue::new`]).
     #[must_use]
-    pub fn new_dynamic(max_ops: usize, initial: Val) -> Self {
-        WfRegister(WfUniversal::new_dynamic(RwRegister::new(initial), max_ops))
-    }
-
-    /// Like [`Self::new_dynamic`], with checkpointed log truncation
-    /// (see [`WfQueue::new_checkpointed`]).
-    #[must_use]
-    pub fn new_checkpointed(max_ops: usize, initial: Val, every: usize) -> Self {
-        WfRegister(WfUniversal::new_dynamic_checkpointed(RwRegister::new(initial), max_ops, every))
+    pub fn new(initial: Val, cfg: UniversalConfig) -> Self {
+        WfRegister(WfUniversal::with_config(RwRegister::new(initial), cfg))
     }
 }
 
-/// One thread's handle to a wait-free FIFO queue of [`Val`]s.
+/// One client's handle to a wait-free FIFO queue of [`Val`]s.
 #[derive(Debug)]
 pub struct WfQueueHandle(WfHandle<FifoQueue>);
 
 impl WfQueueHandle {
-    /// Create a wait-free queue for `n` threads, `max_ops` operations per
-    /// thread, returning one handle per thread.
-    #[must_use]
-    pub fn create(n: usize, max_ops: usize) -> Vec<WfQueueHandle> {
-        WfUniversal::new(FifoQueue::new(), n, max_ops)
-            .into_iter()
-            .map(WfQueueHandle)
-            .collect()
-    }
-
     /// Enqueue a value (wait-free).
     pub fn enq(&mut self, v: Val) {
         let _ = self.0.invoke(QueueOp::Enq(v));
@@ -211,21 +167,11 @@ impl WfQueueHandle {
     }
 }
 
-/// One thread's handle to a wait-free LIFO stack of [`Val`]s.
+/// One client's handle to a wait-free LIFO stack of [`Val`]s.
 #[derive(Debug)]
 pub struct WfStackHandle(WfHandle<Stack>);
 
 impl WfStackHandle {
-    /// Create a wait-free stack for `n` threads, `max_ops` operations per
-    /// thread.
-    #[must_use]
-    pub fn create(n: usize, max_ops: usize) -> Vec<WfStackHandle> {
-        WfUniversal::new(Stack::new(), n, max_ops)
-            .into_iter()
-            .map(WfStackHandle)
-            .collect()
-    }
-
     /// Push a value (wait-free).
     pub fn push(&mut self, v: Val) {
         let _ = self.0.invoke(StackOp::Push(v));
@@ -241,21 +187,11 @@ impl WfStackHandle {
     }
 }
 
-/// One thread's handle to a wait-free counter.
+/// One client's handle to a wait-free counter.
 #[derive(Debug)]
 pub struct WfCounterHandle(WfHandle<Counter>);
 
 impl WfCounterHandle {
-    /// Create a wait-free counter for `n` threads, `max_ops` operations
-    /// per thread.
-    #[must_use]
-    pub fn create(n: usize, max_ops: usize) -> Vec<WfCounterHandle> {
-        WfUniversal::new(Counter::new(0), n, max_ops)
-            .into_iter()
-            .map(WfCounterHandle)
-            .collect()
-    }
-
     /// Add `delta`, returning the previous value (wait-free).
     pub fn fetch_add(&mut self, delta: Val) -> Val {
         match self.0.invoke(CounterOp::FetchAndAdd(delta)) {
@@ -273,21 +209,11 @@ impl WfCounterHandle {
     }
 }
 
-/// One thread's handle to a wait-free multi-writer register.
+/// One client's handle to a wait-free multi-writer register.
 #[derive(Debug)]
 pub struct WfRegisterHandle(WfHandle<RwRegister>);
 
 impl WfRegisterHandle {
-    /// Create a wait-free register for `n` threads, `max_ops` operations
-    /// per thread, initialized to `initial`.
-    #[must_use]
-    pub fn create(n: usize, max_ops: usize, initial: Val) -> Vec<WfRegisterHandle> {
-        WfUniversal::new(RwRegister::new(initial), n, max_ops)
-            .into_iter()
-            .map(WfRegisterHandle)
-            .collect()
-    }
-
     /// Write a value (wait-free).
     pub fn write(&mut self, v: Val) {
         let _ = self.0.invoke(RegOp::Write(v));
@@ -309,11 +235,10 @@ mod tests {
 
     #[test]
     fn wf_queue_conserves_items_across_threads() {
-        let handles = WfQueueHandle::create(4, 400);
-        let joins: Vec<_> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut h)| {
+        let queue = WfQueue::new(UniversalConfig::default());
+        let joins: Vec<_> = (0..4)
+            .map(|t| {
+                let mut h = queue.register();
                 thread::spawn(move || {
                     let mut got = Vec::new();
                     for i in 0..150 {
@@ -335,8 +260,7 @@ mod tests {
 
     #[test]
     fn wf_stack_round_trip() {
-        let mut handles = WfStackHandle::create(1, 8);
-        let h = &mut handles[0];
+        let mut h = WfStack::new(UniversalConfig::default()).register();
         h.push(1);
         h.push(2);
         assert_eq!(h.pop(), Some(2));
@@ -346,9 +270,9 @@ mod tests {
 
     #[test]
     fn wf_counter_tickets_unique() {
-        let handles = WfCounterHandle::create(3, 200);
-        let joins: Vec<_> = handles
-            .into_iter()
+        let counter = WfCounter::new(UniversalConfig::default());
+        let joins: Vec<_> = (0..3)
+            .map(|_| counter.register())
             .map(|mut h| thread::spawn(move || (0..100).map(|_| h.fetch_add(1)).collect::<Vec<_>>()))
             .collect();
         let mut all: Vec<Val> = joins.into_iter().flat_map(|j| j.join().unwrap()).collect();
@@ -358,7 +282,7 @@ mod tests {
 
     #[test]
     fn wf_counter_churn_recycles_slots() {
-        let counter = WfCounter::new_dynamic(8);
+        let counter = WfCounter::new(UniversalConfig::default());
         for _ in 0..20 {
             let mut h = counter.register();
             h.fetch_add(1);
@@ -373,7 +297,8 @@ mod tests {
 
     #[test]
     fn wf_counter_checkpointed_stays_exact_and_bounded() {
-        let counter = WfCounter::new_checkpointed(600, 16);
+        let counter =
+            WfCounter::new(UniversalConfig { checkpoint_every: Some(16), ..UniversalConfig::default() });
         let mut h = counter.register();
         for _ in 0..400 {
             h.fetch_add(1);
@@ -387,7 +312,7 @@ mod tests {
 
     #[test]
     fn wf_queue_survives_client_turnover() {
-        let queue = WfQueue::new_dynamic(8);
+        let queue = WfQueue::new(UniversalConfig::default());
         let mut producer = queue.register();
         producer.enq(1);
         producer.enq(2);
@@ -400,9 +325,8 @@ mod tests {
 
     #[test]
     fn wf_register_reads_latest_write() {
-        let mut handles = WfRegisterHandle::create(2, 8, 0);
-        let mut h1 = handles.pop().unwrap();
-        let mut h0 = handles.pop().unwrap();
+        let reg = WfRegister::new(0, UniversalConfig::default());
+        let (mut h0, mut h1) = (reg.register(), reg.register());
         h0.write(42);
         assert_eq!(h1.read(), 42);
         h1.write(7);

@@ -13,7 +13,7 @@
 //! because every operation is one log entry.
 
 use waitfree::model::{ObjectSpec, Pid, Val};
-use waitfree::sync::universal::WfUniversal;
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
 
 /// Sequential specification of the ledger.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -71,10 +71,10 @@ fn main() {
     };
     let expected_total = initial_each * accounts as Val;
 
-    let handles = WfUniversal::new(ledger, threads, transfers_per_thread + 64);
-    let joins: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
+    let bank = WfUniversal::with_config(ledger, UniversalConfig::default());
+    let joins: Vec<_> = (0..threads)
+        .map(|_| {
+            let mut h = bank.register();
             waitfree::sched::thread::spawn(move || {
                 // A deterministic pseudo-random walk of transfers, plus
                 // periodic audits *while transfers are in flight*.

@@ -5,8 +5,9 @@
 //! cargo run --example churn
 //! ```
 //!
-//! The paper fixes the set of n processes for life; `new_dynamic` lifts
-//! that restriction (DESIGN.md §11). Three things are on display:
+//! The paper fixes the set of n processes for life; the universal
+//! object's registry lifts that restriction (DESIGN.md §8). Three things
+//! are on display:
 //!
 //! 1. **Arrival is wait-free.** `register()` claims a registry slot in a
 //!    bounded number of the caller's own steps — no coordination with
@@ -22,16 +23,14 @@
 
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sched::thread;
-use waitfree::sync::universal::WfUniversal;
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
 
 fn main() {
     const WAVES: usize = 10;
     const CLIENTS_PER_WAVE: usize = 4;
     const OPS_PER_CLIENT: i64 = 25;
 
-    // Second arg is the per-registration op budget (the survivor below
-    // does OPS_PER_CLIENT adds plus one Get on a single handle).
-    let obj = WfUniversal::new_dynamic(Counter::new(0), OPS_PER_CLIENT as usize + 1);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
 
     // Wave after wave of short-lived clients: each registers, does its
     // work, and retires. Arrivals accumulate; the registry must not.

@@ -7,20 +7,21 @@
 //! 1. Wrap any sequential object (here a counter and a FIFO queue) in the
 //!    universal construction — Herlihy's §4 result says one consensus
 //!    primitive is enough for *any* of them.
-//! 2. Hand one handle to each thread.
+//! 2. Register one handle per thread.
 //! 3. Operations are wait-free: bounded steps regardless of what other
 //!    threads do.
 
-use waitfree::sync::wrappers::{WfCounterHandle, WfQueueHandle};
+use waitfree::sync::universal::UniversalConfig;
+use waitfree::sync::wrappers::{WfCounter, WfQueue};
 
 fn main() {
     // A wait-free counter shared by 4 threads.
     let threads = 4;
     let per = 10_000;
-    let handles = WfCounterHandle::create(threads, per + 1);
-    let joins: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
+    let counter = WfCounter::new(UniversalConfig::default());
+    let joins: Vec<_> = (0..threads)
+        .map(|_| {
+            let mut h = counter.register();
             waitfree::sched::thread::spawn(move || {
                 let mut first_ticket = None;
                 for _ in 0..per {
@@ -37,10 +38,8 @@ fn main() {
     println!("  (each fetch_add returned a unique ticket — linearizable)");
 
     // A wait-free FIFO queue: producer and consumer, no locks anywhere.
-    let handles = WfQueueHandle::create(2, 12);
-    let mut it = handles.into_iter();
-    let mut producer = it.next().expect("two handles");
-    let mut consumer = it.next().expect("two handles");
+    let queue = WfQueue::new(UniversalConfig::default());
+    let (mut producer, mut consumer) = (queue.register(), queue.register());
     let p = waitfree::sched::thread::spawn(move || {
         for item in [10, 20, 30, 40, 50] {
             producer.enq(item);

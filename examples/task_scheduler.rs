@@ -15,17 +15,19 @@
 
 use std::time::{Duration, Instant};
 
-use waitfree::sync::wrappers::{WfCounterHandle, WfQueueHandle};
+use waitfree::sync::universal::UniversalConfig;
+use waitfree::sync::wrappers::{WfCounter, WfQueue};
 
 fn main() {
     let workers = 4;
     let tasks: i64 = 400;
 
-    // Queue handles: one per worker plus one for the coordinator.
-    let mut q_handles = WfQueueHandle::create(workers + 1, 2 * tasks as usize + 8);
-    let mut coordinator_q = q_handles.remove(0);
-    let mut c_handles = WfCounterHandle::create(workers + 1, 2 * tasks as usize + 8);
-    let mut coordinator_c = c_handles.remove(0);
+    // One queue handle and one counter handle for the coordinator; each
+    // worker registers its own pair below.
+    let queue = WfQueue::new(UniversalConfig::default());
+    let counter = WfCounter::new(UniversalConfig::default());
+    let mut coordinator_q = queue.register();
+    let mut coordinator_c = counter.register();
 
     // Seed the task pool: task i = "compute i² and add it to the tally".
     for i in 0..tasks {
@@ -33,11 +35,9 @@ fn main() {
     }
 
     let start = Instant::now();
-    let joins: Vec<_> = q_handles
-        .into_iter()
-        .zip(c_handles)
-        .enumerate()
-        .map(|(w, (mut q, mut c))| {
+    let joins: Vec<_> = (0..workers)
+        .map(|w| {
+            let (mut q, mut c) = (queue.register(), counter.register());
             waitfree::sched::thread::spawn(move || {
                 let slow = w == 0; // worker 0 keeps getting "preempted"
                 let mut processed = 0u32;

@@ -13,13 +13,16 @@
 
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sched::thread;
-use waitfree::sync::universal::WfUniversal;
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
 
 #[test]
 fn concurrent_churn_is_bounded_by_peak_active_not_arrivals() {
+    // The crash storms arm the process-global failpoint registry for
+    // *any* thread; holding the gate keeps them off this test's workers.
+    let _guard = waitfree::faults::failpoints::exclusive();
     const WORKERS: usize = 4;
     const ROUNDS: usize = 50;
-    let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let joins: Vec<_> = (0..WORKERS)
         .map(|_| {
             let obj = obj.clone();
@@ -65,10 +68,11 @@ fn concurrent_churn_is_bounded_by_peak_active_not_arrivals() {
 
 #[test]
 fn respawned_clients_observe_their_predecessors() {
+    let _guard = waitfree::faults::failpoints::exclusive(); // as in the first test
     // Generations: each client increments, retires, and its successor
     // must observe a strictly larger counter — slot reuse preserves the
     // happened-before chain through the log.
-    let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let mut last = -1i64;
     for _ in 0..40 {
         let mut h = obj.register();
@@ -122,7 +126,7 @@ mod storms {
             },
         );
 
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         // Adds that certainly took effect: bumped after invoke returns,
         // and both crash sites sit outside the invoke (a crash at
         // `universal::retire` lands after the round's add completed, one
@@ -199,13 +203,17 @@ mod storms {
 
 #[test]
 fn checkpointed_churn_stays_exact_with_bounded_memory() {
+    let _guard = waitfree::faults::failpoints::exclusive(); // as in the first test
     // The tentpole's two bounds at once, under real-thread churn: the
     // registry stays bounded by peak active handles (PR 6) *and* live
     // log segments stay bounded by the frontier spread (checkpointed
     // truncation) — while every add still counts exactly once.
     const WORKERS: usize = 4;
     const ROUNDS: usize = 60;
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 4, 8);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(8), ..UniversalConfig::default() },
+    );
     let joins: Vec<_> = (0..WORKERS)
         .map(|_| {
             let obj = obj.clone();

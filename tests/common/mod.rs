@@ -1,195 +1,82 @@
-//! Shared test plumbing: one abstraction over the universal-object
-//! implementations, so every fault-injection and helping-bound scenario
-//! runs against the optimised pointer-CAS path in both decide modes
-//! (per-op and batch-combining, `waitfree::sync::universal`) and the
-//! `ConsensusCell` baseline (`waitfree::sync::universal_cell`).
+//! Shared test plumbing: the universal object's configurations as a
+//! table, so every fault-injection and helping-bound scenario runs over
+//! per-op decides, batch combining, and batch combining with
+//! checkpointed truncation live — one implementation
+//! (`waitfree::sync::universal`), differing by a `UniversalConfig`.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
-use waitfree::sync::universal::{UniversalError, WfHandle, WfUniversal};
-use waitfree::sync::universal_cell::{CellHandle, CellUniversal};
+use waitfree::model::ObjectSpec;
+use waitfree::objects::counter::Counter;
+use waitfree::sync::universal::{UniversalConfig, WfHandle, WfUniversal};
 
-/// A wait-free counter built on one of the universal-object paths.
-/// All implementations place the same `universal::*` failpoint sites at
-/// the same algorithmic steps, so a single adversary plan stresses
-/// any of them (`universal::collect` additionally fires on the
-/// combining path).
-pub trait CounterPath: Sized + Send + 'static {
+/// A fresh object over `initial` with `n` handles registered in order:
+/// sequential registration claims slots `0..n`, so `tid == index`.
+pub fn register_n<S: ObjectSpec>(
+    initial: S,
+    n: usize,
+    cfg: UniversalConfig,
+) -> (WfUniversal<S>, Vec<WfHandle<S>>) {
+    let obj = WfUniversal::with_config(initial, cfg);
+    let handles = (0..n).map(|_| obj.register()).collect();
+    (obj, handles)
+}
+
+/// One configuration under test: a leg of every scenario. All of them
+/// place the same `universal::*` failpoint sites at the same algorithmic
+/// steps, so a single adversary plan stresses any of them
+/// (`universal::collect` additionally fires when `cfg.combine`, where
+/// one decided log position can carry up to `n` operations instead of
+/// exactly one).
+#[derive(Clone, Copy, Debug)]
+pub struct Leg {
     /// Short label for assertion messages.
-    const NAME: &'static str;
-
-    /// Whether one decided log position can carry up to `n` operations
-    /// (batch combining) or exactly one. Scenarios that count positions
-    /// against completed ops scale their bounds by this.
-    const COMBINES: bool = false;
-
-    /// One handle per thread, unbounded (or seed-formula) log.
-    fn create(n: usize, max_ops: usize) -> Vec<Self>;
-    /// One handle per thread with an explicit log-position cap, so
-    /// `UniversalError::LogFull` is observable.
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self>;
-    /// `invoke` on the underlying handle.
-    fn invoke(&mut self, op: CounterOp) -> CounterResp;
-    /// `try_invoke` on the underlying handle.
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError>;
-    /// The handle's thread index.
-    fn tid(&self) -> usize;
-    /// Worst-case threading-loop iterations over the handle's life.
-    fn max_threading_steps(&self) -> usize;
+    pub name: &'static str,
+    pub cfg: UniversalConfig,
 }
-
-/// The optimised pointer-CAS / segmented-log path, one decide per op
-/// (the PR-2 shape, kept as the combining layer's differential
-/// baseline).
-pub struct PtrPath(pub WfHandle<Counter>);
-
-impl CounterPath for PtrPath {
-    const NAME: &'static str = "pointer";
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        WfUniversal::new_per_op(Counter::new(0), n, max_ops).into_iter().map(PtrPath).collect()
-    }
-
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        WfUniversal::with_capacity_per_op(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(PtrPath)
-            .collect()
-    }
-
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
-    }
-
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
-    }
-
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
-    }
-}
-
-/// The pointer path with batch combining (the `WfUniversal::new`
-/// default): one winning decide threads every currently-pending
-/// announced op.
-pub struct BatchedPath(pub WfHandle<Counter>);
-
-impl CounterPath for BatchedPath {
-    const NAME: &'static str = "batched";
-    const COMBINES: bool = true;
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        WfUniversal::new(Counter::new(0), n, max_ops).into_iter().map(BatchedPath).collect()
-    }
-
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        WfUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(BatchedPath)
-            .collect()
-    }
-
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
-    }
-
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
-    }
-
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
-    }
-}
-
-/// The combining pointer path with checkpointed log truncation: a
-/// checkpoint is decided every few positions and segments behind every
-/// handle's replay frontier are reclaimed mid-run — no fault-tolerance
-/// property may depend on the truncated history staying allocated.
-pub struct CheckpointedPath(pub WfHandle<Counter>);
 
 /// Aggressive cadence so even short storm scenarios cross several
 /// checkpoints and (usually) at least one segment reclaim.
 pub const CHECKPOINT_EVERY: usize = 8;
 
-impl CounterPath for CheckpointedPath {
-    const NAME: &'static str = "checkpointed";
-    const COMBINES: bool = true;
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        WfUniversal::new_checkpointed(Counter::new(0), n, max_ops, CHECKPOINT_EVERY)
-            .into_iter()
-            .map(CheckpointedPath)
-            .collect()
+impl Leg {
+    /// One decide per op: the paper's literal candidate rule, kept as
+    /// the combining layer's differential baseline.
+    pub fn per_op() -> Self {
+        Leg {
+            name: "pointer",
+            cfg: UniversalConfig { combine: false, ..UniversalConfig::default() },
+        }
     }
 
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        // A capped log never truncates (the cadence guard stops at the
-        // LogFull edge), so the capped leg is the plain combining path —
-        // kept so capped scenarios still run under this label.
-        WfUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(CheckpointedPath)
-            .collect()
+    /// Batch combining (the default): one winning decide threads every
+    /// currently-pending announced op.
+    pub fn batched() -> Self {
+        Leg { name: "batched", cfg: UniversalConfig::default() }
     }
 
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
+    /// Batch combining with checkpointed log truncation: segments
+    /// behind every handle's replay frontier are reclaimed mid-run — no
+    /// fault-tolerance property may depend on the truncated history
+    /// staying allocated.
+    pub fn checkpointed() -> Self {
+        Leg {
+            name: "checkpointed",
+            cfg: UniversalConfig {
+                checkpoint_every: Some(CHECKPOINT_EVERY),
+                ..UniversalConfig::default()
+            },
+        }
     }
 
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
+    /// This leg with an explicit log-position cap, so
+    /// `UniversalError::LogFull` is observable.
+    pub fn capped(self, capacity: usize) -> Self {
+        Leg { cfg: UniversalConfig { cap: Some(capacity), ..self.cfg }, ..self }
     }
 
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
-    }
-}
-
-/// The seed `ConsensusCell` baseline path.
-pub struct CellPath(pub CellHandle<Counter>);
-
-impl CounterPath for CellPath {
-    const NAME: &'static str = "cell";
-
-    fn create(n: usize, max_ops: usize) -> Vec<Self> {
-        CellUniversal::new(Counter::new(0), n, max_ops).into_iter().map(CellPath).collect()
-    }
-
-    fn create_capped(n: usize, max_ops: usize, capacity: usize) -> Vec<Self> {
-        CellUniversal::with_capacity(Counter::new(0), n, max_ops, capacity)
-            .into_iter()
-            .map(CellPath)
-            .collect()
-    }
-
-    fn invoke(&mut self, op: CounterOp) -> CounterResp {
-        self.0.invoke(op)
-    }
-
-    fn try_invoke(&mut self, op: CounterOp) -> Result<CounterResp, UniversalError> {
-        self.0.try_invoke(op)
-    }
-
-    fn tid(&self) -> usize {
-        self.0.tid()
-    }
-
-    fn max_threading_steps(&self) -> usize {
-        self.0.max_threading_steps()
+    /// One counter handle per thread on a fresh object.
+    pub fn counters(self, n: usize) -> Vec<WfHandle<Counter>> {
+        register_n(Counter::new(0), n, self.cfg).1
     }
 }
 

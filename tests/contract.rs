@@ -45,7 +45,7 @@ fn workspace_lint_is_clean_with_zero_exemptions() {
 
 /// The extracted pair graph has real substance: release sites in both
 /// algorithm crates, every `pairs:` reference resolved, and the
-/// specific labels the design names (DESIGN §15) all present.
+/// specific labels the design names (DESIGN §12) all present.
 #[test]
 fn pair_graph_resolves_and_covers_both_algorithm_crates() {
     let files = common::workspace_sources();

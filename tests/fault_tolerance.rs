@@ -17,12 +17,11 @@
 //!    operations included as pending invocations — is accepted by
 //!    [`waitfree::model::linearize`] under `PendingPolicy::MayTakeEffect`.
 //!
-//! Every scenario runs against **all** universal-object paths: the
-//! optimised pointer-CAS/segmented-log implementation in both decide
-//! modes (per-op and batch-combining), the combining path with
-//! checkpointed log truncation live (segments reclaimed mid-storm), and
-//! the seed `ConsensusCell` baseline (see `common::CounterPath`) —
-//! neither optimisation may cost any fault-tolerance property. The
+//! Every scenario runs against **all** universal-object configurations
+//! (see `common::Leg`): both decide modes (per-op and
+//! batch-combining), and the combining path with checkpointed log
+//! truncation live (segments reclaimed mid-storm) — neither layer may
+//! cost any fault-tolerance property. The
 //! combining path additionally gets a crash-during-combine scenario: a
 //! thread killed at `universal::collect`, mid-scan with other threads'
 //! pending entries already gathered, must leave every collected op
@@ -53,12 +52,12 @@ use std::sync::{Arc, Mutex};
 use waitfree::sched::thread;
 use std::time::Duration;
 
-use common::{BatchedPath, CellPath, CheckpointedPath, CounterPath, PtrPath};
+use common::Leg;
 use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
 use waitfree::faults::harness::{install_adversary, plan_adversary, spawn_workers, Outcome};
 use waitfree::model::{linearize, History, PendingPolicy, Pid};
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
-use waitfree::sync::universal::{UniversalError, WfUniversal, SEGMENT_SIZE};
+use waitfree::sync::universal::{UniversalConfig, UniversalError, WfHandle, WfUniversal, SEGMENT_SIZE};
 
 /// Sites the adversary may target: announce published, pre-CAS, post-CAS.
 /// Shared by every path.
@@ -66,8 +65,8 @@ const SITES: &[&str] = &["universal::announced", "universal::cas", "universal::d
 
 /// The combining path also exposes the collect scan; a victim planned
 /// there crashes while building a batch. (Not in `SITES`: the site never
-/// fires on the per-op or cell paths, so a crash planned at it would
-/// silently not happen.)
+/// fires on the per-op path, so a crash planned at it would silently not
+/// happen.)
 const BATCH_SITES: &[&str] =
     &["universal::announced", "universal::collect", "universal::cas", "universal::decided"];
 
@@ -99,7 +98,7 @@ fn build_history(mut events: Vec<(u64, Ev)>) -> History<CounterOp, CounterResp> 
 /// The full adversarial scenario, per seed and per implementation path:
 /// 6 threads hammer one wait-free counter; 2 of them are crashed/stalled
 /// mid-operation.
-fn adversarial_round<P: CounterPath>(seed: u64, sites: &[&str]) {
+fn adversarial_round(p: Leg, seed: u64, sites: &[&str]) {
     const N: usize = 6;
     const VICTIMS: usize = 2;
     const OPS: usize = 8;
@@ -118,9 +117,8 @@ fn adversarial_round<P: CounterPath>(seed: u64, sites: &[&str]) {
     failpoints::set_seed(seed);
     install_adversary(&plan);
 
-    let handles: Arc<Vec<Mutex<Option<P>>>> = Arc::new(
-        P::create(N, OPS).into_iter().map(|h| Mutex::new(Some(h))).collect(),
-    );
+    let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> =
+        Arc::new(p.counters(N).into_iter().map(|h| Mutex::new(Some(h))).collect());
     let clock = Arc::new(AtomicU64::new(0));
     let events: Arc<Mutex<Vec<(u64, Ev)>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -148,7 +146,7 @@ fn adversarial_round<P: CounterPath>(seed: u64, sites: &[&str]) {
     assert!(
         group.await_finished(N - stalled.len(), Duration::from_secs(60)),
         "[{}] seed {seed}: survivors did not complete while victims were down",
-        P::NAME
+        p.name
     );
 
     let outcomes = group.finish();
@@ -158,30 +156,30 @@ fn adversarial_round<P: CounterPath>(seed: u64, sites: &[&str]) {
                 assert!(
                     !crashed.contains(&tid),
                     "[{}] seed {seed}: crash victim {tid} completed all ops",
-                    P::NAME
+                    p.name
                 );
                 assert_eq!(responses.len(), OPS);
                 // (2) The helping bound: O(n) own consensus steps per op.
                 assert!(
                     *max_steps <= 2 * N + 8,
                     "[{}] seed {seed}: thread {tid} took {max_steps} threading steps (n = {N})",
-                    P::NAME
+                    p.name
                 );
             }
             Outcome::Crashed { site } => {
                 assert!(
                     crashed.contains(&tid),
                     "[{}] seed {seed}: unplanned crash of thread {tid} at {site}",
-                    P::NAME
+                    p.name
                 );
                 assert!(
                     sites.contains(&site.as_str()),
                     "[{}] seed {seed}: foreign site {site}",
-                    P::NAME
+                    p.name
                 );
             }
             Outcome::Panicked { message } => {
-                panic!("[{}] seed {seed}: thread {tid} genuinely panicked: {message}", P::NAME)
+                panic!("[{}] seed {seed}: thread {tid} genuinely panicked: {message}", p.name)
             }
         }
     }
@@ -194,13 +192,13 @@ fn adversarial_round<P: CounterPath>(seed: u64, sites: &[&str]) {
     assert!(
         pending <= VICTIMS,
         "[{}] seed {seed}: at most one pending op per victim",
-        P::NAME
+        p.name
     );
     let report = linearize(&history, &Counter::new(0), PendingPolicy::MayTakeEffect);
     assert!(
         report.outcome.is_ok(),
         "[{}] seed {seed}: non-linearizable history with {pending} pending ops: {history:?}",
-        P::NAME
+        p.name
     );
 }
 
@@ -209,18 +207,16 @@ fn survivors_complete_and_history_linearizes_under_adversary() {
     let _guard = failpoints::exclusive();
     for seed in [1, 2, 3, 4, 5] {
         failpoints::clear();
-        adversarial_round::<PtrPath>(seed, SITES);
+        adversarial_round(Leg::per_op(), seed, SITES);
         failpoints::clear();
-        adversarial_round::<BatchedPath>(seed, BATCH_SITES);
+        adversarial_round(Leg::batched(), seed, BATCH_SITES);
         failpoints::clear();
-        adversarial_round::<CheckpointedPath>(seed, BATCH_SITES);
-        failpoints::clear();
-        adversarial_round::<CellPath>(seed, SITES);
+        adversarial_round(Leg::checkpointed(), seed, BATCH_SITES);
     }
     failpoints::clear();
 }
 
-fn stalled_thread_scenario<P: CounterPath>() {
+fn stalled_thread_scenario(p: Leg) {
     failpoints::clear();
 
     const N: usize = 3;
@@ -235,9 +231,8 @@ fn stalled_thread_scenario<P: CounterPath>() {
         },
     );
 
-    let handles: Arc<Vec<Mutex<Option<P>>>> = Arc::new(
-        P::create(N, OPS).into_iter().map(|h| Mutex::new(Some(h))).collect(),
-    );
+    let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> =
+        Arc::new(p.counters(N).into_iter().map(|h| Mutex::new(Some(h))).collect());
     let group = {
         let handles = Arc::clone(&handles);
         spawn_workers(N, move |tid| {
@@ -253,17 +248,17 @@ fn stalled_thread_scenario<P: CounterPath>() {
     // The two unstalled threads finish; thread 0 ends up parked at the
     // site (it may still be on its way there when the survivors finish,
     // hence the bounded wait rather than an instant assert).
-    assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", P::NAME);
+    assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", p.name);
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     while failpoints::stalled_count() != 1 {
-        assert!(std::time::Instant::now() < deadline, "[{}] victim never parked", P::NAME);
+        assert!(std::time::Instant::now() < deadline, "[{}] victim never parked", p.name);
         thread::yield_now();
     }
     assert_eq!(
         group.finished_count(),
         N - 1,
         "[{}] the parked victim never counts as finished",
-        P::NAME
+        p.name
     );
 
     // finish() releases the stall; the victim completes its remaining ops.
@@ -278,20 +273,19 @@ fn stalled_thread_scenario<P: CounterPath>() {
         .collect();
     all.sort_unstable();
     let expect: Vec<i64> = (0..(N * OPS) as i64).collect();
-    assert_eq!(all, expect, "[{}] every fetch-and-add ticket taken exactly once", P::NAME);
+    assert_eq!(all, expect, "[{}] every fetch-and-add ticket taken exactly once", p.name);
     failpoints::clear();
 }
 
 #[test]
 fn stalled_thread_is_observable_parked_then_resumes() {
     let _guard = failpoints::exclusive();
-    stalled_thread_scenario::<PtrPath>();
-    stalled_thread_scenario::<BatchedPath>();
-    stalled_thread_scenario::<CheckpointedPath>();
-    stalled_thread_scenario::<CellPath>();
+    stalled_thread_scenario(Leg::per_op());
+    stalled_thread_scenario(Leg::batched());
+    stalled_thread_scenario(Leg::checkpointed());
 }
 
-fn log_exhaustion_scenario<P: CounterPath>() {
+fn log_exhaustion_scenario(p: Leg) {
     failpoints::clear();
 
     const N: usize = 3;
@@ -307,8 +301,8 @@ fn log_exhaustion_scenario<P: CounterPath>() {
         },
     );
 
-    let handles: Arc<Vec<Mutex<Option<P>>>> = Arc::new(
-        P::create_capped(N, 1000, CAPACITY).into_iter().map(|h| Mutex::new(Some(h))).collect(),
+    let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> = Arc::new(
+        p.capped(CAPACITY).counters(N).into_iter().map(|h| Mutex::new(Some(h))).collect(),
     );
     let group = {
         let handles = Arc::clone(&handles);
@@ -327,41 +321,41 @@ fn log_exhaustion_scenario<P: CounterPath>() {
 
     // Everyone terminates: the exhausted log surfaces as an error value,
     // not a deadlock or abort, even though thread 2 died mid-operation.
-    assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", P::NAME);
+    assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", p.name);
     let outcomes = group.finish();
     let mut total_ok = 0usize;
     for (tid, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
             Outcome::Completed((ok, UniversalError::LogFull { capacity, .. })) => {
-                assert_eq!(capacity, CAPACITY, "[{}]", P::NAME);
+                assert_eq!(capacity, CAPACITY, "[{}]", p.name);
                 total_ok += ok;
             }
             Outcome::Crashed { site } => {
-                assert_eq!(tid, 2, "[{}] only the planned victim crashes", P::NAME);
-                assert_eq!(site, "universal::decided", "[{}]", P::NAME);
+                assert_eq!(tid, 2, "[{}] only the planned victim crashes", p.name);
+                assert_eq!(site, "universal::decided", "[{}]", p.name);
             }
-            other => panic!("[{}] thread {tid}: unexpected outcome {other:?}", P::NAME),
+            other => panic!("[{}] thread {tid}: unexpected outcome {other:?}", p.name),
         }
     }
     // Each log position carries at most one op per thread (exactly one
     // without combining), so completed ops are bounded by positions.
-    let per_position = if P::COMBINES { N } else { 1 };
+    let per_position = if p.cfg.combine { N } else { 1 };
     assert!(
         total_ok <= CAPACITY * per_position,
         "[{}] {total_ok} ops cannot fit in {CAPACITY} positions of ≤ {per_position} ops",
-        P::NAME
+        p.name
     );
-    assert!(total_ok > 0, "[{}] some ops completed before exhaustion", P::NAME);
+    assert!(total_ok > 0, "[{}] some ops completed before exhaustion", p.name);
     failpoints::clear();
 }
 
 #[test]
 fn log_exhaustion_is_a_typed_error_even_with_a_crashed_peer() {
     let _guard = failpoints::exclusive();
-    log_exhaustion_scenario::<PtrPath>();
-    log_exhaustion_scenario::<BatchedPath>();
-    log_exhaustion_scenario::<CheckpointedPath>();
-    log_exhaustion_scenario::<CellPath>();
+    // No checkpointed leg: a capped log never truncates, and
+    // `with_config` rejects the pair.
+    log_exhaustion_scenario(Leg::per_op());
+    log_exhaustion_scenario(Leg::batched());
 }
 
 /// A handle reused after a *caught* crash mid-invoke (its op announced
@@ -369,16 +363,14 @@ fn log_exhaustion_is_a_typed_error_even_with_a_crashed_peer() {
 /// exactly as on an unbounded one, as long as the log actually has
 /// room: the cap bounds log positions, it is not a one-way recovery
 /// fuse. Regression — this used to return `LogFull { position: cap,
-/// capacity: cap }` with the log half-empty. (The cell path needs no
-/// twin test: its per-`(tid, seq)` announce slots are never
-/// overwritten, so it recovers without a pending-op gate at all.)
+/// capacity: cap }` with the log half-empty.
 #[test]
 fn caught_crash_on_capped_log_with_room_recovers_the_orphan() {
     let _guard = failpoints::exclusive();
     failpoints::clear();
 
-    let mut handles = WfUniversal::with_capacity(Counter::new(0), 1, 8, 4);
-    let mut h = handles.remove(0);
+    let cfg = UniversalConfig { cap: Some(4), ..UniversalConfig::default() };
+    let mut h = WfUniversal::with_config(Counter::new(0), cfg).register();
     assert_eq!(h.invoke(CounterOp::FetchAndAdd(1)), CounterResp::Value(0));
 
     // Die right after the announce-slot publication: the op (seq 1) is
@@ -451,11 +443,8 @@ fn crash_during_combine_leaves_collected_ops_helpable() {
         },
     );
 
-    // A large budget so the victim cannot run out of announce slots in
-    // the (theoretical) window where helpers complete its ops before it
-    // ever reaches a collect.
-    let handles: Arc<Vec<Mutex<Option<BatchedPath>>>> = Arc::new(
-        BatchedPath::create(N, 1000).into_iter().map(|h| Mutex::new(Some(h))).collect(),
+    let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> = Arc::new(
+        Leg::batched().counters(N).into_iter().map(|h| Mutex::new(Some(h))).collect(),
     );
     let clock = Arc::new(AtomicU64::new(0));
     let events: Arc<Mutex<Vec<(u64, Ev)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -512,7 +501,7 @@ fn crash_during_combine_leaves_collected_ops_helpable() {
         .filter(|(_, ev)| matches!(ev, Ev::Resp(tid, _) if *tid == VICTIM))
         .count();
     let completed_total = (N - 1) * OPS + victim_completed;
-    let mut survivor = survivor_handle.expect("N-1 survivors").0;
+    let mut survivor = survivor_handle.expect("N-1 survivors");
     let final_value = match survivor.invoke(CounterOp::Get) {
         CounterResp::Value(v) => v as usize,
         other => panic!("unexpected {other:?}"),
@@ -550,7 +539,10 @@ fn crash_during_checkpoint_leaves_cadence_retryable() {
     failpoints::clear();
 
     const EVERY: usize = 4;
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 1000, EVERY);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(EVERY), ..UniversalConfig::default() },
+    );
 
     // Three ops from the main handle: cursor stays below the cadence,
     // so the site is never hit here and the victim's hit is the first.
@@ -614,7 +606,10 @@ fn crash_during_reclaim_releases_the_lock_and_frees_nothing() {
     failpoints::clear();
 
     const EVERY: usize = 16;
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 1000, EVERY);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(EVERY), ..UniversalConfig::default() },
+    );
 
     failpoints::configure(
         "universal::reclaim",

@@ -8,30 +8,30 @@
 //! preferred thread is the announcer, and whoever decides that position
 //! proposes the announced entry. The announcer's own loop starts at most
 //! n positions behind F (the shared hint lags each running thread by less
-//! than n positions — the seed path republished it every iteration, the
-//! pointer path every n-th iteration and once after the loop), so it
-//! iterates at most ~2n times. We assert
+//! than n positions — it is republished every n-th iteration and once
+//! after the loop), so it iterates at most ~2n times. We assert
 //! `max_threading_steps <= 2n + 8`, slack for the startup positions.
 //!
-//! Every universal-object path is measured (see `common::CounterPath`):
-//! neither the hoisted hint publication nor the batch-combining layer
-//! may loosen the bound. Combining must also *tighten* the amortized
-//! picture: one winning decide threads every pending announced op, so
-//! under full contention total decides per completed op drop from ~1
-//! toward 1/n — the `combining` module below asserts that drop against
-//! the per-op path under an injected yield storm.
+//! Every universal-object configuration is measured (see
+//! `common::Leg`): neither the hoisted hint publication nor the
+//! batch-combining layer may loosen the bound. Combining must also
+//! *tighten* the amortized picture: one winning decide threads every
+//! pending announced op, so under full contention total decides per
+//! completed op drop from ~1 toward 1/n — the `combining` module below
+//! asserts that drop against the per-op path under an injected yield
+//! storm.
 
 mod common;
 
 use waitfree::sched::thread;
 
-use common::{BatchedPath, CellPath, CheckpointedPath, CounterPath, PtrPath, CHECKPOINT_EVERY};
+use common::{Leg, CHECKPOINT_EVERY};
 use waitfree::objects::counter::CounterOp;
 
-fn contention_round<P: CounterPath>() {
+fn contention_round(p: Leg) {
     let n = 4;
     let per = 400;
-    let handles = P::create(n, per);
+    let handles = p.counters(n);
     let joins: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -48,16 +48,15 @@ fn contention_round<P: CounterPath>() {
         assert!(
             max_steps <= 2 * n + 8,
             "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound (n = {n})",
-            P::NAME
+            p.name
         );
     }
 }
 
 #[test]
 fn helping_bounds_threading_steps_under_contention() {
-    contention_round::<PtrPath>();
-    contention_round::<BatchedPath>();
-    contention_round::<CellPath>();
+    contention_round(Leg::per_op());
+    contention_round(Leg::batched());
 }
 
 /// The helping bound survives checkpointed truncation, with explicit
@@ -73,7 +72,7 @@ fn helping_bound_survives_checkpointing_with_cadence_slack() {
     let per = 400;
     let base = 2 * n + 8;
     let bound = base + base / CHECKPOINT_EVERY + 2;
-    let handles = CheckpointedPath::create(n, per);
+    let handles = Leg::checkpointed().counters(n);
     let joins: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -103,9 +102,9 @@ fn helping_bound_survives_checkpointing_with_cadence_slack() {
 #[test]
 fn helping_bound_is_over_active_handles_not_arrivals() {
     use waitfree::objects::counter::Counter;
-    use waitfree::sync::universal::WfUniversal;
+    use waitfree::sync::universal::{UniversalConfig, WfUniversal};
 
-    let obj = WfUniversal::new_dynamic(Counter::new(0), 500);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     for _ in 0..64 {
         let mut h = obj.register();
         h.invoke(CounterOp::Add(1));
@@ -149,8 +148,10 @@ mod stall {
     use std::time::Duration;
     use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
     use waitfree::faults::harness::spawn_workers;
+    use waitfree::objects::counter::Counter;
+    use waitfree::sync::universal::WfHandle;
 
-    fn stall_round<P: CounterPath>() {
+    fn stall_round(p: Leg) {
         failpoints::clear();
 
         const N: usize = 4;
@@ -165,9 +166,8 @@ mod stall {
             },
         );
 
-        let handles: Arc<Vec<Mutex<Option<P>>>> = Arc::new(
-            P::create(N, PER).into_iter().map(|h| Mutex::new(Some(h))).collect(),
-        );
+        let handles: Arc<Vec<Mutex<Option<WfHandle<Counter>>>>> =
+            Arc::new(p.counters(N).into_iter().map(|h| Mutex::new(Some(h))).collect());
         let group = {
             let handles = Arc::clone(&handles);
             spawn_workers(N, move |tid| {
@@ -180,13 +180,13 @@ mod stall {
         };
 
         // Survivors finish with the victim still parked mid-operation.
-        assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", P::NAME);
+        assert!(group.await_finished(N - 1, Duration::from_secs(60)), "[{}]", p.name);
         for (tid, outcome) in group.finish().into_iter().enumerate() {
             let max_steps = outcome.completed().expect("all threads complete after release");
             assert!(
                 max_steps <= 2 * N + 8,
                 "[{}] thread {tid}: {max_steps} threading steps exceeds the O(n) bound (n = {N})",
-                P::NAME
+                p.name
             );
         }
         failpoints::clear();
@@ -195,9 +195,8 @@ mod stall {
     #[test]
     fn helping_bound_survives_an_injected_stall() {
         let _guard = failpoints::exclusive();
-        stall_round::<PtrPath>();
-        stall_round::<BatchedPath>();
-        stall_round::<CellPath>();
+        stall_round(Leg::per_op());
+        stall_round(Leg::batched());
     }
 }
 
@@ -216,7 +215,9 @@ mod combining {
     use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
     use waitfree::faults::harness::spawn_workers;
     use waitfree::objects::counter::{Counter, CounterOp};
-    use waitfree::sync::universal::{WfHandle, WfUniversal};
+    use waitfree::sync::universal::WfHandle;
+
+    use super::Leg;
 
     const N: usize = 4;
     const PER: usize = 200;
@@ -294,8 +295,8 @@ mod combining {
     fn combining_amortizes_decides_under_full_contention() {
         let _guard = failpoints::exclusive();
 
-        let b = yield_storm_round(WfUniversal::new(Counter::new(0), N, PER), false);
-        let p = yield_storm_round(WfUniversal::new_per_op(Counter::new(0), N, PER), false);
+        let b = yield_storm_round(Leg::batched().counters(N), false);
+        let p = yield_storm_round(Leg::per_op().counters(N), false);
 
         assert_eq!(b.invokes, N * PER);
         assert_eq!(p.invokes, N * PER);
@@ -371,8 +372,8 @@ mod combining {
     fn combining_loses_no_more_cas_races_under_a_decide_race_storm() {
         let _guard = failpoints::exclusive();
 
-        let b = yield_storm_round(WfUniversal::new(Counter::new(0), N, PER), true);
-        let p = yield_storm_round(WfUniversal::new_per_op(Counter::new(0), N, PER), true);
+        let b = yield_storm_round(Leg::batched().counters(N), true);
+        let p = yield_storm_round(Leg::per_op().counters(N), true);
 
         assert_eq!(b.invokes, N * PER);
         assert_eq!(p.invokes, N * PER);

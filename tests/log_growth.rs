@@ -1,8 +1,7 @@
 //! Growth tests for the segmented universal-object log: the pointer-CAS
 //! path allocates [`SEGMENT_SIZE`]-position segments lazily and installs
-//! them by CAS, so an object built with `WfUniversal::new` never runs
-//! out of positions. These tests push well past one segment under
-//! contention and assert
+//! them by CAS, so an uncapped object never runs out of positions. These
+//! tests push well past one segment under contention and assert
 //!
 //! 1. segment count grew (and stayed within the 2·n·ops duplication
 //!    bound, so helping never leaks whole segments),
@@ -12,7 +11,7 @@
 //!    handle that sat idle through several segments of history still
 //!    converges.
 //!
-//! A capped configuration (`with_capacity`) must still surface
+//! A capped configuration (`UniversalConfig::cap`) must still surface
 //! `UniversalError::LogFull` — including a cap that lands beyond the
 //! first segment, so the cap check and the growth path compose.
 //!
@@ -24,17 +23,21 @@
 use waitfree::sched::thread;
 
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
-use waitfree::sync::universal::{UniversalError, WfUniversal, SEGMENT_SIZE};
+use waitfree::sync::universal::{UniversalConfig, UniversalError, WfUniversal, SEGMENT_SIZE};
+
+mod common;
+use common::register_n;
 
 #[test]
 fn contended_log_grows_across_segments_without_losing_tickets() {
     let threads = 4;
     // 4 threads × per ops ≥ 10 segments even before helping duplicates.
     let per = (10 * SEGMENT_SIZE) / 4 + 8;
-    let handles = WfUniversal::new(Counter::new(0), threads, per);
+    let (obj, handles) = register_n(Counter::new(0), threads, UniversalConfig::default());
     let joins: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
+            let obj = obj.clone();
             thread::spawn(move || {
                 let tickets: Vec<i64> = (0..per)
                     .map(|_| match h.invoke(CounterOp::FetchAndAdd(1)) {
@@ -42,7 +45,7 @@ fn contended_log_grows_across_segments_without_losing_tickets() {
                         other => panic!("unexpected {other:?}"),
                     })
                     .collect();
-                (tickets, h.segments())
+                (tickets, obj.installed_segments())
             })
         })
         .collect();
@@ -77,7 +80,7 @@ fn contended_log_grows_across_segments_without_losing_tickets() {
 #[test]
 fn refresh_replays_across_segment_boundaries() {
     let ops = 3 * SEGMENT_SIZE + 7;
-    let mut handles = WfUniversal::new(Counter::new(0), 2, ops);
+    let (obj, mut handles) = register_n(Counter::new(0), 2, UniversalConfig::default());
     let mut idle = handles.pop().unwrap();
     let mut busy = handles.pop().unwrap();
     for i in 0..ops {
@@ -88,15 +91,19 @@ fn refresh_replays_across_segment_boundaries() {
     assert_eq!(idle.replayed(), 0);
     assert_eq!(idle.refresh(), busy.refresh(), "replicas converge across segments");
     assert!(idle.replayed() >= ops, "idle handle replayed the full log");
-    assert!(busy.segments() >= 3, "history spanned segments: {}", busy.segments());
+    let installed = obj.installed_segments();
+    assert!(installed >= 3, "history spanned segments: {installed}");
 }
 
 #[test]
 fn log_full_cap_is_enforced_beyond_the_first_segment() {
     // A cap past one segment: growth happens, then the cap bites.
     let cap = SEGMENT_SIZE + 6;
-    let mut handles = WfUniversal::with_capacity(Counter::new(0), 1, 2 * cap, cap);
-    let mut h = handles.remove(0);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { cap: Some(cap), ..UniversalConfig::default() },
+    );
+    let mut h = obj.register();
     for _ in 0..cap {
         assert!(h.try_invoke(CounterOp::Add(1)).is_ok());
     }
@@ -107,7 +114,7 @@ fn log_full_cap_is_enforced_beyond_the_first_segment() {
         }
         other => panic!("expected LogFull, got {other:?}"),
     }
-    assert_eq!(h.segments(), 2, "the capped log still grew past segment one");
+    assert_eq!(obj.installed_segments(), 2, "the capped log still grew past segment one");
 }
 
 #[test]
@@ -117,19 +124,22 @@ fn live_segments_drop_back_after_truncation() {
     // handles' replay cursors are — not by total ops. Run one handle far
     // past many segments: installed keeps growing, live drops back.
     let every = SEGMENT_SIZE / 2;
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 20 * SEGMENT_SIZE, every);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(every), ..UniversalConfig::default() },
+    );
     let mut h = obj.register();
     let mut live_high = 0;
     for _ in 0..8 * SEGMENT_SIZE {
         h.invoke(CounterOp::Add(1));
         live_high = live_high.max(obj.live_segments());
     }
-    assert!(h.segments() >= 8, "history spanned many segments: {}", h.segments());
+    let installed = obj.installed_segments();
+    assert!(installed >= 8, "history spanned many segments: {installed}");
     assert!(
-        obj.reclaimed_segments() >= h.segments() - 3,
-        "all but the frontier neighbourhood was reclaimed ({} of {})",
-        obj.reclaimed_segments(),
-        h.segments()
+        obj.reclaimed_segments() >= installed - 3,
+        "all but the frontier neighbourhood was reclaimed ({} of {installed})",
+        obj.reclaimed_segments()
     );
     // A single handle's frontier spread is at most one cadence plus the
     // current partial segment: live never exceeded a small constant.

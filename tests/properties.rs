@@ -9,7 +9,7 @@ use waitfree::model::{linearize, History, ObjectSpec, PendingPolicy, Pid};
 use waitfree::objects::queue::{FifoQueue, QueueOp};
 use waitfree::objects::register::{RegOp, RegResp, RwRegister};
 use waitfree::objects::stack::{Stack, StackOp};
-use waitfree::sync::universal::WfUniversal;
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
 
 const SEQUENCES: usize = 256;
 
@@ -56,7 +56,7 @@ fn hardware_universal_stack_equals_spec() {
     let mut rng = DetRng::new(0x4857_5354);
     for _ in 0..SEQUENCES {
         let ops = stack_ops(&mut rng, 39);
-        let mut hw = WfUniversal::new(Stack::new(), 1, ops.len().max(1)).remove(0);
+        let mut hw = WfUniversal::with_config(Stack::new(), UniversalConfig::default()).register();
         let mut spec = Stack::new();
         for op in &ops {
             let expected = spec.apply(Pid(0), op);

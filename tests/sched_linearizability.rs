@@ -41,14 +41,23 @@ use waitfree::sched::{
     HistoryRecorder, RunOptions, Script, SiteSpec,
 };
 use waitfree::store::{Bump, ShardedStore, StoreConfig, StoreModel, StoreOp, StoreResp};
-use waitfree::sync::consensus::UsizeConsensus;
+use waitfree::sync::consensus::{ConsensusCell, UsizeConsensus};
 use waitfree::sync::faa_queue::FaaQueue;
 use waitfree::sync::lockfree::{MsQueue, TreiberStack};
-use waitfree::sync::universal::WfUniversal;
-use waitfree::sync::universal_cell::CellUniversal;
-use waitfree::sync::wrappers::{
-    WfCounterHandle, WfQueueHandle, WfRegisterHandle, WfStackHandle,
-};
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
+use waitfree::sync::wrappers::{WfCounter, WfQueue, WfRegister, WfStack};
+
+use common::register_n;
+
+/// The one-op-per-decide configuration (`combine: false`).
+fn per_op() -> UniversalConfig {
+    UniversalConfig { combine: false, ..UniversalConfig::default() }
+}
+
+/// Checkpointed truncation at cadence `every`, batch combining.
+fn checkpointed(every: usize) -> UniversalConfig {
+    UniversalConfig { checkpoint_every: Some(every), ..UniversalConfig::default() }
+}
 
 /// Seeds per strategy family in the campaign tests (acceptance floor:
 /// ≥ 1000 random-walk and ≥ 1000 PCT schedules per object).
@@ -143,8 +152,9 @@ where
 // Campaign workloads: two virtual threads, a handful of operations.
 // ---------------------------------------------------------------------
 
-fn universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = WfUniversal::new(Counter::new(0), 2, 8);
+/// Two handles on one fresh `cfg` counter, two fetch-and-adds each.
+fn counter_body(cfg: UniversalConfig, rec: HistoryRecorder<Counter>) {
+    let handles = register_n(Counter::new(0), 2, cfg).1;
     let workers: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -163,53 +173,22 @@ fn universal_counter_body(rec: HistoryRecorder<Counter>) {
     }
 }
 
-fn cell_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = CellUniversal::new(Counter::new(0), 2, 8);
-    let workers: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            let rec = rec.clone();
-            vthread::spawn(move || {
-                let pid = Pid(h.tid());
-                for i in 0..2 {
-                    let op = CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64);
-                    rec.record(pid, op.clone(), || h.invoke(op.clone()));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
+fn universal_counter_body(rec: HistoryRecorder<Counter>) {
+    counter_body(UniversalConfig::default(), rec);
 }
 
 fn per_op_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = WfUniversal::new_per_op(Counter::new(0), 2, 8);
-    let workers: Vec<_> = handles
-        .into_iter()
-        .map(|mut h| {
-            let rec = rec.clone();
-            vthread::spawn(move || {
-                let pid = Pid(h.tid());
-                for i in 0..2 {
-                    let op = CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64);
-                    rec.record(pid, op.clone(), || h.invoke(op.clone()));
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
+    counter_body(per_op(), rec);
 }
 
 // The typed wrappers (`waitfree::sync::wrappers`) ride the combining
-// path — `create` builds `WfUniversal::new`, the batched default — so
-// these campaigns double as batched-path coverage for every object
-// class the paper's universality theorem promises.
+// path — `UniversalConfig::default()` — so these campaigns double as
+// batched-path coverage for every object class the paper's universality
+// theorem promises.
 
 fn wf_queue_body(rec: HistoryRecorder<FifoQueue>) {
-    let handles = WfQueueHandle::create(2, 8);
+    let queue = WfQueue::new(UniversalConfig::default());
+    let handles = [queue.register(), queue.register()];
     let workers: Vec<_> = handles
         .into_iter()
         .enumerate()
@@ -241,7 +220,8 @@ fn wf_queue_body(rec: HistoryRecorder<FifoQueue>) {
 }
 
 fn wf_stack_body(rec: HistoryRecorder<Stack>) {
-    let handles = WfStackHandle::create(2, 8);
+    let stack = WfStack::new(UniversalConfig::default());
+    let handles = [stack.register(), stack.register()];
     let workers: Vec<_> = handles
         .into_iter()
         .enumerate()
@@ -273,7 +253,8 @@ fn wf_stack_body(rec: HistoryRecorder<Stack>) {
 }
 
 fn wf_counter_body(rec: HistoryRecorder<Counter>) {
-    let handles = WfCounterHandle::create(2, 8);
+    let counter = WfCounter::new(UniversalConfig::default());
+    let handles = [counter.register(), counter.register()];
     let workers: Vec<_> = handles
         .into_iter()
         .enumerate()
@@ -296,7 +277,8 @@ fn wf_counter_body(rec: HistoryRecorder<Counter>) {
 }
 
 fn wf_register_body(rec: HistoryRecorder<RwRegister>) {
-    let handles = WfRegisterHandle::create(2, 8, 0);
+    let reg = WfRegister::new(0, UniversalConfig::default());
+    let handles = [reg.register(), reg.register()];
     let workers: Vec<_> = handles
         .into_iter()
         .enumerate()
@@ -331,7 +313,7 @@ fn wf_register_body(rec: HistoryRecorder<RwRegister>) {
 // ROADMAP carry-over gap this file closes.
 
 fn memory_bank_body(rec: HistoryRecorder<MemoryBank>) {
-    let handles = WfUniversal::new(MemoryBank::from_values(vec![1, 2, 3]), 2, 8);
+    let handles = register_n(MemoryBank::from_values(vec![1, 2, 3]), 2, UniversalConfig::default()).1;
     let workers: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -355,7 +337,7 @@ fn memory_bank_body(rec: HistoryRecorder<MemoryBank>) {
 }
 
 fn assign_bank_body(rec: HistoryRecorder<AssignBank>) {
-    let handles = WfUniversal::new(AssignBank::new(3, 2, -1), 2, 8);
+    let handles = register_n(AssignBank::new(3, 2, -1), 2, UniversalConfig::default()).1;
     let workers: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -385,7 +367,7 @@ fn assign_bank_body(rec: HistoryRecorder<AssignBank>) {
 // worker index, not the (reused) registry slot.
 
 fn universal_churn_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -493,11 +475,13 @@ fn ms_queue_body(rec: HistoryRecorder<FifoQueue>) {
 /// workers decide 72 positions between them, so one of them installs
 /// the second log segment and the other's replay walk, `try_read`,
 /// `refresh` and `decided_log` traversals all acquire from that
-/// install; the main thread's `Debug` format and segment accessors
-/// exercise the observer loads. Built for the coverage test below —
-/// the short campaign bodies never fill a segment.
+/// install; the main thread's `Debug` format and the segment accessor
+/// (read on a worker's clone too, so `universal.seg_count` is acquired
+/// off the installing thread) exercise the observer loads. Built for
+/// the coverage test below — the short campaign bodies never fill a
+/// segment.
 fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic_per_op(Counter::new(0), 96);
+    let obj = WfUniversal::with_config(Counter::new(0), per_op());
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -516,7 +500,7 @@ fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
                     let _ = h.refresh();
                 } else {
                     let _ = h.decided_log();
-                    let _ = h.segments();
+                    let _ = obj.installed_segments();
                 }
             })
         })
@@ -603,7 +587,7 @@ fn ms_queue_contention_body(rec: HistoryRecorder<FifoQueue>) {
 /// *other* thread (the plain checkpointed body never replays through
 /// a foreign checkpoint via the read-only APIs).
 fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 8, 2);
+    let obj = WfUniversal::with_config(Counter::new(0), checkpointed(2));
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -636,7 +620,7 @@ fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
 /// the loser's install CAS acquires the winner's. Combining mode, so
 /// the collect path walks every registered slot.
 fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic(Counter::new(0), 16);
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -674,7 +658,7 @@ fn universal_counter_campaigns_linearize() {
 /// from whatever checkpoint the schedule happened to decide. Every
 /// schedule must still linearize.
 fn checkpointed_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 4, 2);
+    let obj = WfUniversal::with_config(Counter::new(0), checkpointed(2));
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
@@ -700,15 +684,6 @@ fn checkpointed_universal_campaigns_linearize() {
         "WfUniversal<Counter> (checkpointed churn)",
         &Counter::new(0),
         checkpointed_universal_counter_body,
-    );
-}
-
-#[test]
-fn cell_universal_counter_campaigns_linearize() {
-    sweep(
-        "CellUniversal<Counter>",
-        &Counter::new(0),
-        cell_universal_counter_body,
     );
 }
 
@@ -771,7 +746,7 @@ fn universal_churn_campaigns_linearize() {
 /// The happens-before verdict over churn schedules: every plain load in
 /// every explored interleaving of register → invoke → retire → respawn
 /// must be justified by declared release/acquire (or SeqCst) edges —
-/// the registry's claim CAS, slot state, announce chunk links, and
+/// the registry's claim CAS, slot state, announce cells, and
 /// `slots_hi` high-water carry enough ordering on their own, with no
 /// hidden help from the scheduler's SC serialization.
 #[test]
@@ -781,7 +756,7 @@ fn universal_churn_schedules_satisfy_happens_before() {
             waitfree::sched::RandomWalk::new(seed),
             RunOptions::default(),
             || {
-                let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+                let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
                 let workers: Vec<_> = (0..2)
                     .map(|t| {
                         let obj = obj.clone();
@@ -827,7 +802,7 @@ fn checkpointed_schedules_satisfy_happens_before() {
             waitfree::sched::RandomWalk::new(seed),
             RunOptions::default(),
             || {
-                let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), 4, 2);
+                let obj = WfUniversal::with_config(Counter::new(0), checkpointed(2));
                 let workers: Vec<_> = (0..2)
                     .map(|t| {
                         let obj = obj.clone();
@@ -875,7 +850,7 @@ fn some_schedule_forms_a_multi_op_batch() {
             waitfree::sched::RandomWalk::new(seed),
             RunOptions::default(),
             move || {
-                let handles = WfUniversal::new(Counter::new(0), 2, 8);
+                let handles = register_n(Counter::new(0), 2, UniversalConfig::default()).1;
                 let workers: Vec<_> = handles
                     .into_iter()
                     .map(|mut h| {
@@ -1107,21 +1082,40 @@ fn broken_consensus_is_caught_and_replayable() {
 // Bounded exhaustive DFS over tiny configurations.
 // ---------------------------------------------------------------------
 
-/// Drive one consensus race (`threads` proposers, proposer `t` proposes
-/// `t + 1`) under `strategy`; returns every proposer's returned winner.
+/// A one-shot consensus object under exploration, as
+/// `decide(pid, proposal) -> winner`.
+type Decide = Arc<dyn Fn(usize, usize) -> usize + Send + Sync>;
+
+/// Theorem 7 on one hardware word: the proposal itself is CASed in.
+fn usize_consensus(_threads: usize) -> Decide {
+    let c = UsizeConsensus::new();
+    Arc::new(move |_pid, v| c.decide(v))
+}
+
+/// Theorem 7 over values: announce in a per-process slot, race on the
+/// slot index, read the winner's slot back.
+fn consensus_cell(threads: usize) -> Decide {
+    let c = ConsensusCell::<usize>::new(threads);
+    Arc::new(move |pid, v| c.decide(pid, v))
+}
+
+/// Drive one consensus race on a fresh `make(threads)` object (`threads`
+/// proposers, proposer `t` proposes `t + 1`) under `strategy`; returns
+/// every proposer's returned winner.
 fn consensus_race(
+    make: fn(usize) -> Decide,
     strategy: waitfree::sched::DfsStrategy,
     threads: usize,
 ) -> (Vec<usize>, waitfree::sched::RunResult) {
     let results: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     let inner = Arc::clone(&results);
     let res = run(strategy, RunOptions::default(), move || {
-        let c = Arc::new(UsizeConsensus::new());
+        let c = make(threads);
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 let (c, out) = (Arc::clone(&c), Arc::clone(&inner));
                 vthread::spawn(move || {
-                    let w = c.decide(t + 1);
+                    let w = c(t, t + 1);
                     out.lock().unwrap().push(w);
                 })
             })
@@ -1136,23 +1130,26 @@ fn consensus_race(
 
 #[test]
 fn dfs_exhausts_two_thread_consensus() {
-    let mut dfs = Dfs::new(None);
-    while let Some(strategy) = dfs.next_schedule() {
+    let objects: [fn(usize) -> Decide; 2] = [usize_consensus, consensus_cell];
+    for make in objects {
+        let mut dfs = Dfs::new(None);
+        while let Some(strategy) = dfs.next_schedule() {
+            assert!(
+                dfs.schedules() <= 10_000,
+                "two-thread consensus schedule space blew the cap (ROADMAP: DFS state caps)"
+            );
+            let (got, res) = consensus_race(make, strategy, 2);
+            assert!(res.error.is_none(), "{:?}", res.error);
+            assert_eq!(got.len(), 2);
+            assert!(got.windows(2).all(|w| w[0] == w[1]), "agreement: {got:?}");
+            assert!((1..=2).contains(&got[0]), "validity: {got:?}");
+        }
+        assert!(dfs.exhausted());
         assert!(
-            dfs.schedules() <= 10_000,
-            "two-thread consensus schedule space blew the cap (ROADMAP: DFS state caps)"
+            dfs.schedules() > 1,
+            "exhaustive search must explore more than one interleaving"
         );
-        let (got, res) = consensus_race(strategy, 2);
-        assert!(res.error.is_none(), "{:?}", res.error);
-        assert_eq!(got.len(), 2);
-        assert!(got.windows(2).all(|w| w[0] == w[1]), "agreement: {got:?}");
-        assert!((1..=2).contains(&got[0]), "validity: {got:?}");
     }
-    assert!(dfs.exhausted());
-    assert!(
-        dfs.schedules() > 1,
-        "exhaustive search must explore more than one interleaving"
-    );
 }
 
 #[test]
@@ -1163,7 +1160,7 @@ fn bounded_dfs_three_thread_consensus_agrees() {
     const CAP: usize = 5000;
     let mut dfs = Dfs::new(Some(1));
     while let Some(strategy) = dfs.next_schedule() {
-        let (got, res) = consensus_race(strategy, 3);
+        let (got, res) = consensus_race(usize_consensus, strategy, 3);
         assert!(res.error.is_none(), "{:?}", res.error);
         assert_eq!(got.len(), 3);
         assert!(got.windows(2).all(|w| w[0] == w[1]), "agreement: {got:?}");
@@ -1176,7 +1173,7 @@ fn bounded_dfs_three_thread_consensus_agrees() {
 }
 
 fn universal_one_op_body(rec: HistoryRecorder<Counter>) {
-    let handles = WfUniversal::new(Counter::new(0), 2, 4);
+    let handles = register_n(Counter::new(0), 2, UniversalConfig::default()).1;
     let workers: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -1252,7 +1249,7 @@ fn run_hint_schedule() -> (
     // Script: always prefer vthread 1 (the publisher); fallbacks run the
     // main thread between the two phases and the jumper at the end.
     let result = run(Script::new(vec![1; 600]), RunOptions::default(), move || {
-        let mut handles = WfUniversal::new(Counter::new(0), 2, 8);
+        let mut handles = register_n(Counter::new(0), 2, UniversalConfig::default()).1;
         let jumper_handle = handles.pop().unwrap(); // tid 1
         let publisher_handle = handles.pop().unwrap(); // tid 0
         let publisher = vthread::spawn(move || {
@@ -1430,7 +1427,7 @@ mod with_failpoints {
     use waitfree::sched::RandomWalk;
 
     fn crash_aware_body(rec: HistoryRecorder<Counter>) {
-        let handles = WfUniversal::new(Counter::new(0), 2, 8);
+        let handles = register_n(Counter::new(0), 2, UniversalConfig::default()).1;
         let workers: Vec<_> = handles
             .into_iter()
             .map(|mut h| {
@@ -1485,7 +1482,7 @@ mod with_failpoints {
     }
 
     fn churn_crash_body(rec: HistoryRecorder<Counter>) {
-        let obj = WfUniversal::new_dynamic(Counter::new(0), 4);
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let workers: Vec<_> = (0..2)
             .map(|t| {
                 let (obj, rec) = (obj.clone(), rec.clone());
@@ -1550,15 +1547,19 @@ mod with_failpoints {
         let _guard = failpoints::exclusive();
         let run_once = || {
             failpoints::clear();
+            // Filtered to worker 1's harness tid: the registry is
+            // process-global, and the campaigns running on the test
+            // harness's other threads (no tid set) pass the same site —
+            // unfiltered, their hits land in `fires` too.
             failpoints::configure(
                 "universal::cas",
-                FailpointConfig::always(FaultAction::Yield),
+                FailpointConfig { tid: Some(1), ..FailpointConfig::always(FaultAction::Yield) },
             );
             let checked = run_and_check(
                 &Counter::new(0),
                 RandomWalk::new(9),
                 RunOptions::default(),
-                universal_counter_body,
+                crash_aware_body,
             );
             let fired = failpoints::fires("universal::cas");
             failpoints::clear();
@@ -1831,7 +1832,7 @@ fn store_get_never_observes_a_half_applied_multi() {
 /// the replica fast path (`get`, and `multi_get` on alternate rounds) —
 /// no log entry is decided for any read, so the only thing standing
 /// between the reader and a torn observation is the frontier argument
-/// of DESIGN §14: a frontier that shows the low shard's resolve must
+/// of DESIGN §11: a frontier that shows the low shard's resolve must
 /// show the high shard's prepare, whose lock blocks the read into
 /// helping. Every schedule's trace additionally passes the
 /// happens-before audit, so the Acquire frontier load's justification
@@ -2064,7 +2065,7 @@ mod store_stale_helper {
 
     /// The parked helper is a log-free reader, resumed once the
     /// originator has exited: its retry after the stale answer reads at
-    /// a frontier that must already cover the resolve (DESIGN §14), or
+    /// a frontier that must already cover the resolve (DESIGN §11), or
     /// it would find the same lock and spin.
     #[test]
     fn store_local_reader_retry_after_stale_observes_the_resolve() {

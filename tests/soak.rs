@@ -30,7 +30,7 @@ use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sched::atomic::{AtomicUsize, Ordering};
 use waitfree::sched::thread;
 use waitfree::store::{Bump, ShardState, ShardedStore, StoreConfig};
-use waitfree::sync::universal::{WfUniversal, SEGMENT_SIZE};
+use waitfree::sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 
 /// Concurrent workers per round.
 const WORKERS: usize = 4;
@@ -87,7 +87,10 @@ fn soak_checkpointed_rss_stays_flat() {
     println!("soak: total_ops={total} workers={WORKERS} rounds={ROUNDS} seed={seed} (replay with WF_SOAK_SEED={seed} WF_SOAK_OPS={total})");
 
     let per_round = total / (ROUNDS * WORKERS);
-    let obj = WfUniversal::new_dynamic_checkpointed(Counter::new(0), per_round + 2, EVERY);
+    let obj = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(EVERY), ..UniversalConfig::default() },
+    );
     let mut expected: i64 = 0;
     let mut baseline: Option<f64> = None;
 

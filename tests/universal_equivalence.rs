@@ -1,5 +1,6 @@
-//! Integration: the three fetch-and-cons/universal implementations agree
-//! with each other and with the sequential specification.
+//! Integration: the fetch-and-cons/universal implementations (simulated
+//! and hardware) agree with each other and with the sequential
+//! specification.
 
 use waitfree::core::universal::consensus_cons::{verify_history, ConsensusFetchAndCons};
 use waitfree::core::universal::log::{LogFrontEnd, LogItem, LogUniversal};
@@ -8,7 +9,10 @@ use waitfree::explorer::impl_sim::{run_random, run_schedule};
 use waitfree::model::{linearize, ObjectSpec, PendingPolicy, Pid, Val};
 use waitfree::objects::list::ConsList;
 use waitfree::objects::queue::{FifoQueue, QueueOp};
-use waitfree::sync::universal::WfUniversal;
+use waitfree::sync::universal::{UniversalConfig, WfUniversal};
+
+mod common;
+use common::register_n;
 
 /// Sequential fetch-and-cons spec over plain values.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -83,7 +87,7 @@ fn simulated_and_hardware_universal_queue_agree() {
     ];
 
     let mut sim = LogUniversal::new(FifoQueue::new(), true);
-    let mut hw = WfUniversal::new(FifoQueue::new(), 1, script.len()).remove(0);
+    let mut hw = WfUniversal::with_config(FifoQueue::new(), UniversalConfig::default()).register();
     let mut spec = FifoQueue::new();
     for op in &script {
         let expected = spec.apply(Pid(0), op);
@@ -117,68 +121,48 @@ fn log_front_end_and_consensus_cons_both_linearize_concurrently() {
 }
 
 /// Satellite of the `sched` tier: under *identical* operation-level
-/// schedules, the pointer-CAS universal object (in both decide modes —
-/// batch combining and per-op) and the consensus-cell rendering must
-/// decide the same flattened log and return the same responses, seed
-/// for seed. [`OpRandom`](waitfree::sched::OpRandom) never preempts at
-/// an atomic point and consumes no randomness there, so its decision
-/// sequence depends only on the operation structure (spawn/yield/block/
-/// exit), which all three implementations share — the schedules are
-/// comparable even though the hot paths execute different numbers of
-/// atomic instructions. (`decided_log` flattens batch entries, so the
-/// comparison is shape-independent by construction; see
-/// DESIGN.md, "Batch combining".)
+/// schedules, the universal object's two decide modes — batch combining
+/// and per-op — must decide the same flattened log and return the same
+/// responses, seed for seed, and both must be what the sequential
+/// specification computes from that log.
+/// [`OpRandom`](waitfree::sched::OpRandom) never preempts at an atomic
+/// point and consumes no randomness there, so its decision sequence
+/// depends only on the operation structure (spawn/yield/block/exit),
+/// which both modes share — the schedules are comparable even though
+/// the hot paths execute different numbers of atomic instructions.
+/// (`decided_log` flattens batch entries, so the comparison is
+/// shape-independent by construction; see DESIGN.md §8, "Batch
+/// combining".)
 #[cfg(feature = "sched")]
 mod sched_equivalence {
     use std::sync::{Arc, Mutex};
 
+    use super::register_n;
+    use waitfree::model::{ObjectSpec, Pid};
     use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
     use waitfree::sched::thread as vthread;
     use waitfree::sched::{run, OpRandom, RunOptions};
-    use waitfree::sync::universal::{WfHandle, WfUniversal};
-    use waitfree::sync::universal_cell::{CellHandle, CellUniversal};
+    use waitfree::sync::universal::{UniversalConfig, WfHandle};
 
     const THREADS: usize = 2;
     const OPS: usize = 3;
 
-    /// The common surface of the two universal-object handles.
-    trait Handle: Send + 'static {
-        fn tid(&self) -> usize;
-        fn invoke(&mut self, op: CounterOp) -> CounterResp;
-        fn decided_log(&self) -> Vec<(usize, usize)>;
-    }
-
-    impl Handle for WfHandle<Counter> {
-        fn tid(&self) -> usize {
-            WfHandle::tid(self)
-        }
-        fn invoke(&mut self, op: CounterOp) -> CounterResp {
-            WfHandle::invoke(self, op)
-        }
-        fn decided_log(&self) -> Vec<(usize, usize)> {
-            WfHandle::decided_log(self)
-        }
-    }
-
-    impl Handle for CellHandle<Counter> {
-        fn tid(&self) -> usize {
-            CellHandle::tid(self)
-        }
-        fn invoke(&mut self, op: CounterOp) -> CounterResp {
-            CellHandle::invoke(self, op)
-        }
-        fn decided_log(&self) -> Vec<(usize, usize)> {
-            CellHandle::decided_log(self)
-        }
-    }
-
     /// Per-tid responses plus the decided log of one scheduled run.
     type Out = (Vec<(usize, Vec<CounterResp>)>, Vec<(usize, usize)>);
 
-    /// One scheduled run: every handle's thread interleaves `OPS`
-    /// fetch-and-adds (with a yield after each, the operation-level
-    /// schedule points). Returns per-tid responses and the decided log.
-    fn drive<H: Handle>(handles: Vec<H>, seed: u64) -> Out {
+    /// Thread `tid`'s `i`-th operation (its sequence number `i` on a
+    /// fresh slot): distinct deltas, so a response pins the exact prefix
+    /// it was applied after.
+    fn op_of(tid: usize, i: usize) -> CounterOp {
+        CounterOp::FetchAndAdd((100 * tid + i + 1) as i64)
+    }
+
+    /// One scheduled run on a fresh `cfg` object: every handle's thread
+    /// interleaves `OPS` fetch-and-adds (with a yield after each, the
+    /// operation-level schedule points). Returns per-tid responses and
+    /// the decided log.
+    fn drive(cfg: UniversalConfig, seed: u64) -> Out {
+        let handles: Vec<WfHandle<Counter>> = register_n(Counter::new(0), THREADS, cfg).1;
         let out: Arc<Mutex<Option<Out>>> = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&out);
         let res = run(OpRandom::new(seed), RunOptions::default(), move || {
@@ -189,8 +173,7 @@ mod sched_equivalence {
                         let tid = h.tid();
                         let resps: Vec<CounterResp> = (0..OPS)
                             .map(|i| {
-                                let op = CounterOp::FetchAndAdd((100 * tid + i + 1) as i64);
-                                let r = h.invoke(op);
+                                let r = h.invoke(op_of(tid, i));
                                 vthread::yield_now();
                                 r
                             })
@@ -214,17 +197,34 @@ mod sched_equivalence {
         r
     }
 
+    /// The per-tid responses the sequential specification gives when the
+    /// flattened decided `log` is replayed through `Counter::apply`.
+    fn spec_responses(log: &[(usize, usize)]) -> Vec<(usize, Vec<CounterResp>)> {
+        let mut spec = Counter::new(0);
+        let mut out: Vec<(usize, Vec<CounterResp>)> =
+            (0..THREADS).map(|tid| (tid, Vec::new())).collect();
+        for &(tid, seq) in log {
+            assert_eq!(seq, out[tid].1.len(), "thread {tid}'s ops decided out of program order");
+            out[tid].1.push(spec.apply(Pid(tid), &op_of(tid, seq)));
+        }
+        out
+    }
+
     #[test]
-    fn cell_and_pointer_universal_agree_under_identical_schedules() {
+    fn batched_and_per_op_agree_with_each_other_and_the_spec_under_identical_schedules() {
+        let per_op_cfg = UniversalConfig { combine: false, ..UniversalConfig::default() };
         for seed in 0..64 {
-            let batched = drive(WfUniversal::new(Counter::new(0), THREADS, 16), seed);
-            let per_op = drive(WfUniversal::new_per_op(Counter::new(0), THREADS, 16), seed);
-            let cell = drive(CellUniversal::new(Counter::new(0), THREADS, 16), seed);
-            assert_eq!(batched.0, cell.0, "batched responses diverged at seed {seed}");
-            assert_eq!(per_op.0, cell.0, "per-op responses diverged at seed {seed}");
-            assert_eq!(batched.1, cell.1, "batched decided log diverged at seed {seed}");
-            assert_eq!(per_op.1, cell.1, "per-op decided log diverged at seed {seed}");
-            assert_eq!(cell.1.len(), THREADS * OPS, "all ops decided at seed {seed}");
+            let batched = drive(UniversalConfig::default(), seed);
+            let per_op = drive(per_op_cfg, seed);
+            assert_eq!(batched.0, per_op.0, "responses diverged at seed {seed}");
+            assert_eq!(batched.1, per_op.1, "decided log diverged at seed {seed}");
+            assert_eq!(batched.1.len(), THREADS * OPS, "all ops decided at seed {seed}");
+            // One log, so one replay vouches for both modes.
+            assert_eq!(
+                spec_responses(&batched.1),
+                batched.0,
+                "responses are not the sequential spec's at seed {seed}"
+            );
         }
     }
 
@@ -241,9 +241,11 @@ mod sched_equivalence {
     #[test]
     fn checkpointed_and_unbounded_agree_under_identical_schedules() {
         for seed in 0..64 {
-            let unbounded = drive(WfUniversal::new(Counter::new(0), THREADS, 16), seed);
-            let cp =
-                drive(WfUniversal::new_checkpointed(Counter::new(0), THREADS, 16, 2), seed);
+            let unbounded = drive(UniversalConfig::default(), seed);
+            let cp = drive(
+                UniversalConfig { checkpoint_every: Some(2), ..UniversalConfig::default() },
+                seed,
+            );
             assert_eq!(cp.0, unbounded.0, "checkpointed responses diverged at seed {seed}");
             assert_eq!(cp.1, unbounded.1, "checkpointed op order diverged at seed {seed}");
         }
@@ -252,10 +254,11 @@ mod sched_equivalence {
 
 #[test]
 fn dynamic_registration_is_equivalent_to_static_creation() {
-    // The same script through a statically-built object and through a
-    // churn of dynamically registered handles (a fresh registration every
-    // two operations, each retiring behind itself): responses must agree
-    // op for op, so slot reuse is invisible to the sequential semantics.
+    // The same script through one registration that lives for the whole
+    // script and through a churn of registrations (a fresh one every two
+    // operations, each retiring behind itself, each granted a budget of
+    // exactly its two operations): responses must agree op for op, so
+    // slot reuse is invisible to the sequential semantics.
     let script = [
         QueueOp::Enq(4),
         QueueOp::Enq(5),
@@ -266,8 +269,11 @@ fn dynamic_registration_is_equivalent_to_static_creation() {
         QueueOp::Enq(7),
         QueueOp::Deq,
     ];
-    let mut stat = WfUniversal::new(FifoQueue::new(), 1, script.len()).remove(0);
-    let dynamic = WfUniversal::new_dynamic(FifoQueue::new(), 2);
+    let mut stat = WfUniversal::with_config(FifoQueue::new(), UniversalConfig::default()).register();
+    let dynamic = WfUniversal::with_config(
+        FifoQueue::new(),
+        UniversalConfig { max_ops: 2, ..UniversalConfig::default() },
+    );
     for chunk in script.chunks(2) {
         let mut h = dynamic.register();
         for op in chunk {
@@ -290,8 +296,11 @@ fn checkpointed_churn_is_equivalent_to_unbounded() {
 
     let total = 6 * SEGMENT_SIZE;
     let chunk = SEGMENT_SIZE / 2;
-    let cp = WfUniversal::new_dynamic_checkpointed(Counter::new(0), chunk + 1, SEGMENT_SIZE / 2);
-    let un = WfUniversal::new_dynamic(Counter::new(0), chunk + 1);
+    let cp = WfUniversal::with_config(
+        Counter::new(0),
+        UniversalConfig { checkpoint_every: Some(SEGMENT_SIZE / 2), ..UniversalConfig::default() },
+    );
+    let un = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     for start in (0..total).step_by(chunk) {
         let mut hc = cp.register();
         let mut hu = un.register();
@@ -324,7 +333,7 @@ fn hardware_universal_object_survives_thread_churn() {
     // remaining threads keep completing operations.
     let threads = 4;
     let per = 200;
-    let handles = WfUniversal::new(FifoQueue::new(), threads, per + 4);
+    let (obj, handles) = register_n(FifoQueue::new(), threads, UniversalConfig::default());
     let joins: Vec<_> = handles
         .into_iter()
         .map(|mut h| {
@@ -341,11 +350,15 @@ fn hardware_universal_object_survives_thread_churn() {
     for j in joins {
         j.join().unwrap();
     }
-    // A fresh count from a surviving handle's perspective: the object is
-    // still fully operational.
-    let mut check = WfUniversal::new(FifoQueue::new(), 1, 4).remove(0);
+    // A late registrant's perspective: every completed enqueue is there
+    // and the object is still fully operational.
+    let mut check = obj.register();
+    assert_eq!(check.read(FifoQueue::len), threads / 2 * (3 + per));
     check.invoke(QueueOp::Enq(1));
-    assert_eq!(check.invoke(QueueOp::Deq), waitfree::objects::queue::QueueResp::Item(1));
+    assert!(matches!(
+        check.invoke(QueueOp::Deq),
+        waitfree::objects::queue::QueueResp::Item(_)
+    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +596,7 @@ mod store_equivalence {
         r
     }
 
-    /// Satellite of the log-free read path (DESIGN §14): under
+    /// Satellite of the log-free read path (DESIGN §11): under
     /// *identical* op-granularity schedules, a local read must return
     /// exactly what a decided read returns — not merely a linearizable
     /// value. At op granularity every completed prior op has published
