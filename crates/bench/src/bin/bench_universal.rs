@@ -49,7 +49,14 @@
 //! Non-steady rows carry `-` in `rss_mib` — one process runs every leg,
 //! so only the first allocation surge per sample is attributable, and
 //! attributing it per-row would be noise.
+//!
+//! `allocs_per_op` / `bytes_per_op` are exact counts, not timings: the
+//! binary installs [`CountingAlloc`] and every worker thread brackets
+//! its own workload body with two per-thread readings, so a row prices
+//! exactly the allocator calls its operations made (for churn rows that
+//! includes register/retire — membership churn is the workload).
 
+use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
 use waitfree_bench::json::Json;
 use waitfree_bench::timing::measure_with_setup;
 use waitfree_bench::trajectory::{cli_timestamp, merge_into_file};
@@ -58,6 +65,9 @@ use waitfree_sched::thread;
 use waitfree_objects::counter::{Counter, CounterOp};
 use waitfree_objects::queue::{FifoQueue, QueueOp};
 use waitfree_sync::universal::{UniversalConfig, WfHandle, WfUniversal, SEGMENT_SIZE};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -80,20 +90,41 @@ fn decide_mode(combine: bool) -> UniversalConfig {
 /// reported in kB). `None` off Linux or when the field is absent; the
 /// report renders that as `-`.
 fn rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    let kb: f64 = proc_status("VmRSS:")?.split_whitespace().next()?.parse().ok()?;
     Some(kb / 1024.0)
 }
 
+/// The value of one `/proc/self/status` field (`field` includes the
+/// colon), trimmed.
+fn proc_status(field: &str) -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status.lines().find_map(|l| l.strip_prefix(field))?;
+    Some(value.trim().to_string())
+}
+
+/// CPUs this process may run on (`Cpus_allowed_list` in
+/// `/proc/self/status`, e.g. `0-1,4`). `None` off Linux.
+fn allowed_cpus() -> Option<usize> {
+    proc_status("Cpus_allowed_list:")?
+        .split(',')
+        .map(|r| {
+            let (lo, hi) = r.split_once('-').unwrap_or((r, r));
+            Some(hi.parse::<usize>().ok()? - lo.parse::<usize>().ok()? + 1)
+        })
+        .sum()
+}
+
 /// Aggregated stats for one workload run (or several merged runs):
-/// worst per-op threading steps, plus the summed hot-path counters.
+/// worst per-op threading steps, plus the summed hot-path counters and
+/// the allocator calls/bytes of the worker threads' workload bodies.
 #[derive(Clone, Copy, Default)]
 struct WorkStats {
     max_steps: usize,
     decides: usize,
     cas_failures: usize,
     invokes: usize,
+    allocs: usize,
+    alloc_bytes: usize,
 }
 
 impl WorkStats {
@@ -103,7 +134,17 @@ impl WorkStats {
             decides: h.decides(),
             cas_failures: h.cas_failures(),
             invokes: h.invokes(),
+            ..WorkStats::default()
         }
+    }
+
+    /// Run `body` on the calling thread and add the allocator calls it
+    /// made to the stats it returns.
+    fn counting_allocs(body: impl FnOnce() -> WorkStats) -> WorkStats {
+        let (mut stats, (calls, bytes)) = allocs_during(body);
+        stats.allocs += calls as usize;
+        stats.alloc_bytes += bytes as usize;
+        stats
     }
 
     fn merge(&mut self, other: WorkStats) {
@@ -111,6 +152,8 @@ impl WorkStats {
         self.decides += other.decides;
         self.cas_failures += other.cas_failures;
         self.invokes += other.invokes;
+        self.allocs += other.allocs;
+        self.alloc_bytes += other.alloc_bytes;
     }
 
     /// `"x.xxx"` per-invoke rendering of one hot counter.
@@ -127,7 +170,7 @@ impl WorkStats {
         per: usize,
         ns: Option<f64>,
         rss: Option<f64>,
-    ) -> [String; 9] {
+    ) -> [String; 11] {
         [
             workload.to_string(),
             name.to_string(),
@@ -138,6 +181,8 @@ impl WorkStats {
             self.per_invoke(self.decides),
             self.per_invoke(self.cas_failures),
             rss.map_or_else(|| "-".to_string(), |r| format!("{r:.1}")),
+            self.per_invoke(self.allocs),
+            self.per_invoke(self.alloc_bytes),
         ]
     }
 }
@@ -153,8 +198,10 @@ where
         .into_iter()
         .map(|mut h| {
             thread::spawn(move || {
-                body(&mut h);
-                WorkStats::of(&h)
+                WorkStats::counting_allocs(|| {
+                    body(&mut h);
+                    WorkStats::of(&h)
+                })
             })
         })
         .collect();
@@ -238,16 +285,18 @@ fn churn_workload(obj: &WfUniversal<Counter>, n: usize, ops: usize) -> WorkStats
         .map(|_| {
             let obj = obj.clone();
             thread::spawn(move || {
-                let mut agg = WorkStats::default();
-                for _ in 0..ops / CHURN_OPS_PER_GEN {
-                    let mut h = obj.register();
-                    for _ in 0..CHURN_OPS_PER_GEN {
-                        let _ = h.invoke(CounterOp::FetchAndAdd(1));
+                WorkStats::counting_allocs(|| {
+                    let mut agg = WorkStats::default();
+                    for _ in 0..ops / CHURN_OPS_PER_GEN {
+                        let mut h = obj.register();
+                        for _ in 0..CHURN_OPS_PER_GEN {
+                            let _ = h.invoke(CounterOp::FetchAndAdd(1));
+                        }
+                        agg.merge(WorkStats::of(&h));
+                        h.retire();
                     }
-                    agg.merge(WorkStats::of(&h));
-                    h.retire();
-                }
-                agg
+                    agg
+                })
             })
         })
         .collect();
@@ -282,13 +331,15 @@ fn steady_workload(obj: &WfUniversal<Counter>, n: usize, per: usize) -> WorkStat
         .map(|_| {
             let obj = obj.clone();
             thread::spawn(move || {
-                let mut h = obj.register();
-                for _ in 0..per {
-                    let _ = h.invoke(CounterOp::FetchAndAdd(1));
-                }
-                let stats = WorkStats::of(&h);
-                h.retire();
-                stats
+                WorkStats::counting_allocs(|| {
+                    let mut h = obj.register();
+                    for _ in 0..per {
+                        let _ = h.invoke(CounterOp::FetchAndAdd(1));
+                    }
+                    let stats = WorkStats::of(&h);
+                    h.retire();
+                    stats
+                })
             })
         })
         .collect();
@@ -357,6 +408,8 @@ fn main() {
             "decides/op",
             "cas_fail/op",
             "rss_mib",
+            "allocs_per_op",
+            "bytes_per_op",
         ],
     );
     report.note(format!("ops_per_thread={ops} samples={samples} (median of whole-workload runs)"));
@@ -368,6 +421,12 @@ fn main() {
     report.note(
         "decides/op and cas_fail/op are the hot-path counters per completed invoke; \
          batch combining exists to shrink exactly these",
+    );
+    report.note(
+        "allocs_per_op and bytes_per_op count the worker threads' allocator calls across \
+         their workload bodies (per-thread counting GlobalAlloc), per completed invoke: \
+         one LogEntry box per decide attempt, two allocations per installed segment, \
+         plus register/retire on churn rows",
     );
 
     for workload in ["counter", "queue"] {
@@ -494,6 +553,12 @@ fn main() {
         // hot path never gate each other.
         ("reclaim".into(), Json::Str("checkpoint".into())),
         ("steady_ops".into(), Json::num(steady_ops as u64)),
+        // Every row with n > 1 prices contention, and threads that share
+        // one core never contend (the rows recorded before this marker
+        // are a single-core host's: 1.000 decides/op at every n). A
+        // host with a different core count measures a different thing,
+        // so the count keys a config group; 0 = unknown.
+        ("cores".into(), Json::num(allowed_cpus().unwrap_or(0) as u64)),
     ]);
     merge_into_file("BENCH_universal.json", &report.to_json(), &timestamp, config);
     report.finish();
@@ -507,11 +572,12 @@ mod tests {
     fn stats_merge_maxes_steps_and_sums_counters() {
         let mut a = WorkStats { max_steps: 3, ..WorkStats::default() };
         assert_eq!(a.per_invoke(a.decides), "0.000", "no invokes yet: no division by zero");
-        a.merge(WorkStats { max_steps: 7, decides: 2, cas_failures: 1, invokes: 4 });
-        a.merge(WorkStats { max_steps: 5, decides: 4, cas_failures: 0, invokes: 6 });
+        a.merge(WorkStats { max_steps: 7, decides: 2, cas_failures: 1, invokes: 4, allocs: 5, alloc_bytes: 80 });
+        a.merge(WorkStats { max_steps: 5, decides: 4, cas_failures: 0, invokes: 6, ..WorkStats::default() });
         assert_eq!(a.max_steps, 7);
         assert_eq!((a.decides, a.cas_failures, a.invokes), (6, 1, 10));
         assert_eq!(a.per_invoke(a.decides), "0.600");
         assert_eq!(a.per_invoke(a.cas_failures), "0.100");
+        assert_eq!((a.per_invoke(a.allocs), a.per_invoke(a.alloc_bytes)), ("0.500".into(), "8.000".into()));
     }
 }

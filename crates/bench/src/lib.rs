@@ -25,6 +25,7 @@
 use std::fs;
 use std::path::Path;
 
+pub mod alloc_count;
 pub mod json;
 pub mod timing;
 pub mod trajectory;

@@ -295,10 +295,27 @@ where
     seed: u64,
     /// Highest shard versions observed in responses, indexed by shard;
     /// stamped onto every mutating op for the snapshot cut check. A
-    /// flat vector (shard count is fixed at construction): stamping is
-    /// a memcpy per mutating op, where the former `BTreeMap` re-built
-    /// O(shards) nodes on every `put`/`cas`/`fetch_update`.
+    /// flat vector (shard count is fixed at construction), and stamping
+    /// copies nothing: the vector is *lent* to the op for the duration
+    /// of each invoke ([`Self::invoke_stamped`]) and is back in place
+    /// before anything else reads it.
     seen: Vec<u64>,
+}
+
+/// Returns the lent observed-version vector from the op's ctx to the
+/// handle when the invoke ends — by return or by unwinding, so a handle
+/// reused after a caught crash still has it.
+struct Lent<'a, K: Ord, V, M> {
+    seen: &'a mut Vec<u64>,
+    op: &'a mut ShardOp<K, V, M>,
+}
+
+impl<K: Ord, V, M> Drop for Lent<'_, K, V, M> {
+    fn drop(&mut self) {
+        if let Some(ctx) = self.op.ctx_mut() {
+            *self.seen = mem::take(&mut ctx.know);
+        }
+    }
 }
 
 impl<K, V, M> StoreHandle<K, V, M>
@@ -311,32 +328,36 @@ where
         self.shards.len()
     }
 
-    /// The stamp every mutating op carries: epoch read *now* (before
-    /// the invoke — the ordering the snapshot argument needs) plus the
-    /// observed-version vector.
-    fn ctx(&self) -> Ctx {
-        Ctx { epoch: self.epoch.load(Ordering::SeqCst), know: self.seen.clone() }
-    }
-
     fn observe(&mut self, shard: usize, version: u64) {
         if version > self.seen[shard] {
             self.seen[shard] = version;
         }
     }
 
-    /// Decide `op` into `shard`'s log and record the observed version.
+    /// Decide a ctx-free `op` (`Get`, `Marker`) into `shard`'s log and
+    /// record the observed version.
     fn invoke(&mut self, shard: usize, op: ShardOp<K, V, M>) -> ShardResp<K, V> {
         let resp = self.shards[shard].invoke(op);
         self.observe(shard, resp_version(&resp));
         resp
     }
 
-    /// [`Self::invoke`] over a borrowed op, for the retry loops: the op
-    /// is built once and re-proposed on helped-multi retries without
-    /// re-cloning its key/value payload (`WfHandle::invoke_ref` clones
-    /// it exactly once, into the announce entry).
-    fn invoke_ref(&mut self, shard: usize, op: &ShardOp<K, V, M>) -> ShardResp<K, V> {
-        let resp = self.shards[shard].invoke_ref(op);
+    /// Stamp `op`'s ctx and decide it into `shard`'s log — the one way
+    /// a mutating op gets there. The stamp is the epoch read *now*
+    /// (before the invoke — the ordering the snapshot argument needs)
+    /// plus the observed-version vector, which is lent to the op, not
+    /// copied: it is back in `seen` before the response's version is
+    /// recorded, hence before any `Blocked` → help → re-stamp retry.
+    /// The op is borrowed so those retries re-propose it without
+    /// rebuilding its payload (`WfHandle::invoke_ref` clones it once
+    /// per attempt, into the announce entry).
+    fn invoke_stamped(&mut self, shard: usize, op: &mut ShardOp<K, V, M>) -> ShardResp<K, V> {
+        let ctx = op.ctx_mut().expect("only ctx-carrying ops are stamped");
+        ctx.epoch = self.epoch.load(Ordering::SeqCst);
+        ctx.know = mem::take(&mut self.seen);
+        let lent = Lent { seen: &mut self.seen, op };
+        let resp = self.shards[shard].invoke_ref(lent.op);
+        drop(lent);
         self.observe(shard, resp_version(&resp));
         resp
     }
@@ -425,11 +446,10 @@ where
     pub fn get_decided(&mut self, key: &K) -> Option<V> {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), key);
-        let op = ShardOp::Get { key: key.clone() };
         // progress: wait-free — each retry first completes the blocking
         // multi-op (helping), bounding iterations by the admitted multi-ops.
         loop {
-            match self.invoke_ref(s, &op) {
+            match self.invoke(s, ShardOp::Get { key: key.clone() }) {
                 ShardResp::Value { val, .. } => return val,
                 ShardResp::Blocked { holder, .. } => {
                     self.run_multi(&holder);
@@ -453,21 +473,18 @@ where
     fn put_opt(&mut self, key: K, val: Option<V>) -> Option<V> {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), &key);
-        // Built once — a helped-multi retry re-stamps the ctx in place
-        // instead of re-cloning key and value.
-        let mut op = ShardOp::Put { key, val, ctx: self.ctx() };
+        // Built once — a helped-multi retry re-proposes it (re-stamped:
+        // the stamp rule needs the epoch/knowledge read immediately
+        // before each attempt, and helping moves both) instead of
+        // re-cloning key and value.
+        let mut op = ShardOp::Put { key, val, ctx: Ctx::unstamped() };
         // progress: wait-free — each retry first completes the blocking
         // multi-op (helping), bounding iterations by the admitted multi-ops.
         loop {
-            match self.invoke_ref(s, &op) {
+            match self.invoke_stamped(s, &mut op) {
                 ShardResp::Prev { prev, .. } => return prev,
                 ShardResp::Blocked { holder, .. } => {
                     self.run_multi(&holder);
-                    // The stamp rule needs the epoch/knowledge read
-                    // immediately before each attempt — helping just
-                    // moved both.
-                    let ShardOp::Put { ctx, .. } = &mut op else { unreachable!() };
-                    *ctx = self.ctx();
                 }
                 r => unreachable!("put answered {r:?}"),
             }
@@ -484,16 +501,14 @@ where
     ) -> (bool, Option<V>) {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), &key);
-        let mut op = ShardOp::Cas { key, expect, new, ctx: self.ctx() };
+        let mut op = ShardOp::Cas { key, expect, new, ctx: Ctx::unstamped() };
         // progress: wait-free — each retry first completes the blocking
         // multi-op (helping), bounding iterations by the admitted multi-ops.
         loop {
-            match self.invoke_ref(s, &op) {
+            match self.invoke_stamped(s, &mut op) {
                 ShardResp::CasResult { ok, prev, .. } => return (ok, prev),
                 ShardResp::Blocked { holder, .. } => {
                     self.run_multi(&holder);
-                    let ShardOp::Cas { ctx, .. } = &mut op else { unreachable!() };
-                    *ctx = self.ctx();
                 }
                 r => unreachable!("cas answered {r:?}"),
             }
@@ -505,16 +520,14 @@ where
     pub fn fetch_update(&mut self, key: K, merge: M) -> Option<V> {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), &key);
-        let mut op = ShardOp::Update { key, merge, ctx: self.ctx() };
+        let mut op = ShardOp::Update { key, merge, ctx: Ctx::unstamped() };
         // progress: wait-free — each retry first completes the blocking
         // multi-op (helping), bounding iterations by the admitted multi-ops.
         loop {
-            match self.invoke_ref(s, &op) {
+            match self.invoke_stamped(s, &mut op) {
                 ShardResp::Prev { prev, .. } => return prev,
                 ShardResp::Blocked { holder, .. } => {
                     self.run_multi(&holder);
-                    let ShardOp::Update { ctx, .. } = &mut op else { unreachable!() };
-                    *ctx = self.ctx();
                 }
                 r => unreachable!("fetch_update answered {r:?}"),
             }
@@ -627,13 +640,13 @@ where
             }
             // One descriptor clone per shard, not per attempt; retries
             // re-stamp the ctx only.
-            let mut op = ShardOp::Prepare { desc: desc.clone(), ctx: self.ctx() };
+            let mut op = ShardOp::Prepare { desc: desc.clone(), ctx: Ctx::unstamped() };
             // progress: wait-free — a `Blocked` answer is followed by helping
             // the holder to completion, so each shard's prepare retries are
             // bounded by the multi-ops admitted ahead of this one.
             loop {
                 failpoint!("store::multi");
-                match self.invoke_ref(s, &op) {
+                match self.invoke_stamped(s, &mut op) {
                     ShardResp::Vote { ok, .. } => {
                         all &= ok;
                         break;
@@ -645,8 +658,6 @@ where
                     ShardResp::Stale { .. } => return None,
                     ShardResp::Blocked { holder, .. } => {
                         self.run_multi(&holder);
-                        let ShardOp::Prepare { ctx, .. } = &mut op else { unreachable!() };
-                        *ctx = self.ctx();
                     }
                     r => unreachable!("prepare answered {r:?}"),
                 }
@@ -655,8 +666,8 @@ where
         let commit = verdict.unwrap_or(all);
         for &s in &desc.shards {
             failpoint!("store::multi");
-            let op = ShardOp::Resolve { id: desc.id, commit, ctx: self.ctx() };
-            match self.invoke(s, op) {
+            let mut op = ShardOp::Resolve { id: desc.id, commit, ctx: Ctx::unstamped() };
+            match self.invoke_stamped(s, &mut op) {
                 ShardResp::Ack { .. } => {}
                 r => unreachable!("resolve answered {r:?}"),
             }
@@ -669,8 +680,8 @@ where
             // what licenses the drop (see `ShardState::unsettled`).
             for &s in &desc.shards {
                 failpoint!("store::multi");
-                let op = ShardOp::Settle { id: desc.id, ctx: self.ctx() };
-                match self.invoke(s, op) {
+                let mut op = ShardOp::Settle { id: desc.id, ctx: Ctx::unstamped() };
+                match self.invoke_stamped(s, &mut op) {
                     ShardResp::Ack { .. } => {}
                     r => unreachable!("settle answered {r:?}"),
                 }

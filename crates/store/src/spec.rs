@@ -132,6 +132,14 @@ pub struct Ctx {
     pub know: Vec<u64>,
 }
 
+impl Ctx {
+    /// The placeholder an op is built with; `StoreHandle` stamps the
+    /// real epoch and knowledge immediately before each invoke.
+    pub(crate) fn unstamped() -> Self {
+        Ctx { epoch: 0, know: Vec::new() }
+    }
+}
+
 /// A replica-side read outcome ([`ShardState::peek`]/
 /// [`ShardState::peek_many`]): the value(s) plus the shard version at
 /// the observed frontier, or the descriptor of the multi-op whose lock
@@ -256,6 +264,22 @@ pub enum ShardOp<K: Ord, V, M> {
     /// is what makes dropping it sound (see `ShardState::unsettled`).
     Settle { id: MultiId, ctx: Ctx },
     Marker { epoch: u64 },
+}
+
+impl<K: Ord, V, M> ShardOp<K, V, M> {
+    /// The op's causal context (`None` for `Get` and `Marker`, which
+    /// carry none).
+    pub(crate) fn ctx_mut(&mut self) -> Option<&mut Ctx> {
+        match self {
+            ShardOp::Put { ctx, .. }
+            | ShardOp::Cas { ctx, .. }
+            | ShardOp::Update { ctx, .. }
+            | ShardOp::Prepare { ctx, .. }
+            | ShardOp::Resolve { ctx, .. }
+            | ShardOp::Settle { ctx, .. } => Some(ctx),
+            ShardOp::Get { .. } | ShardOp::Marker { .. } => None,
+        }
+    }
 }
 
 /// Responses from one shard. Every variant carries the shard `version`

@@ -84,9 +84,18 @@
 //! How an operation executes (Figure 4-5's algorithm):
 //!
 //! 1. **Announce** the operation in the caller's announce cell (one
-//!    `AtomicPtr` per slot holding the latest entry; the displaced
-//!    predecessor goes to an owner-local limbo list, freed once no
-//!    helper hazard covers it).
+//!    `AtomicPtr` per slot holding the latest entry). An entry's life
+//!    is a cycle, *cell → limbo → free list → cell*: the displaced
+//!    predecessor goes to an owner-local limbo list; a sweep moves
+//!    every limbo entry no helper hazard covers to the owner's free
+//!    list; the next announce overwrites one in place. The owner writes
+//!    an entry only while it is out of the cell *and* cleared by a
+//!    hazard scan that followed its displacement, so a helper either
+//!    fails its one validating re-load or holds the cell's *current*
+//!    entry — address reuse (ABA) changes nothing, and `seq == done`
+//!    rejects a current entry that is not the oldest pending one. The
+//!    steady-state invoke therefore allocates once: the `LogEntry` box
+//!    the log owns.
 //! 2. **Thread** it onto the log: repeatedly take the first undecided
 //!    position `k` and run consensus on a candidate — in combining mode
 //!    the batch of all pending announced ops (scanned starting from
@@ -148,6 +157,9 @@
 //!   completes: a completed op's position is always below the hint,
 //!   which is what makes the Acquire frontier load a sound
 //!   linearization point for [`WfHandle::read`] (see DESIGN.md §11).
+//!   A publish Acquire-loads first and RMWs only to advance the word:
+//!   an equal-or-larger value was Release-published by a thread with
+//!   the same entitlement, and the Acquire passes its edge on.
 //!   The threading start is
 //!   additionally clamped to the handle's own replay cursor — a safety
 //!   requirement, not a heuristic: positions at or above the cursor are
@@ -183,7 +195,10 @@
 //! * **every word of the checkpoint/reclaim protocol is `SeqCst`**, by
 //!   design: the announce cell and the per-slot `entry_hazard`, the
 //!   per-slot `frontier` and `seg_hazard`, and the shared `oldest`,
-//!   `cp_pos`, `reclaimed_upto`, and `reclaim_lock`. Reclamation
+//!   `cp_pos`, `reclaimed_upto`, and `reclaim_lock`. A handle's
+//!   published frontier is always ≤ its replay `cursor` and is
+//!   re-published by every call that moved `cursor` (and by no other:
+//!   the word is not rewritten with the value it holds). Reclamation
 //!   correctness is proved as chains through the single `SeqCst` total
 //!   order (hazard-publish-then-revalidate vs. replace-then-scan;
 //!   frontier-publish-then-hazard-clear vs. hazard-check-then-fresh
@@ -801,10 +816,12 @@ impl<S: ObjectSpec> Shared<S> {
     /// re-load the cell once, and *skip* on mismatch — a mismatch means
     /// the owner replaced its announce (its previous op was threaded),
     /// so there is nothing left to help here. ABA on a recycled
-    /// allocation address is benign: validation succeeding means the
-    /// pointer is the cell's *current* entry (alive, owned by the
-    /// slot), and the `seq == done` check rejects any entry that is not
-    /// the oldest pending one.
+    /// allocation address — routine, since owners re-announce into
+    /// their own swept entries — is benign: validation succeeding means
+    /// the pointer is the cell's *current* entry (alive, owned by the
+    /// slot, written before the store that put it there), and the
+    /// `seq == done` check rejects any entry that is not the oldest
+    /// pending one.
     fn pending(
         &self,
         slot: &HandleSlot<S::Op>,
@@ -854,7 +871,10 @@ impl<S: ObjectSpec> Shared<S> {
 
     /// Gather the pending entries of slots `from..to` (one linear walk
     /// of the registry chain) into `members`. The caller's own slot is
-    /// read without the hazard dance — the caller owns its cell.
+    /// read without the hazard dance — the caller owns its cell — and
+    /// without a clone: if `own` is still pending, `own_at` records the
+    /// index it takes in scan order, and `collect_candidate` inserts it
+    /// only when some *other* slot turned out to be pending too.
     fn pending_range(
         &self,
         from: usize,
@@ -862,6 +882,7 @@ impl<S: ObjectSpec> Shared<S> {
         own: &Entry<S::Op>,
         hazard: &AtomicPtr<Entry<S::Op>>,
         members: &mut Vec<Entry<S::Op>>,
+        own_at: &mut Option<usize>,
     ) {
         if from >= to {
             return;
@@ -889,25 +910,13 @@ impl<S: ObjectSpec> Shared<S> {
                 // Own slot: the caller owns the cell, no hazard needed;
                 // and the entry is by definition `own` while undone.
                 if slot.done.load(Ordering::SeqCst) <= own.seq {
-                    members.push(own.clone());
+                    *own_at = Some(members.len());
                 }
             } else if let Some(e) = self.pending(slot, hazard) {
                 members.push(e);
             }
             t += 1;
         }
-    }
-
-    /// Whether any registered slot's entry hazard currently covers `p`
-    /// (a displaced announce entry may only be freed when none does).
-    fn entry_pinned(&self, p: *mut Entry<S::Op>) -> bool {
-        let mut pinned = false;
-        self.for_each_slot(self.registered(), |_, slot| {
-            if slot.entry_hazard.load(Ordering::SeqCst) == p {
-                pinned = true;
-            }
-        });
-        pinned
     }
 
     /// Whether any registered slot's segment hazard currently covers
@@ -1499,6 +1508,11 @@ impl<S: ObjectSpec> WfUniversal<S> {
             replay_seg: anchor,
             thread_seg: anchor,
             entry_limbo: Vec::new(),
+            entry_free: Vec::new(),
+            entry_hazards: Vec::new(),
+            // What the bootstrap above stored: 0 with nothing adopted
+            // (`cursor` 0), else the adopted checkpoint's position.
+            published_frontier: cursor.saturating_sub(1),
             next_seq: base,
             budget_end: base + shared.cfg.max_ops,
             retired: false,
@@ -1614,11 +1628,22 @@ pub struct WfHandle<S: ObjectSpec> {
     /// at or above the published frontier, hence unreclaimable).
     thread_seg: *const Segment<S>,
     /// Announce entries this handle displaced from its cell and not yet
-    /// freed (a helper's hazard may still cover the latest few). Swept
-    /// opportunistically every [`ENTRY_LIMBO_SWEEP`] displacements and
-    /// on drop; bounded by the sweep cadence plus one survivor per
-    /// concurrently stalled helper.
+    /// recycled (a helper's hazard may still cover the latest few).
+    /// Swept opportunistically every [`ENTRY_LIMBO_SWEEP`]
+    /// displacements and on drop; bounded by the sweep cadence plus one
+    /// survivor per concurrently stalled helper.
     entry_limbo: Vec<*mut Entry<S::Op>>,
+    /// Displaced entries a sweep found unpinned: allocations this
+    /// handle owns outright, overwritten in place by its next
+    /// announces. Fed only by `entry_limbo`, so bounded like it; freed
+    /// on drop.
+    entry_free: Vec<*mut Entry<S::Op>>,
+    /// The non-null entry hazards the last limbo sweep read (scratch
+    /// reused across sweeps; almost always empty).
+    entry_hazards: Vec<*mut Entry<S::Op>>,
+    /// The value this handle last stored to its slot's `frontier`
+    /// (`publish_frontier` skips the store while `cursor` equals it).
+    published_frontier: usize,
     next_seq: usize,
     /// One past the last sequence number this registration's `max_ops`
     /// budget covers (`base + max_ops`, where `base` was the slot's
@@ -1778,24 +1803,41 @@ impl<S: ObjectSpec> WfHandle<S> {
         self.last_pos
     }
 
-    /// Free displaced announce entries no helper hazard covers. The
-    /// hazard scan is sound against stalled helpers: a helper publishes
-    /// its hazard and then re-validates the cell — if the re-validation
-    /// preceded this scan it already gave up on the entry; if not, the
-    /// scan sees the hazard and keeps it.
+    /// Move displaced announce entries no helper hazard covers to the
+    /// free list, where the next announces overwrite them in place.
+    /// One pass over the registry reads every entry hazard — after
+    /// every displacement in the limbo was published — and the limbo is
+    /// filtered against that reading. The scan is sound against stalled
+    /// helpers: a helper publishes its hazard and then re-validates the
+    /// cell — if the publish preceded this scan's load of that hazard,
+    /// the scan sees it and keeps the entry; if not, the re-validation
+    /// follows the displacement, fails, and the helper never touches
+    /// the entry.
+    ///
+    /// That is also why recycling is sound: the owner writes an entry
+    /// only while it is out of the cell *and* passed this scan, so no
+    /// helper holds a validated reference to it. A helper that loaded
+    /// the address before the displacement and validates after the
+    /// entry was re-announced finds the cell's *current* entry — alive,
+    /// fully written before the re-announcing `cell` store — and its
+    /// `seq == done` check rejects it unless it really is the oldest
+    /// pending one (the benign ABA `Shared::pending` documents).
     fn sweep_entry_limbo(&mut self) {
-        let shared = &self.shared;
-        self.entry_limbo.retain(|&p| {
-            if shared.entry_pinned(p) {
-                true
-            } else {
-                // SAFETY: this handle exclusively owns its displaced
-                // entries; no hazard covers `p` (checked after the
-                // displacement was published), so no helper can still
-                // acquire it — see the method docs.
-                drop(unsafe { Box::from_raw(p) });
-                false
+        let hazards = &mut self.entry_hazards;
+        hazards.clear();
+        self.shared.for_each_slot(self.shared.registered(), |_, slot| {
+            let h = slot.entry_hazard.load(Ordering::SeqCst);
+            if !h.is_null() {
+                hazards.push(h);
             }
+        });
+        let free = &mut self.entry_free;
+        self.entry_limbo.retain(|p| {
+            let pinned = hazards.contains(p);
+            if !pinned {
+                free.push(*p);
+            }
+            pinned
         });
     }
 
@@ -1826,34 +1868,34 @@ impl<S: ObjectSpec> WfHandle<S> {
         // `shared`, alive for the life of this handle.
         let slot = unsafe { &*self.slot };
         let preferred = k % hi;
+        // Other slots' pending entries in scan order; stays unallocated
+        // when there are none.
         let mut members: Vec<Entry<S::Op>> = Vec::new();
-        self.shared.pending_range(preferred, hi, own, &slot.entry_hazard, &mut members);
-        self.shared.pending_range(0, preferred, own, &slot.entry_hazard, &mut members);
-        match members.len() {
-            // Our own op got helped between the loop's `done` check and
-            // the scan; propose our (possibly stale) entry anyway, as
-            // the per-op path does — replay deduplicates.
-            0 => {
-                let solo = own_solo
-                    .take()
-                    .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                (solo, true)
-            }
-            // The common uncontended case: only our own op is pending.
-            // Reuse the pre-built Solo so a solo run allocates one box
-            // per decide attempt at most, never per scan.
-            1 if members[0].tid == own.tid && members[0].seq == own.seq => {
-                let solo = own_solo
-                    .take()
-                    .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
-                (solo, true)
-            }
-            1 => (
-                Box::new(LogEntry::Solo(members.pop().expect("len checked"))),
-                false,
-            ),
-            _ => (Box::new(LogEntry::Batch(members.into_boxed_slice())), false),
+        let mut own_at = None;
+        let hazard = &slot.entry_hazard;
+        self.shared.pending_range(preferred, hi, own, hazard, &mut members, &mut own_at);
+        self.shared.pending_range(0, preferred, own, hazard, &mut members, &mut own_at);
+        if members.is_empty() {
+            // The common uncontended case: only our own op is pending —
+            // or not even that: it got helped between the loop's `done`
+            // check and the scan, and we propose our (possibly stale)
+            // entry anyway, as the per-op path does; replay
+            // deduplicates. Reuse the pre-built Solo so a solo run
+            // allocates one box per invoke, never per scan.
+            let solo = own_solo
+                .take()
+                .unwrap_or_else(|| Box::new(LogEntry::Solo(own.clone())));
+            return (solo, true);
         }
+        if let Some(i) = own_at {
+            members.insert(i, own.clone());
+        }
+        let batch = if members.len() == 1 {
+            LogEntry::Solo(members.pop().expect("len checked"))
+        } else {
+            LogEntry::Batch(members.into_boxed_slice())
+        };
+        (Box::new(batch), false)
     }
 
     /// Thread `own` onto the log: the consensus loop of `try_invoke`,
@@ -1947,6 +1989,7 @@ impl<S: ObjectSpec> WfHandle<S> {
             // slot's segment is at position ≥ cursor ≥ our published
             // frontier, hence alive.
             for m in unsafe { &*winner }.members() {
+                let owner = if m.tid == self.tid { slot } else { self.shared.reg_slot(m.tid) };
                 // ordering: SeqCst — half of the announce/done
                 // handshake, the second of the two protocol points this
                 // crate deliberately keeps at SeqCst (with the decide
@@ -1956,7 +1999,7 @@ impl<S: ObjectSpec> WfHandle<S> {
                 // out the both-miss interleaving that would strand an
                 // announced op unhelped — the §4 helping bound rests on
                 // it.
-                self.shared.reg_slot(m.tid).done.fetch_max(m.seq + 1, Ordering::SeqCst);
+                owner.done.fetch_max(m.seq + 1, Ordering::SeqCst);
             }
             failpoint!("universal::decided");
             steps += 1;
@@ -1980,7 +2023,7 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// [`UniversalError`] display. Use [`Self::try_invoke`] to
     /// handle exhaustion as a value.
     pub fn invoke(&mut self, op: S::Op) -> S::Resp {
-        match self.try_invoke_ref(&op) {
+        match self.try_invoke(op) {
             Ok(resp) => resp,
             Err(e) => panic!("{e}"),
         }
@@ -2000,8 +2043,22 @@ impl<S: ObjectSpec> WfHandle<S> {
         }
     }
 
+    /// [`Self::try_invoke`] over a borrowed operation. The op is cloned
+    /// exactly once — into the announce entry — so a caller that may
+    /// retry the same operation (e.g. the store's put loops, which help
+    /// a blocking multi-op and re-invoke) keeps its op and pays one
+    /// clone per *attempt*.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_invoke`].
+    pub fn try_invoke_ref(&mut self, op: &S::Op) -> Result<S::Resp, UniversalError> {
+        self.try_invoke(op.clone())
+    }
+
     /// Execute `op` wait-free, or report resource exhaustion (or a
-    /// departed handle) as a typed error instead of panicking.
+    /// departed handle) as a typed error instead of panicking. `op` is
+    /// moved into the announce entry, never cloned on the way in.
     ///
     /// On [`UniversalError::Retired`] and
     /// [`UniversalError::BudgetExhausted`] nothing was announced and
@@ -2019,20 +2076,6 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// [`UniversalConfig::cap`] leaves no undecided position (never
     /// without one).
     pub fn try_invoke(&mut self, op: S::Op) -> Result<S::Resp, UniversalError> {
-        self.try_invoke_ref(&op)
-    }
-
-    /// [`Self::try_invoke`] over a borrowed operation. The op is cloned
-    /// exactly once — directly into the announce entry — so a caller
-    /// that may retry the same operation (e.g. the store's get/put
-    /// loops, which help a blocking multi-op and re-invoke) pays one
-    /// clone per *attempt* instead of one to move the op in plus one to
-    /// announce it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_invoke`].
-    pub fn try_invoke_ref(&mut self, op: &S::Op) -> Result<S::Resp, UniversalError> {
         if self.retired {
             return Err(UniversalError::Retired { tid: self.tid });
         }
@@ -2069,15 +2112,30 @@ impl<S: ObjectSpec> WfHandle<S> {
         }
         self.next_seq += 1;
 
-        // 1. Announce. One allocation per operation; the displaced
+        // 1. Announce, into a recycled entry when the free list has
+        //    one (steady state: no allocation); the displaced
         //    predecessor goes to the owner's limbo list (a helper's
         //    hazard may still cover it), swept opportunistically.
         failpoint!("universal::announce");
-        let fresh = Box::into_raw(Box::new(Entry { tid: self.tid, seq, op: op.clone() }));
-        // SAFETY: `fresh` was allocated above and only the owner ever
+        let entry = Entry { tid: self.tid, seq, op };
+        let fresh = match self.entry_free.pop() {
+            Some(p) => {
+                // SAFETY: a free-list entry is a live allocation this
+                // handle owns exclusively — out of the cell, and
+                // cleared by a hazard scan that followed its
+                // displacement (`sweep_entry_limbo`) — so overwriting
+                // it (dropping the old op) races with nobody. The write
+                // is ordered before the SeqCst `cell` store below.
+                unsafe { *p = entry };
+                p
+            }
+            None => Box::into_raw(Box::new(entry)),
+        };
+        // SAFETY: `fresh` is live (above) and only the owner ever
         // displaces its announce cell — which cannot happen before this
         // invocation returns — so the borrow stays valid throughout.
-        // Helpers read the cell but never free the current entry.
+        // Helpers read the cell but never free or write the current
+        // entry.
         let own: &Entry<S::Op> = unsafe { &*fresh };
         let prev = slot.cell.load(Ordering::SeqCst);
         slot.cell.store(fresh, Ordering::SeqCst);
@@ -2222,9 +2280,14 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// segment pointers at it, restoring the invariant every cached
     /// segment depends on: `end() > published frontier`, so the reclaim
     /// bound (≤ every published frontier) can never free a segment a
-    /// handle still points at.
+    /// handle still points at. The published frontier is always
+    /// ≤ `cursor`, and every call that moved `cursor` re-publishes it;
+    /// a call that did not (a read that found nothing new) returns
+    /// without touching shared memory — the caches were anchored at
+    /// this very frontier by the call that stored it and only move
+    /// forward.
     fn publish_frontier(&mut self) {
-        if self.retired {
+        if self.retired || self.cursor == self.published_frontier {
             return;
         }
         self.replay_seg = self.shared.seg_for(self.replay_seg, self.cursor);
@@ -2233,21 +2296,30 @@ impl<S: ObjectSpec> WfHandle<S> {
         // `shared`, alive for the life of this handle.
         let slot = unsafe { &*self.slot };
         slot.frontier.store(self.cursor, Ordering::SeqCst);
+        self.published_frontier = self.cursor;
     }
 
     /// Advance the shared frontier hint to at least `k`.
     fn publish_hint(&self, k: usize) {
+        // ordering: Acquire [pairs: universal.hint_pub] — the RMW below
+        // only when it would advance the word. A value already ≥ `k`
+        // was itself Release-published by a thread with the property
+        // described below, so the edge later readers need exists; and
+        // Acquire (not Relaxed) makes *this* thread inherit it too,
+        // since it goes on to treat the prefix below `k` as decided.
+        if self.shared.hint.load(Ordering::Acquire) >= k {
+            return;
+        }
         // ordering: Release [site: universal.hint_pub] — a reader
         // that acquire-loads this value
         // starts threading at it and skips the decided prefix below
         // without observing those decides itself; the release store
         // hands over this thread's happens-before edge to every decide
         // below `k` (observed directly via its own SeqCst decide RMWs,
-        // or inherited from the hint it started from). When the
-        // `fetch_max` is a no-op the current value was itself
-        // Release-published by a thread with the same property, so the
-        // edge readers need still exists. Off the per-decide fast path,
-        // so the cost is negligible.
+        // or inherited from the hint it started from). When a racing
+        // publisher makes the `fetch_max` a no-op the current value was
+        // itself Release-published by a thread with the same property,
+        // so the edge readers need still exists.
         #[cfg(not(feature = "mutant-relaxed-hint"))]
         self.shared.hint.fetch_max(k, Ordering::Release);
         // ordering: Relaxed [no-edge] — DELIBERATELY WRONG. The `mutant-relaxed-hint`
@@ -2392,10 +2464,11 @@ impl<S: ObjectSpec> WfHandle<S> {
     ///    any helping.
     /// 3. Evaluate `f` against the replica.
     ///
-    /// The only shared-memory effect is re-publishing this handle's
+    /// A read that finds nothing new decided has no shared-memory
+    /// effect at all; one that replayed re-publishes this handle's
     /// replay frontier (a plain store to its own registry slot, which
-    /// lets segment reclamation advance); the log itself sees zero
-    /// appends and zero RMWs — `invokes`/`decides`/
+    /// lets segment reclamation advance). Either way the log itself
+    /// sees zero appends and zero RMWs — `invokes`/`decides`/
     /// `last_decided_position` are untouched, which the no-trace tests
     /// assert. Unlike [`Self::refresh`], `read` never proposes a
     /// checkpoint (that duty stays on mutators) and never clones the
@@ -2601,6 +2674,12 @@ impl<S: ObjectSpec> Drop for WfHandle<S> {
         // concurrently stalled helper's hazard is leaked (bounded: at
         // most one per such helper) rather than freed under it.
         self.sweep_entry_limbo();
+        for p in self.entry_free.drain(..) {
+            // SAFETY: free-list entries came from `Box::into_raw` at
+            // announce, are out of the cell and unpinned (see
+            // `sweep_entry_limbo`), and sit on the list exactly once.
+            drop(unsafe { Box::from_raw(p) });
+        }
         self.shared.try_reclaim();
     }
 }
@@ -3210,18 +3289,47 @@ mod tests {
     }
 
     #[test]
-    fn announce_cell_is_reused_across_many_ops() {
-        // The announce path is a single recycled cell per slot (the old
-        // chunked append-only announce log is gone): any number of ops
-        // runs in O(1) announce storage, with displaced entries freed
-        // through the owner's limbo sweep along the way.
+    fn announce_entries_cycle_cell_limbo_free_list_cell() {
+        // The announce path is a single cell per slot fed from a
+        // per-handle free list: any number of ops runs in O(1) announce
+        // storage — a displaced entry waits in the owner's limbo for a
+        // hazard-free sweep, then is overwritten in place by a later
+        // announce.
         let per = 4 * ENTRY_LIMBO_SWEEP + 2;
         let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut h = obj.register();
+        let helper = obj.register();
+        // SAFETY: both slots live in the registry `obj` keeps alive.
+        let (slot, helper_slot) = unsafe { (&*h.slot, &*helper.slot) };
+        let mut addresses = std::collections::BTreeSet::new();
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
+            addresses.insert(slot.cell.load(Ordering::SeqCst));
         }
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(per as i64));
+        assert!(
+            addresses.len() <= ENTRY_LIMBO_SWEEP + 1,
+            "{} entries allocated for {per} announces",
+            addresses.len()
+        );
+        assert!(h.entry_limbo.len() + h.entry_free.len() <= ENTRY_LIMBO_SWEEP);
+
+        // A (stalled) helper's hazard keeps its entry out of the free
+        // list for as long as it stands, and only that entry.
+        let pinned = slot.cell.load(Ordering::SeqCst);
+        helper_slot.entry_hazard.store(pinned, Ordering::SeqCst);
+        for _ in 0..per {
+            h.invoke(CounterOp::Add(1));
+            assert_ne!(slot.cell.load(Ordering::SeqCst), pinned, "a pinned entry was re-announced");
+        }
+        assert!(h.entry_limbo.contains(&pinned) && !h.entry_free.contains(&pinned));
+        assert!(h.entry_limbo.len() <= ENTRY_LIMBO_SWEEP, "the survivor held others back");
+        helper_slot.entry_hazard.store(ptr::null_mut(), Ordering::SeqCst);
+        for _ in 0..ENTRY_LIMBO_SWEEP {
+            h.invoke(CounterOp::Add(1));
+        }
+        assert!(!h.entry_limbo.contains(&pinned), "an unpinned entry is recycled by the next sweep");
+        assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value((2 * per + ENTRY_LIMBO_SWEEP) as i64));
     }
 
     /// Churn across the announce/help path under real threads, small

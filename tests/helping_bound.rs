@@ -350,14 +350,9 @@ mod combining {
             b_rate < p_rate,
             "batched decides/invoke {b_rate:.3} not below per-op {p_rate:.3}"
         );
-        // Fewer decides also means fewer lost races: combining must not
-        // *increase* the CAS-failure count under the same storm.
-        assert!(
-            b.cas_failures <= p.cas_failures,
-            "batched CAS failures {} exceed per-op {}",
-            b.cas_failures,
-            p.cas_failures
-        );
+        // CAS failures are printed, not compared: an announce-only
+        // storm controls how many ops a decide carries, not who loses
+        // which race — on two or more cores that is scheduler noise.
     }
 
     /// The announce-only storm never loses a CAS on a single core (each

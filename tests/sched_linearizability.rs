@@ -37,8 +37,8 @@ use waitfree::objects::stack::{Stack, StackOp, StackResp};
 use waitfree::sched::atomic::{AtomicI64, Ordering};
 use waitfree::sched::thread as vthread;
 use waitfree::sched::{
-    campaign, campaign_with, replay, run, run_and_check, AtomicOp, Contract, Dfs, Explore,
-    HistoryRecorder, RunOptions, Script, SiteSpec,
+    campaign, campaign_with, replay, run, run_and_check, run_and_check_with, AtomicOp, Choice,
+    Contract, Dfs, Explore, HistoryRecorder, PointKind, RunOptions, Script, SiteSpec, Strategy,
 };
 use waitfree::store::{Bump, ShardedStore, StoreConfig, StoreModel, StoreOp, StoreResp};
 use waitfree::sync::consensus::{ConsensusCell, UsizeConsensus};
@@ -1413,6 +1413,289 @@ fn mutant_relaxed_hint_is_flagged_by_the_hb_checker() {
         "HB checker failed to flag the Relaxed hint publication \
          ({} reads judged, none unjustified)",
         hb.reads_checked
+    );
+}
+
+// ---------------------------------------------------------------------
+// Recycled announce entries (the ABA pinned) and the RMW diet as counts.
+// ---------------------------------------------------------------------
+
+/// A schedule in phases: run `plan[i].0` until it *arrives at* its
+/// `plan[i].1`-th atomic operation (so it has executed one fewer) or
+/// stops being runnable, then move to the next phase; past the plan,
+/// the `Script` fallback (current thread, else lowest runnable). Arrival
+/// counts are per virtual thread over the whole run, which makes a
+/// parking point "after this thread's n-th atomic op" — a place in the
+/// thread's own program, independent of what the others did meanwhile.
+struct Phases {
+    plan: Vec<(usize, usize)>,
+    phase: usize,
+    arrived: Vec<usize>,
+}
+
+impl Phases {
+    fn new(plan: Vec<(usize, usize)>) -> Self {
+        Phases { plan, phase: 0, arrived: Vec::new() }
+    }
+}
+
+impl Strategy for Phases {
+    fn choose(&mut self, c: &Choice<'_>) -> usize {
+        if c.kind == PointKind::Atomic {
+            if self.arrived.len() <= c.current {
+                self.arrived.resize(c.current + 1, 0);
+            }
+            self.arrived[c.current] += 1;
+        }
+        while let Some(&(vtid, limit)) = self.plan.get(self.phase) {
+            let arrived = self.arrived.get(vtid).copied().unwrap_or(0);
+            if arrived < limit && c.runnable.contains(&vtid) {
+                return vtid;
+            }
+            self.phase += 1;
+        }
+        if c.runnable.contains(&c.current) {
+            c.current
+        } else {
+            c.runnable[0]
+        }
+    }
+
+    fn describe(&self) -> String {
+        format!("phases({:?})", self.plan)
+    }
+}
+
+/// Virtual thread ids in [`recycled_entry_run`]: the body, then the two
+/// spawned clients in spawn order.
+const OWNER: usize = 1;
+const HELPER: usize = 2;
+const UNTIL_PARKED: usize = usize::MAX;
+
+/// Owner (registry slot 0) performs `owner_ops` fetch-and-adds, helper
+/// (slot 1) one, under `plan`; returns the checked run and the decided
+/// log read back by the owner's handle.
+fn recycled_entry_run(
+    owner_ops: usize,
+    plan: Vec<(usize, usize)>,
+) -> (waitfree::sched::CheckedRun<Counter>, Vec<(usize, usize)>) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    let checked = run_and_check_with(
+        &Counter::new(0),
+        Phases::new(plan),
+        RunOptions::default(),
+        Some(ordering_contract()),
+        move |rec: HistoryRecorder<Counter>| {
+            let mut handles = register_n(Counter::new(0), 2, UniversalConfig::default()).1;
+            let helper_handle = handles.pop().unwrap();
+            let owner_handle = handles.pop().unwrap();
+            let owner = {
+                let rec = rec.clone();
+                vthread::spawn(move || {
+                    let mut h = owner_handle;
+                    for _ in 0..owner_ops {
+                        let op = CounterOp::FetchAndAdd(1);
+                        rec.record(Pid(h.tid()), op.clone(), || h.invoke(op.clone()));
+                    }
+                    h
+                })
+            };
+            let helper = vthread::spawn(move || {
+                let mut h = helper_handle;
+                let op = CounterOp::FetchAndAdd(1000);
+                rec.record(Pid(h.tid()), op.clone(), || h.invoke(op.clone()));
+            });
+            let owner_handle = owner.join().unwrap();
+            helper.join().unwrap();
+            *sink.lock().unwrap() = owner_handle.decided_log();
+        },
+    );
+    let log = log.lock().unwrap().clone();
+    (checked, log)
+}
+
+/// The atomic ops one virtual thread executed, in its program order,
+/// each with its index in the whole trace.
+fn ops_of(run: &waitfree::sched::RunResult, vtid: usize) -> Vec<(usize, &waitfree::sched::OpEvent)> {
+    run.trace
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| e.as_op().filter(|op| op.vtid == vtid).map(|op| (i, op)))
+        .collect()
+}
+
+/// The recycled-entry ABA, pinned. A helper is parked inside
+/// `Shared::pending` between its load of the owner's announce cell and
+/// the publication of its hazard — holding a bare address nothing
+/// protects — while the owner completes `owner_ops` further invokes, so
+/// the entry at that address is displaced, swept to the owner's free
+/// list (no hazard covers it), overwritten in place and *re-announced*.
+/// Resumed, the helper publishes the stale address and re-validates the
+/// cell; when the address is the cell's current entry again (with the
+/// present LIFO free list: `owner_ops == 2 * ENTRY_LIMBO_SWEEP + 1`)
+/// validation *succeeds* on a different operation, and the `seq == done`
+/// check against the helper's long-stale `done` reading must reject it.
+/// Sweeping `owner_ops` over three sweep cadences covers that schedule
+/// whatever order the free list hands entries back in, plus every
+/// "validation fails" neighbour. On each: Wing–Gong verdict clean,
+/// happens-before and contract clean, and the decided log is the
+/// owner's ops in sequence order with the helper's single op — no
+/// duplicate first occurrences, nothing fabricated from a recycled
+/// entry.
+#[test]
+fn helper_parked_across_entry_recycling_skips_or_helps_the_current_entry() {
+    /// `ENTRY_LIMBO_SWEEP` in `universal.rs` (private).
+    const SWEEP: usize = 8;
+    let everyone_in_turn = vec![(0, UNTIL_PARKED), (OWNER, UNTIL_PARKED), (HELPER, UNTIL_PARKED)];
+
+    // Where to park. Both places are found in probe runs by the shape of
+    // the thread's own op sequence, not by line number: the owner right
+    // after its first `announced` store (the usize store that follows
+    // the announce-cell store), the helper right after a pointer load
+    // whose next op is a pointer store to a *different* word (cell load,
+    // then hazard publish; the announce path's load/store pair hits one
+    // word).
+    let (probe, _) = recycled_entry_run(1, everyone_in_turn);
+    assert!(probe.is_ok());
+    let owner_ops = ops_of(&probe.run, OWNER);
+    let announced = owner_ops
+        .windows(2)
+        .position(|w| {
+            w[0].1.atomic == "AtomicPtr"
+                && w[0].1.op == AtomicOp::Store
+                && w[1].1.atomic == "AtomicUsize"
+                && w[1].1.op == AtomicOp::Store
+        })
+        .expect("the owner's first invoke announces")
+        + 1;
+    let owner_parks_at = announced + 2;
+    let probe_plan = vec![
+        (0, UNTIL_PARKED),
+        (OWNER, owner_parks_at),
+        (HELPER, UNTIL_PARKED),
+        (OWNER, UNTIL_PARKED),
+    ];
+    let (probe, _) = recycled_entry_run(1, probe_plan);
+    assert!(probe.is_ok());
+    let is_cell_load_then_hazard_store = |w: &[(usize, &waitfree::sched::OpEvent)]| {
+        w[0].1.atomic == "AtomicPtr"
+            && w[0].1.op == AtomicOp::Load
+            && w[1].1.atomic == "AtomicPtr"
+            && w[1].1.op == AtomicOp::Store
+            && w[0].1.loc != w[1].1.loc
+    };
+    let helper_ops = ops_of(&probe.run, HELPER);
+    let cell_load = helper_ops
+        .windows(2)
+        .position(is_cell_load_then_hazard_store)
+        .expect("the helper's collect scan finds the owner's announced entry pending");
+    let helper_parks_at = cell_load + 2;
+
+    for owner_ops in 2..=3 * SWEEP + 2 {
+        let plan = vec![
+            (0, UNTIL_PARKED),
+            (OWNER, owner_parks_at),
+            (HELPER, helper_parks_at),
+            (OWNER, UNTIL_PARKED),
+            (HELPER, UNTIL_PARKED),
+        ];
+        let (checked, log) = recycled_entry_run(owner_ops, plan);
+        assert!(checked.run.error.is_none(), "{owner_ops} owner ops: {:?}", checked.run.error);
+        assert!(
+            checked.report.outcome.is_ok(),
+            "{owner_ops} owner ops: history does not linearize: {:?}",
+            checked.report.outcome
+        );
+        assert!(
+            checked.hb.is_clean() && checked.hb.undeclared.is_empty(),
+            "{owner_ops} owner ops: happens-before verdict: {:?} / {:?}",
+            checked.hb.violations.first(),
+            checked.hb.undeclared.first()
+        );
+
+        // The schedule really parked the helper in the window, for the
+        // whole of the owner's run: every owner decide falls between
+        // the helper's cell load and its hazard publish.
+        let helper_ops = ops_of(&checked.run, HELPER);
+        let w = &helper_ops[cell_load..cell_load + 2];
+        assert!(is_cell_load_then_hazard_store(w), "{owner_ops} owner ops: parked elsewhere");
+        let owner_decides: Vec<usize> = ops_of(&checked.run, OWNER)
+            .into_iter()
+            .filter(|(_, op)| op.cas_success == Some(true))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(owner_decides.len() >= owner_ops);
+        assert!(
+            owner_decides.iter().all(|&i| w[0].0 < i && i < w[1].0),
+            "{owner_ops} owner ops: the owner ran outside the helper's window"
+        );
+
+        // Whatever the helper found at the address — a mismatch, or the
+        // cell's current entry on a later op — it fabricated nothing:
+        // first occurrences are the owner's ops in order plus its own.
+        let mut firsts: Vec<(usize, usize)> = Vec::new();
+        for m in log {
+            if !firsts.contains(&m) {
+                firsts.push(m);
+            }
+        }
+        let owner_seqs: Vec<usize> =
+            firsts.iter().filter(|m| m.0 == 0).map(|m| m.1).collect();
+        assert_eq!(owner_seqs, (0..owner_ops).collect::<Vec<_>>(), "{owner_ops} owner ops");
+        assert_eq!(firsts.iter().filter(|m| m.0 == 1).count(), 1, "{owner_ops} owner ops");
+        assert_eq!(firsts.len(), owner_ops + 1, "{owner_ops} owner ops");
+    }
+}
+
+/// The RMW diet as a count that cannot drift back. One handle, nobody
+/// else registered; the measured invoke sits off a segment boundary and
+/// there is no checkpoint cadence. Its stores and RMWs are exactly the
+/// protocol's: announce cell, `announced`, the decide CAS, `done`, one
+/// `hint` advance, the frontier — six, where re-publishing an unmoved
+/// hint twice more made eight. A read on the caught-up handle that
+/// follows writes nothing at all (it used to re-store its frontier).
+#[test]
+fn solo_invoke_writes_six_words_and_a_caught_up_read_none() {
+    let fence_post = Arc::new(AtomicI64::new(0));
+    let post = Arc::clone(&fence_post);
+    let result = run(Script::new(Vec::new()), RunOptions::default(), move || {
+        let mut h = WfUniversal::with_config(Counter::new(0), UniversalConfig::default()).register();
+        for _ in 0..3 {
+            h.invoke(CounterOp::Add(1));
+        }
+        post.store(1, Ordering::SeqCst);
+        h.invoke(CounterOp::Add(1));
+        post.store(2, Ordering::SeqCst);
+        assert_eq!(h.read(Counter::value), 4);
+        post.store(3, Ordering::SeqCst);
+    });
+    assert!(result.error.is_none(), "{:?}", result.error);
+    // The fence posts are the only `AtomicI64` ops in the run.
+    let ops: Vec<_> = result.ops().collect();
+    let posts: Vec<usize> = ops
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.atomic == "AtomicI64")
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(posts.len(), 3);
+    let writes = |from: usize, to: usize| {
+        ops[from + 1..to].iter().filter(|e| e.op != AtomicOp::Load).count()
+    };
+    let invoke = &ops[posts[0] + 1..posts[1]];
+    assert!(invoke.iter().any(|e| e.cas_success == Some(true)), "the invoke decided");
+    assert!(
+        writes(posts[0], posts[1]) <= 6,
+        "a solo invoke stores/RMWs more than its six protocol words: {:#?}",
+        invoke.iter().filter(|e| e.op != AtomicOp::Load).collect::<Vec<_>>()
+    );
+    assert!(posts[2] > posts[1] + 1, "the read loaded the hint");
+    assert_eq!(
+        writes(posts[1], posts[2]),
+        0,
+        "a read that found nothing new wrote to shared memory: {:#?}",
+        ops[posts[1] + 1..posts[2]].iter().filter(|e| e.op != AtomicOp::Load).collect::<Vec<_>>()
     );
 }
 
