@@ -415,7 +415,7 @@ const WEAK_ORDERINGS: [&str; 4] = [
 ];
 
 /// Lint one file's source. `rel_path` is `/`-separated and relative to
-/// the workspace root (e.g. `crates/sync/src/universal.rs`).
+/// the workspace root (e.g. `crates/sync/src/universal/decide.rs`).
 ///
 /// This covers every *single-file* rule, including the per-statement
 /// contract checks (syntax, required groups, direction) and the
@@ -1023,7 +1023,7 @@ mod tests {
         // facade just as thoroughly.
         let src = "use core::sync::atomic::{AtomicPtr, AtomicUsize};\n\
                    fn f() { let _p: core::sync::atomic::AtomicBool; }\n";
-        let f = find("crates/sync/src/universal.rs", src);
+        let f = find("crates/sync/src/universal/log.rs", src);
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.rule == Rule::FacadeBypass));
         assert!(f[0].msg.contains("core::sync::atomic"), "{}", f[0].msg);

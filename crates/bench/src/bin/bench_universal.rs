@@ -1,9 +1,7 @@
-//! P2/P4 — benchmark for the universal-object hot path
-//! (`waitfree_sync::universal`) in both decide modes — per-op
-//! (`combine: false`, impl `pointer`) and batch combining (the default,
-//! impl `batched`) — on a contended counter and a FIFO queue at
-//! n ∈ {1, 2, 4, 8} threads. Every leg is the same `WfHandle`; the legs
-//! differ by a `UniversalConfig` value.
+//! P6 — benchmark for the universal-object hot path
+//! (`waitfree_sync::universal`, impl `batched`: the default
+//! configuration) on a contended counter and a FIFO queue at
+//! n ∈ {1, 2, 4, 8} threads.
 //!
 //! Each row records the median wall-clock ns per operation of the
 //! workload body (n threads × ops + join). Object construction and
@@ -12,11 +10,10 @@
 //! alone. Rows also carry the worst per-op threading-step count (must
 //! stay within the O(n) helping bound on every leg) and the
 //! consensus-decide and CAS-failure counters per completed invoke — the
-//! step-complexity numbers the combining layer exists to shrink. The
-//! trajectory's `cell` rows (the seed `ConsensusCell` arena rendering,
-//! deleted once the per-op/batched pair and the sequential spec became
-//! the oracle) are history: `bench_trend` only gates rows the latest
-//! run has.
+//! step-complexity numbers batch combining exists to shrink. The
+//! trajectory's `cell` rows (the seed `ConsensusCell` arena rendering)
+//! and `pointer` rows (the deleted one-op-per-decide mode) are history:
+//! `bench_trend` only gates rows the latest run has.
 //!
 //! Maintains `BENCH_universal.json` in the working directory (the repo
 //! root when run via `cargo run -p waitfree-bench --bin bench_universal`)
@@ -71,20 +68,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The two decide modes every contended row is measured in, under the
-/// impl names the recorded trajectory has always used.
-const DECIDE_LEGS: [(&str, bool); 2] = [("pointer", false), ("batched", true)];
-
 /// Checkpoint cadence for the steady-state leg: one checkpoint per
 /// segment keeps the truncation overhead at a 1/SEGMENT_SIZE factor
 /// while still reclaiming every segment behind the frontier.
 const STEADY_EVERY: usize = SEGMENT_SIZE;
 /// Thread count for the steady-state rows (one contended object).
 const STEADY_THREADS: usize = 4;
-
-fn decide_mode(combine: bool) -> UniversalConfig {
-    UniversalConfig { combine, ..UniversalConfig::default() }
-}
 
 /// Resident-set size in MiB read from `/proc/self/status` (`VmRSS:` is
 /// reported in kB). `None` off Linux or when the field is absent; the
@@ -397,7 +386,7 @@ fn main() {
 
     let mut report = Report::new(
         "bench_universal",
-        "Universal object: per-op vs batched decides on the pointer-CAS log",
+        "Universal object: batched decides on the pointer-CAS log",
         &[
             "workload",
             "impl",
@@ -429,32 +418,19 @@ fn main() {
          plus register/retire on churn rows",
     );
 
+    // The impl name the recorded trajectory has always used for the
+    // default configuration.
+    let name = "batched";
     for workload in ["counter", "queue"] {
         for n in THREAD_COUNTS {
-            let legs = DECIDE_LEGS.map(|(name, combine)| {
-                let (ns, stats) = run_one(decide_mode(combine), workload, n, ops, samples);
-                (name, ns, stats)
-            });
-            for (name, ns, stats) in &legs {
-                report.row(&stats.row(workload, name, n, ops, Some(*ns), None));
-                // The helping bound must hold in both modes even while
-                // racing at full speed; 2n + 8 matches the stress tests'
-                // slack.
-                if stats.max_steps > 2 * n + 8 {
-                    report.fail(format!(
-                        "{workload} n={n} {name}: {} threading steps exceeds the O(n) bound",
-                        stats.max_steps
-                    ));
-                }
-            }
-            let speedup = legs[0].1 / legs[1].1;
-            report.note(format!("speedup {workload} n={n}: {speedup:.2}x (pointer -> batched)"));
-            if workload == "counter" && n == 4 && speedup < 1.3 {
-                report.note(format!(
-                    "WARNING: contended-counter batched speedup at n=4 is {speedup:.2}x, \
-                     below the 1.3x target (expected on single-core hosts, where threads \
-                     serialize and announce-time backlogs rarely form; the combining win \
-                     shows up in decides/op and the failpoint-driven step-count tests)"
+            let (ns, stats) = run_one(UniversalConfig::default(), workload, n, ops, samples);
+            report.row(&stats.row(workload, name, n, ops, Some(ns), None));
+            // The helping bound must hold even while racing at full
+            // speed; 2n + 8 matches the stress tests' slack.
+            if stats.max_steps > 2 * n + 8 {
+                report.fail(format!(
+                    "{workload} n={n}: {} threading steps exceeds the O(n) bound",
+                    stats.max_steps
                 ));
             }
         }
@@ -469,16 +445,14 @@ fn main() {
          re-registers (slot claim + announce reuse timed in)"
     ));
     for n in THREAD_COUNTS {
-        for (name, combine) in DECIDE_LEGS {
-            let (ns, stats) = run_churn(decide_mode(combine), n, ops, churn_samples);
-            report.row(&stats.row("churn", name, n, ops, Some(ns), None));
-            if stats.max_steps > 4 * n + 8 {
-                report.fail(format!(
-                    "churn n={n} {name}: {} threading steps exceeds the O(active) bound \
-                     (registry high-water ≤ 2n under churn)",
-                    stats.max_steps
-                ));
-            }
+        let (ns, stats) = run_churn(UniversalConfig::default(), n, ops, churn_samples);
+        report.row(&stats.row("churn", name, n, ops, Some(ns), None));
+        if stats.max_steps > 4 * n + 8 {
+            report.fail(format!(
+                "churn n={n}: {} threading steps exceeds the O(active) bound \
+                 (registry high-water ≤ 2n under churn)",
+                stats.max_steps
+            ));
         }
     }
 

@@ -1,7 +1,6 @@
-//! The recorded perf-trajectory file (`BENCH_universal.json`): shared
-//! merge logic for every bench binary that appends runs to it
-//! (`bench_universal`, `bench_store`), and the `--timestamp` CLI
-//! convention for reproducible records.
+//! The recorded perf-trajectory file (`BENCH_universal.json`): the
+//! merge logic `bench_universal` appends its runs with, and the
+//! `--timestamp` CLI convention for reproducible records.
 //!
 //! Schema 2 is `{"schema": 2, "runs": [...]}` where each run carries a
 //! timestamp, the run's configuration object (the trend gate groups

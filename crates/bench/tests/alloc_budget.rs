@@ -21,7 +21,7 @@ use waitfree_sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ops before measuring: several times the announce-limbo sweep cadence
-/// (`ENTRY_LIMBO_SWEEP`, 8, private to `universal.rs`), so the limbo,
+/// (`ENTRY_LIMBO_SWEEP`, 8, private to `universal/decide.rs`), so the limbo,
 /// free-list and hazard scratch vectors have reached their capacity.
 const WARMUP: usize = 4 * SEGMENT_SIZE;
 /// Measured ops: a whole number of segments, so the installs inside the

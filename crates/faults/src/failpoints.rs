@@ -21,28 +21,27 @@
 //! # Known sites
 //!
 //! Sites are declared at their hot paths (the registry accepts any
-//! name); the universal-object family, shared by the pointer and cell
-//! paths so one adversary plan stresses either:
+//! name); the universal-object family (`waitfree_sync::universal`), one
+//! adversary plan for every configuration:
 //!
-//! * `universal::register` — on entry to the pointer path's dynamic
-//!   `register`, before any registry slot is claimed (a crash here has
-//!   published nothing);
+//! * `universal::register` — on entry to `register`, before any
+//!   registry slot is claimed (a crash here has published nothing);
 //! * `universal::retire` — after `retire` marks the slot departed,
 //!   before reclamation (a crash here leaves a retired, quiescent slot
 //!   for the next registrant to recycle);
 //! * `universal::announce` / `universal::announced` — around the
 //!   announce-slot publication;
-//! * `universal::collect` — before the combining scan that gathers all
-//!   pending announced ops into one batch candidate (pointer path with
-//!   combining enabled only; a crash here proves collected entries stay
-//!   helpable, since the scan writes nothing shared);
+//! * `universal::collect` — before the scan that gathers all pending
+//!   announced ops into one batch candidate (a crash here proves
+//!   collected entries stay helpable, since the scan writes nothing
+//!   shared);
 //! * `universal::cas` / `universal::decided` — around each consensus
 //!   decide;
 //! * `universal::replay` — per applied operation during replay;
 //! * `universal::checkpoint` — before a checkpoint image is built and
-//!   proposed (pointer path with a checkpoint cadence only; a crash
-//!   here has published nothing — the cadence simply re-fires on a
-//!   later op, by any handle);
+//!   proposed (with a checkpoint cadence only; a crash here has
+//!   published nothing — the cadence simply re-fires on a later op, by
+//!   any handle);
 //! * `universal::reclaim` — inside the segment reclaimer, after the
 //!   try-lock is won but before any segment is detached (a crash here
 //!   unwinds through the lock's RAII guard, so reclamation stays

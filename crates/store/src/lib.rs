@@ -18,7 +18,8 @@
 //!   consensus only to order mutations; a read linearizes wherever its
 //!   observed frontier sits. The decided-read path survives as
 //!   [`StoreHandle::get_decided`] (a log-ordered linearization
-//!   witness, and the before/after benchmark baseline).
+//!   witness, and the reference the local ≡ decided read tests compare
+//!   `get` against).
 //!
 //! * **Multi-key atomic ops** (`multi_put`/`multi_cas`) run a
 //!   two-phase protocol *through the logs*: a full descriptor is
@@ -201,7 +202,6 @@ where
             checkpoint_every: cfg.checkpoint_every,
             cap: cfg.capacity,
             max_ops: cfg.ops_per_handle,
-            ..UniversalConfig::default()
         };
         let shards = (0..cfg.shards)
             .map(|s| WfUniversal::with_config(ShardState::new(s, cfg.shards, cfg.seed), log))
@@ -441,8 +441,8 @@ where
     /// its decide — the path `get` took before the log-free replica
     /// read existed. Kept for callers that want a log-ordered
     /// linearization witness (`last_decided_position` names the read's
-    /// position) and as the decided-read baseline the benchmarks
-    /// compare against. Same lock/help/retry discipline as `get`.
+    /// position) and as the reference the local ≡ decided read tests
+    /// compare `get` against. Same lock/help/retry discipline as `get`.
     pub fn get_decided(&mut self, key: &K) -> Option<V> {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), key);

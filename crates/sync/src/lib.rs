@@ -16,7 +16,9 @@
 //!   slots with announce-registry helping (the practical shape of §4's
 //!   construction — boxed entries owned by their log slot, single-CAS
 //!   batch-combining decides, lazy log growth, checkpointed
-//!   truncation), built from one [`universal::UniversalConfig`];
+//!   truncation), built from one [`universal::UniversalConfig`], one
+//!   private module per layer (config, log, registry, decide, replay,
+//!   checkpoint);
 //! * [`lockfree`] — specialized lock-free baselines (Treiber stack,
 //!   Michael–Scott queue) on raw `AtomicPtr` CAS with drop-deferred
 //!   reclamation;

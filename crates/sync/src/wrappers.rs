@@ -13,13 +13,13 @@
 //! Each wrapper is a cloneable front-end (`WfQueue`, `WfStack`,
 //! `WfCounter`, `WfRegister`) built from a [`UniversalConfig`], whose
 //! `register()` hands out handles to arriving clients and whose handles
-//! `retire()` on departure, riding `universal`'s slot registry. With
-//! `UniversalConfig::default()` every wrapper rides the batch-combining
-//! decide path: under contention one winning consensus decide threads
-//! every currently-pending announced operation (see `universal`'s
-//! module docs). The `sched`-tier campaigns in
+//! `retire()` on departure, riding `universal`'s slot registry. Every
+//! wrapper decides by batch combining: under contention one winning
+//! consensus decide threads every currently-pending announced operation
+//! (see `universal`'s module docs). The `sched`-tier campaigns in
 //! `tests/sched_linearizability.rs` explore ≥ 1000 random-walk and
-//! ≥ 1000 PCT schedules over each wrapper on exactly this path.
+//! ≥ 1000 PCT schedules over each wrapper with
+//! `UniversalConfig::default()`.
 
 use waitfree_model::Val;
 use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
@@ -93,8 +93,8 @@ dynamic_front_end!(
 );
 
 impl WfQueue {
-    /// Create an empty wait-free queue; `cfg` picks the decide mode,
-    /// log truncation and budget (see [`UniversalConfig`]).
+    /// Create an empty wait-free queue; `cfg` picks the log truncation,
+    /// cap and budget (see [`UniversalConfig`]).
     #[must_use]
     pub fn new(cfg: UniversalConfig) -> Self {
         WfQueue(WfUniversal::with_config(FifoQueue::new(), cfg))

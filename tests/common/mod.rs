@@ -1,7 +1,6 @@
 //! Shared test plumbing: the universal object's configurations as a
-//! table, so every fault-injection and helping-bound scenario runs over
-//! per-op decides, batch combining, and batch combining with
-//! checkpointed truncation live — one implementation
+//! table, so every fault-injection and helping-bound scenario runs with
+//! and without checkpointed truncation live — one implementation
 //! (`waitfree::sync::universal`), differing by a `UniversalConfig`.
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -23,10 +22,7 @@ pub fn register_n<S: ObjectSpec>(
 
 /// One configuration under test: a leg of every scenario. All of them
 /// place the same `universal::*` failpoint sites at the same algorithmic
-/// steps, so a single adversary plan stresses any of them
-/// (`universal::collect` additionally fires when `cfg.combine`, where
-/// one decided log position can carry up to `n` operations instead of
-/// exactly one).
+/// steps, so a single adversary plan stresses any of them.
 #[derive(Clone, Copy, Debug)]
 pub struct Leg {
     /// Short label for assertion messages.
@@ -39,16 +35,7 @@ pub struct Leg {
 pub const CHECKPOINT_EVERY: usize = 8;
 
 impl Leg {
-    /// One decide per op: the paper's literal candidate rule, kept as
-    /// the combining layer's differential baseline.
-    pub fn per_op() -> Self {
-        Leg {
-            name: "pointer",
-            cfg: UniversalConfig { combine: false, ..UniversalConfig::default() },
-        }
-    }
-
-    /// Batch combining (the default): one winning decide threads every
+    /// The default configuration: one winning decide threads every
     /// currently-pending announced op.
     pub fn batched() -> Self {
         Leg { name: "batched", cfg: UniversalConfig::default() }

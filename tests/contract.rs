@@ -54,7 +54,7 @@ fn pair_graph_resolves_and_covers_both_algorithm_crates() {
 
     let c = &result.contract;
     assert!(
-        c.files.iter().any(|f| f == "crates/sync/src/universal.rs")
+        c.files.iter().any(|f| f == "crates/sync/src/universal/decide.rs")
             && c.files.iter().any(|f| f == "crates/sync/src/lockfree.rs")
             && c.files.iter().any(|f| f == "crates/store/src/lib.rs"),
         "contract coverage misses an algorithm file: {:?}",
@@ -109,7 +109,7 @@ fn mutant_unpaired_acquire_is_caught_statically() {
         .iter()
         .filter(|f| {
             f.finding.rule == Rule::UnresolvedPair
-                && f.file == "crates/sync/src/universal.rs"
+                && f.file == "crates/sync/src/universal/decide.rs"
                 && f.finding.msg.contains("universal.hint_stale")
         })
         .collect();
@@ -140,7 +140,7 @@ fn seqcst_report_documents_the_deliberate_sites() {
     let documented: Vec<_> = report.iter().filter(|s| s.documented).collect();
     assert!(
         documented.iter().any(|s| {
-            s.file == "crates/sync/src/universal.rs" && s.context.contains("compare_exchange")
+            s.file == "crates/sync/src/universal/decide.rs" && s.context.contains("compare_exchange")
         }),
         "the decide CAS must be a documented SeqCst site: {documented:?}"
     );

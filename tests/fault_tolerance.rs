@@ -18,19 +18,17 @@
 //!    [`waitfree::model::linearize`] under `PendingPolicy::MayTakeEffect`.
 //!
 //! Every scenario runs against **all** universal-object configurations
-//! (see `common::Leg`): both decide modes (per-op and
-//! batch-combining), and the combining path with checkpointed log
-//! truncation live (segments reclaimed mid-storm) — neither layer may
-//! cost any fault-tolerance property. The
-//! combining path additionally gets a crash-during-combine scenario: a
-//! thread killed at `universal::collect`, mid-scan with other threads'
-//! pending entries already gathered, must leave every collected op
-//! still helpable (`MayTakeEffect` per batch member). The checkpointed
-//! path gets two deterministic storms of its own: a proposer killed at
-//! `universal::checkpoint` (nothing published, cadence retryable) and a
-//! reclaimer killed at `universal::reclaim` (lock released by its RAII
-//! guard, nothing freed or leaked), each with exact-count
-//! postconditions.
+//! (see `common::Leg`): batch-combining decides with and without
+//! checkpointed log truncation live (segments reclaimed mid-storm) —
+//! truncation may not cost any fault-tolerance property. A
+//! crash-during-combine scenario kills a thread at `universal::collect`,
+//! mid-scan with other threads' pending entries already gathered: every
+//! collected op must stay helpable (`MayTakeEffect` per batch member).
+//! The checkpointed path gets two deterministic storms of its own: a
+//! proposer killed at `universal::checkpoint` (nothing published,
+//! cadence retryable) and a reclaimer killed at `universal::reclaim`
+//! (lock released by its RAII guard, nothing freed or leaked), each
+//! with exact-count postconditions.
 //!
 //! The sharded store (`waitfree-store`) gets its own storms at the
 //! `store::route`/`store::multi`/`store::snapshot` sites: single-key
@@ -59,15 +57,10 @@ use waitfree::model::{linearize, History, PendingPolicy, Pid};
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sync::universal::{UniversalConfig, UniversalError, WfHandle, WfUniversal, SEGMENT_SIZE};
 
-/// Sites the adversary may target: announce published, pre-CAS, post-CAS.
-/// Shared by every path.
-const SITES: &[&str] = &["universal::announced", "universal::cas", "universal::decided"];
-
-/// The combining path also exposes the collect scan; a victim planned
-/// there crashes while building a batch. (Not in `SITES`: the site never
-/// fires on the per-op path, so a crash planned at it would silently not
-/// happen.)
-const BATCH_SITES: &[&str] =
+/// Sites the adversary may target: announce published, mid-collect
+/// (a victim planned there crashes while building a batch), pre-CAS,
+/// post-CAS.
+const SITES: &[&str] =
     &["universal::announced", "universal::collect", "universal::cas", "universal::decided"];
 
 /// One timeline event: an operation's invocation or its response.
@@ -95,15 +88,15 @@ fn build_history(mut events: Vec<(u64, Ev)>) -> History<CounterOp, CounterResp> 
     h
 }
 
-/// The full adversarial scenario, per seed and per implementation path:
+/// The full adversarial scenario, per seed and per configuration:
 /// 6 threads hammer one wait-free counter; 2 of them are crashed/stalled
 /// mid-operation.
-fn adversarial_round(p: Leg, seed: u64, sites: &[&str]) {
+fn adversarial_round(p: Leg, seed: u64) {
     const N: usize = 6;
     const VICTIMS: usize = 2;
     const OPS: usize = 8;
 
-    let plan = plan_adversary(seed, N, sites, VICTIMS);
+    let plan = plan_adversary(seed, N, SITES, VICTIMS);
     let stalled: Vec<usize> = plan
         .iter()
         .filter(|v| matches!(v.kind, FaultAction::Stall))
@@ -173,7 +166,7 @@ fn adversarial_round(p: Leg, seed: u64, sites: &[&str]) {
                     p.name
                 );
                 assert!(
-                    sites.contains(&site.as_str()),
+                    SITES.contains(&site.as_str()),
                     "[{}] seed {seed}: foreign site {site}",
                     p.name
                 );
@@ -207,11 +200,9 @@ fn survivors_complete_and_history_linearizes_under_adversary() {
     let _guard = failpoints::exclusive();
     for seed in [1, 2, 3, 4, 5] {
         failpoints::clear();
-        adversarial_round(Leg::per_op(), seed, SITES);
+        adversarial_round(Leg::batched(), seed);
         failpoints::clear();
-        adversarial_round(Leg::batched(), seed, BATCH_SITES);
-        failpoints::clear();
-        adversarial_round(Leg::checkpointed(), seed, BATCH_SITES);
+        adversarial_round(Leg::checkpointed(), seed);
     }
     failpoints::clear();
 }
@@ -280,7 +271,6 @@ fn stalled_thread_scenario(p: Leg) {
 #[test]
 fn stalled_thread_is_observable_parked_then_resumes() {
     let _guard = failpoints::exclusive();
-    stalled_thread_scenario(Leg::per_op());
     stalled_thread_scenario(Leg::batched());
     stalled_thread_scenario(Leg::checkpointed());
 }
@@ -337,12 +327,11 @@ fn log_exhaustion_scenario(p: Leg) {
             other => panic!("[{}] thread {tid}: unexpected outcome {other:?}", p.name),
         }
     }
-    // Each log position carries at most one op per thread (exactly one
-    // without combining), so completed ops are bounded by positions.
-    let per_position = if p.cfg.combine { N } else { 1 };
+    // Each log position carries at most one op per thread, so completed
+    // ops are bounded by positions.
     assert!(
-        total_ok <= CAPACITY * per_position,
-        "[{}] {total_ok} ops cannot fit in {CAPACITY} positions of ≤ {per_position} ops",
+        total_ok <= CAPACITY * N,
+        "[{}] {total_ok} ops cannot fit in {CAPACITY} positions of ≤ {N} ops",
         p.name
     );
     assert!(total_ok > 0, "[{}] some ops completed before exhaustion", p.name);
@@ -354,7 +343,6 @@ fn log_exhaustion_is_a_typed_error_even_with_a_crashed_peer() {
     let _guard = failpoints::exclusive();
     // No checkpointed leg: a capped log never truncates, and
     // `with_config` rejects the pair.
-    log_exhaustion_scenario(Leg::per_op());
     log_exhaustion_scenario(Leg::batched());
 }
 
@@ -404,10 +392,10 @@ fn caught_crash_on_capped_log_with_room_recovers_the_orphan() {
     }
 }
 
-/// Crash-during-combine: a thread killed at `universal::collect` dies
-/// *while building a batch* — after announcing its own op, holding
-/// refcount bumps on whatever pending entries its scan already
-/// gathered. The scan writes nothing shared, so the crash must leave
+/// Crash during the collect scan: a thread killed at
+/// `universal::collect` dies *while building a batch* — after announcing
+/// its own op, holding copies of whatever pending entries its scan
+/// already gathered. The scan writes nothing shared, so the crash must leave
 /// every one of those ops announced and helpable: the survivors (kept
 /// mid-invoke often enough by a yield storm that real multi-op batches
 /// form) complete everything, and the history with the victim's

@@ -13,13 +13,12 @@
 //! `max_threading_steps <= 2n + 8`, slack for the startup positions.
 //!
 //! Every universal-object configuration is measured (see
-//! `common::Leg`): neither the hoisted hint publication nor the
-//! batch-combining layer may loosen the bound. Combining must also
-//! *tighten* the amortized picture: one winning decide threads every
-//! pending announced op, so under full contention total decides per
-//! completed op drop from ~1 toward 1/n — the `combining` module below
-//! asserts that drop against the per-op path under an injected yield
-//! storm.
+//! `common::Leg`): neither the hoisted hint publication nor checkpoint
+//! positions may loosen the bound. Batch combining must also *tighten*
+//! the amortized picture: one winning decide threads every pending
+//! announced op, so under full contention total decides per completed
+//! op drop from ~1 toward 1/n — the `combining` module below asserts
+//! that drop under an injected yield storm.
 
 mod common;
 
@@ -55,7 +54,6 @@ fn contention_round(p: Leg) {
 
 #[test]
 fn helping_bounds_threading_steps_under_contention() {
-    contention_round(Leg::per_op());
     contention_round(Leg::batched());
 }
 
@@ -195,7 +193,6 @@ mod stall {
     #[test]
     fn helping_bound_survives_an_injected_stall() {
         let _guard = failpoints::exclusive();
-        stall_round(Leg::per_op());
         stall_round(Leg::batched());
     }
 }
@@ -204,10 +201,11 @@ mod stall {
 /// contention (every thread parked mid-invoke by a yield storm right
 /// after announcing, so pending backlogs always exist), batch decides
 /// drop the total consensus-decide count per completed op from ~1
-/// toward 1/n, while the per-op path pays at least one decided position
-/// per op. The worst case stays within the same 2n + 8 bound as ever —
-/// the combining scan starts at each position's preferred thread, so
-/// per-position helping is a superset of the per-op discipline.
+/// toward 1/n, where one decide per op would consume at least one
+/// position per op. The worst case stays within the same 2n + 8 bound
+/// as ever — the combining scan starts at each position's preferred
+/// thread, so per-position helping is a superset of the paper's one-op
+/// candidate rule.
 #[cfg(feature = "failpoints")]
 mod combining {
     use std::sync::{Arc, Mutex};
@@ -296,40 +294,25 @@ mod combining {
         let _guard = failpoints::exclusive();
 
         let b = yield_storm_round(Leg::batched().counters(N), false);
-        let p = yield_storm_round(Leg::per_op().counters(N), false);
-
         assert_eq!(b.invokes, N * PER);
-        assert_eq!(p.invokes, N * PER);
 
         // The measured numbers EXPERIMENTS.md quotes (run with
         // `--nocapture` to see them).
-        let b_rate = b.decides as f64 / b.invokes as f64;
-        let p_rate = p.decides as f64 / p.invokes as f64;
+        let rate = b.decides as f64 / b.invokes as f64;
         println!(
-            "storm n={N} per={PER}: batched decides/op {b_rate:.3} ({} positions, \
-             {} CAS failures) vs per-op {p_rate:.3} ({} positions, {} CAS failures)",
-            b.positions, b.cas_failures, p.positions, p.cas_failures,
+            "storm n={N} per={PER}: decides/op {rate:.3} ({} positions, {} CAS failures)",
+            b.positions, b.cas_failures,
         );
 
-        // The worst case must not loosen: same O(n) bound either mode.
-        assert!(b.worst <= 2 * N + 8, "batched worst case {} exceeds 2n+8", b.worst);
-        assert!(p.worst <= 2 * N + 8, "per-op worst case {} exceeds 2n+8", p.worst);
+        // The worst case must not loosen: the O(n) bound.
+        assert!(b.worst <= 2 * N + 8, "worst case {} exceeds 2n+8", b.worst);
 
-        // Per-op: one decided position per completed op, at minimum
-        // (duplicates from helping can only add positions).
-        assert!(
-            p.positions >= N * PER,
-            "per-op consumed {} positions for {} ops",
-            p.positions,
-            N * PER
-        );
-
-        // Batched: combining genuinely happened — strictly fewer
-        // positions than ops — and the amortized decide count per
-        // completed op is O(1) with a constant under 1, not the per-op
-        // path's ≥ 1. The storm keeps backlogs non-empty, so in
-        // practice positions land well below half the op count; the
-        // asserted bounds are loose enough to be scheduler-proof.
+        // Combining genuinely happened — strictly fewer positions than
+        // ops, where one decide per op needs at least one position per
+        // op — and the amortized decide count per completed op is O(1)
+        // with a constant under 1. The storm keeps backlogs non-empty,
+        // so in practice positions land well below half the op count;
+        // the asserted bounds are loose enough to be scheduler-proof.
         assert!(
             b.positions < b.ops,
             "yield storm produced no multi-op batch ({} positions, {} ops)",
@@ -337,20 +320,13 @@ mod combining {
             b.ops
         );
         assert!(
-            b.positions < p.positions,
-            "batched did not consume fewer positions ({} vs {})",
+            b.positions < N * PER,
+            "combining consumed {} positions for {} ops",
             b.positions,
-            p.positions
+            N * PER
         );
-        assert!(
-            b_rate < 1.0,
-            "batched decides/invoke {b_rate:.3} not amortized below one decide per op"
-        );
-        assert!(
-            b_rate < p_rate,
-            "batched decides/invoke {b_rate:.3} not below per-op {p_rate:.3}"
-        );
-        // CAS failures are printed, not compared: an announce-only
+        assert!(rate < 1.0, "decides/invoke {rate:.3} not amortized below one decide per op");
+        // CAS failures are printed, not bounded: an announce-only
         // storm controls how many ops a decide carries, not who loses
         // which race — on two or more cores that is scheduler noise.
     }
@@ -361,39 +337,34 @@ mod combining {
     /// decide CAS: whoever yields there can resume to find the position
     /// already taken. Lost decide races become observable, and
     /// combining — deciding once per batch instead of once per op —
-    /// must lose no more of them than the per-op discipline under the
-    /// identical storm.
+    /// must lose fewer of them than there are ops.
     #[test]
-    fn combining_loses_no_more_cas_races_under_a_decide_race_storm() {
+    fn combining_loses_fewer_cas_races_than_ops_under_a_decide_race_storm() {
         let _guard = failpoints::exclusive();
 
         let b = yield_storm_round(Leg::batched().counters(N), true);
-        let p = yield_storm_round(Leg::per_op().counters(N), true);
-
         assert_eq!(b.invokes, N * PER);
-        assert_eq!(p.invokes, N * PER);
         println!(
-            "race storm n={N} per={PER}: batched {} CAS failures over {} decides \
-             ({} positions) vs per-op {} CAS failures over {} decides ({} positions)",
-            b.cas_failures, b.decides, b.positions, p.cas_failures, p.decides, p.positions,
+            "race storm n={N} per={PER}: {} CAS failures over {} decides ({} positions)",
+            b.cas_failures, b.decides, b.positions,
         );
 
         // The O(n) bound holds with adversarial yields at both sites.
-        assert!(b.worst <= 2 * N + 8, "batched worst case {} exceeds 2n+8", b.worst);
-        assert!(p.worst <= 2 * N + 8, "per-op worst case {} exceeds 2n+8", p.worst);
+        assert!(b.worst <= 2 * N + 8, "worst case {} exceeds 2n+8", b.worst);
 
-        // Combining still collapses positions under this storm too.
+        // Combining still collapses positions under this storm too, and
+        // a lost race costs less than one per completed op.
         assert!(
-            b.positions < p.positions,
-            "batched did not consume fewer positions ({} vs {})",
+            b.positions < N * PER,
+            "combining consumed {} positions for {} ops",
             b.positions,
-            p.positions
+            N * PER
         );
         assert!(
-            b.cas_failures <= p.cas_failures,
-            "batched lost more CAS races than per-op ({} vs {})",
+            b.cas_failures < N * PER,
+            "{} CAS races lost for {} ops",
             b.cas_failures,
-            p.cas_failures
+            N * PER
         );
     }
 }

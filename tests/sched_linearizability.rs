@@ -4,10 +4,10 @@
 //! (DESIGN.md, "Three validation tiers").
 //!
 //! * Seed campaigns: ≥ 1000 random-walk and ≥ 1000 PCT schedules per
-//!   object over the universal constructions (both decide modes: batch
-//!   combining and per-op), the typed wrappers riding the combining
-//!   path, the Herlihy–Wing FAA queue and the lock-free baselines,
-//!   every history checked against its sequential specification.
+//!   object over the universal construction (plain, checkpointed,
+//!   churning, growing), the typed wrappers riding it, the Herlihy–Wing
+//!   FAA queue and the lock-free baselines, every history checked
+//!   against its sequential specification.
 //! * A deliberately broken consensus object (the decide CAS downgraded
 //!   to a load followed by a store) whose agreement violation must be
 //!   caught, printed as a replayable failing schedule, and reproduced
@@ -49,12 +49,7 @@ use waitfree::sync::wrappers::{WfCounter, WfQueue, WfRegister, WfStack};
 
 use common::register_n;
 
-/// The one-op-per-decide configuration (`combine: false`).
-fn per_op() -> UniversalConfig {
-    UniversalConfig { combine: false, ..UniversalConfig::default() }
-}
-
-/// Checkpointed truncation at cadence `every`, batch combining.
+/// Checkpointed truncation at cadence `every`.
 fn checkpointed(every: usize) -> UniversalConfig {
     UniversalConfig { checkpoint_every: Some(every), ..UniversalConfig::default() }
 }
@@ -177,14 +172,9 @@ fn universal_counter_body(rec: HistoryRecorder<Counter>) {
     counter_body(UniversalConfig::default(), rec);
 }
 
-fn per_op_universal_counter_body(rec: HistoryRecorder<Counter>) {
-    counter_body(per_op(), rec);
-}
-
-// The typed wrappers (`waitfree::sync::wrappers`) ride the combining
-// path — `UniversalConfig::default()` — so these campaigns double as
-// batched-path coverage for every object class the paper's universality
-// theorem promises.
+// The typed wrappers (`waitfree::sync::wrappers`) ride
+// `UniversalConfig::default()`, so these campaigns double as coverage
+// for every object class the paper's universality theorem promises.
 
 fn wf_queue_body(rec: HistoryRecorder<FifoQueue>) {
     let queue = WfQueue::new(UniversalConfig::default());
@@ -472,8 +462,9 @@ fn ms_queue_body(rec: HistoryRecorder<FifoQueue>) {
 }
 
 /// Log growth past `SEGMENT_SIZE` (64) plus every read-side API: two
-/// workers decide 72 positions between them, so one of them installs
-/// the second log segment and the other's replay walk, `try_read`,
+/// workers run 65 ops each, so even if every decide batches both
+/// clients' ops the log passes position 64, one of them installs the
+/// second log segment, and the other's replay walk, `try_read`,
 /// `refresh` and `decided_log` traversals all acquire from that
 /// install; the main thread's `Debug` format and the segment accessor
 /// (read on a worker's clone too, so `universal.seg_count` is acquired
@@ -481,14 +472,14 @@ fn ms_queue_body(rec: HistoryRecorder<FifoQueue>) {
 /// the coverage test below — the short campaign bodies never fill a
 /// segment.
 fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
-    let obj = WfUniversal::with_config(Counter::new(0), per_op());
+    let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let workers: Vec<_> = (0..2)
         .map(|t| {
             let (obj, rec) = (obj.clone(), rec.clone());
             vthread::spawn(move || {
                 let mut h = obj.register();
                 let pid = Pid(t);
-                for _ in 0..36 {
+                for _ in 0..65 {
                     let op = CounterOp::FetchAndAdd(1);
                     rec.record(pid, op.clone(), || h.invoke(op.clone()));
                 }
@@ -617,8 +608,8 @@ fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
 /// one worker installs the second registry segment while the other's
 /// slot walks (`reg_slot`, `for_each_slot`, `pending_range`) acquire
 /// from the install — and when both cross the boundary concurrently,
-/// the loser's install CAS acquires the winner's. Combining mode, so
-/// the collect path walks every registered slot.
+/// the loser's install CAS acquires the winner's; the collect scan
+/// walks every registered slot.
 fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
     let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let workers: Vec<_> = (0..2)
@@ -633,8 +624,8 @@ fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
                     rec.record(pid, op.clone(), || h.invoke(op.clone()));
                     handles.push(h); // stays live: indices keep growing
                 }
-                // One more op with all ten slots live, so the
-                // combining collect walks the full grown registry.
+                // One more op with all ten slots live, so the collect
+                // scan walks the full grown registry.
                 let h = handles.last_mut().unwrap();
                 let op = CounterOp::FetchAndAdd(1);
                 rec.record(pid, op.clone(), || h.invoke(op.clone()));
@@ -684,15 +675,6 @@ fn checkpointed_universal_campaigns_linearize() {
         "WfUniversal<Counter> (checkpointed churn)",
         &Counter::new(0),
         checkpointed_universal_counter_body,
-    );
-}
-
-#[test]
-fn per_op_universal_counter_campaigns_linearize() {
-    sweep(
-        "WfUniversal<Counter> (per-op)",
-        &Counter::new(0),
-        per_op_universal_counter_body,
     );
 }
 
@@ -903,16 +885,17 @@ fn ms_queue_campaigns_linearize() {
 /// campaigns — a declared pair no schedule can exercise is either dead
 /// annotation or a workload gap, and both deserve a failing test. The
 /// growth bodies exist exactly for this: segment and registry installs
-/// never fire in the short bodies. Pairs no bounded campaign can
-/// reach are pinned in the allowlist below with the reason.
+/// never fire in the short bodies (the log-growth body also reaches a
+/// third segment in some schedules, so two installers chain through
+/// `universal.seg_count`).
 #[test]
 fn declared_sync_pairs_are_exercised_by_campaigns() {
     let contract = ordering_contract();
     let mut exercised = BTreeSet::new();
     exercised.extend(sweep_exercising(
-        "WfUniversal<Counter> (per-op)",
+        "WfUniversal<Counter>",
         &Counter::new(0),
-        per_op_universal_counter_body,
+        universal_counter_body,
     ));
     exercised.extend(sweep_exercising(
         "WfUniversal<Counter> (churn)",
@@ -956,16 +939,6 @@ fn declared_sync_pairs_are_exercised_by_campaigns() {
         ms_queue_contention_body,
     ));
 
-    // Declared pairs no bounded 1000-seed campaign can exercise, with
-    // the reason each is pinned rather than deleted.
-    let allowlist: &[(&str, &str, &str)] = &[(
-        "universal.seg_count",
-        "universal.seg_count",
-        "the installer-chain edge needs two segment installs by different \
-         threads, i.e. > 128 decided log positions; campaign bodies stay an \
-         order of magnitude smaller to keep 2000 schedules per body tractable",
-    )];
-
     let missing: Vec<String> = contract
         .declared_pairs()
         .into_iter()
@@ -973,10 +946,7 @@ fn declared_sync_pairs_are_exercised_by_campaigns() {
             let in_sync = |id: &str| id.starts_with("crates/sync/") || !id.contains('/');
             in_sync(rel) && in_sync(acq)
         })
-        .filter(|(rel, acq)| {
-            !exercised.contains(&(rel.clone(), acq.clone()))
-                && !allowlist.iter().any(|(r, a, _)| r == rel && a == acq)
-        })
+        .filter(|(rel, acq)| !exercised.contains(&(rel.clone(), acq.clone())))
         .map(|(rel, acq)| format!("{rel} -> {acq}"))
         .collect();
     assert!(
@@ -985,14 +955,6 @@ fn declared_sync_pairs_are_exercised_by_campaigns() {
         missing.len(),
         missing.join("\n")
     );
-    // The allowlist must not rot: an entry that *is* exercised now has
-    // lost its reason to exist.
-    for (rel, acq, why) in allowlist {
-        assert!(
-            !exercised.contains(&((*rel).to_string(), (*acq).to_string())),
-            "allowlisted pair ({rel} -> {acq}) is now exercised — drop it ({why})"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1346,7 +1308,7 @@ fn hint_publication_regression_schedule() {
     assert!(
         hb.exercised
             .iter()
-            .any(|(rel, acq)| rel == "universal.hint_pub" && acq.contains("universal.rs")),
+            .any(|(rel, acq)| rel == "universal.hint_pub" && acq.contains("universal/")),
         "the pinned schedule must exercise the declared hint pair; got {:?}",
         hb.exercised
     );
@@ -1545,7 +1507,7 @@ fn ops_of(run: &waitfree::sched::RunResult, vtid: usize) -> Vec<(usize, &waitfre
 /// entry.
 #[test]
 fn helper_parked_across_entry_recycling_skips_or_helps_the_current_entry() {
-    /// `ENTRY_LIMBO_SWEEP` in `universal.rs` (private).
+    /// `ENTRY_LIMBO_SWEEP` in `universal/decide.rs` (private).
     const SWEEP: usize = 8;
     let everyone_in_turn = vec![(0, UNTIL_PARKED), (OWNER, UNTIL_PARKED), (HELPER, UNTIL_PARKED)];
 

@@ -120,19 +120,17 @@ fn log_front_end_and_consensus_cons_both_linearize_concurrently() {
     }
 }
 
-/// Satellite of the `sched` tier: under *identical* operation-level
-/// schedules, the universal object's two decide modes — batch combining
-/// and per-op — must decide the same flattened log and return the same
-/// responses, seed for seed, and both must be what the sequential
-/// specification computes from that log.
-/// [`OpRandom`](waitfree::sched::OpRandom) never preempts at an atomic
-/// point and consumes no randomness there, so its decision sequence
-/// depends only on the operation structure (spawn/yield/block/exit),
-/// which both modes share — the schedules are comparable even though
-/// the hot paths execute different numbers of atomic instructions.
-/// (`decided_log` flattens batch entries, so the comparison is
-/// shape-independent by construction; see DESIGN.md §8, "Batch
-/// combining".)
+/// Satellite of the `sched` tier: under operation-level schedules, the
+/// universal object's responses must be exactly what the sequential
+/// specification computes from its flattened decided log, seed for
+/// seed, and two configurations must agree under *identical*
+/// schedules. [`OpRandom`](waitfree::sched::OpRandom) never preempts at
+/// an atomic point and consumes no randomness there, so its decision
+/// sequence depends only on the operation structure
+/// (spawn/yield/block/exit), which every configuration shares — the
+/// schedules are comparable even though the hot paths execute different
+/// numbers of atomic instructions. (`decided_log` flattens batch
+/// entries, so the comparison is shape-independent by construction.)
 #[cfg(feature = "sched")]
 mod sched_equivalence {
     use std::sync::{Arc, Mutex};
@@ -211,18 +209,13 @@ mod sched_equivalence {
     }
 
     #[test]
-    fn batched_and_per_op_agree_with_each_other_and_the_spec_under_identical_schedules() {
-        let per_op_cfg = UniversalConfig { combine: false, ..UniversalConfig::default() };
+    fn batched_responses_are_the_spec_replay_of_the_decided_log() {
         for seed in 0..64 {
-            let batched = drive(UniversalConfig::default(), seed);
-            let per_op = drive(per_op_cfg, seed);
-            assert_eq!(batched.0, per_op.0, "responses diverged at seed {seed}");
-            assert_eq!(batched.1, per_op.1, "decided log diverged at seed {seed}");
-            assert_eq!(batched.1.len(), THREADS * OPS, "all ops decided at seed {seed}");
-            // One log, so one replay vouches for both modes.
+            let (resps, log) = drive(UniversalConfig::default(), seed);
+            assert_eq!(log.len(), THREADS * OPS, "all ops decided at seed {seed}");
             assert_eq!(
-                spec_responses(&batched.1),
-                batched.0,
+                spec_responses(&log),
+                resps,
                 "responses are not the sequential spec's at seed {seed}"
             );
         }
