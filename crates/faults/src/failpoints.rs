@@ -37,7 +37,12 @@
 //!   shared);
 //! * `universal::cas` / `universal::decided` — around each consensus
 //!   decide;
-//! * `universal::replay` — per applied operation during replay;
+//! * `universal::replay` — per applied operation of a replica's
+//!   catch-up, an invoke's (after its own op is decided) and a read's
+//!   alike;
+//! * `universal::read` — in `read`/`try_read`, after the frontier load
+//!   and before the catch-up (a crash here has touched nothing shared:
+//!   a read writes only its own slot's frontier, after replaying);
 //! * `universal::checkpoint` — before a checkpoint image is built and
 //!   proposed (with a checkpoint cadence only; a crash here has
 //!   published nothing — the cadence simply re-fires on a later op, by

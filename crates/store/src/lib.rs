@@ -471,24 +471,10 @@ where
     }
 
     fn put_opt(&mut self, key: K, val: Option<V>) -> Option<V> {
-        failpoint!("store::route");
-        let s = route(self.seed, self.nshards(), &key);
-        // Built once — a helped-multi retry re-proposes it (re-stamped:
-        // the stamp rule needs the epoch/knowledge read immediately
-        // before each attempt, and helping moves both) instead of
-        // re-cloning key and value.
-        let mut op = ShardOp::Put { key, val, ctx: Ctx::unstamped() };
-        // progress: wait-free — each retry first completes the blocking
-        // multi-op (helping), bounding iterations by the admitted multi-ops.
-        loop {
-            match self.invoke_stamped(s, &mut op) {
-                ShardResp::Prev { prev, .. } => return prev,
-                ShardResp::Blocked { holder, .. } => {
-                    self.run_multi(&holder);
-                }
-                r => unreachable!("put answered {r:?}"),
-            }
-        }
+        self.mutate(ShardOp::Put { key, val, ctx: Ctx::unstamped() }, |r| match r {
+            ShardResp::Prev { prev, .. } => prev,
+            r => unreachable!("put answered {r:?}"),
+        })
     }
 
     /// Compare-and-set one key (`None` = absent on either side).
@@ -499,37 +485,48 @@ where
         expect: Option<V>,
         new: Option<V>,
     ) -> (bool, Option<V>) {
-        failpoint!("store::route");
-        let s = route(self.seed, self.nshards(), &key);
-        let mut op = ShardOp::Cas { key, expect, new, ctx: Ctx::unstamped() };
-        // progress: wait-free — each retry first completes the blocking
-        // multi-op (helping), bounding iterations by the admitted multi-ops.
-        loop {
-            match self.invoke_stamped(s, &mut op) {
-                ShardResp::CasResult { ok, prev, .. } => return (ok, prev),
-                ShardResp::Blocked { holder, .. } => {
-                    self.run_multi(&holder);
-                }
-                r => unreachable!("cas answered {r:?}"),
-            }
-        }
+        self.mutate(ShardOp::Cas { key, expect, new, ctx: Ctx::unstamped() }, |r| match r {
+            ShardResp::CasResult { ok, prev, .. } => (ok, prev),
+            r => unreachable!("cas answered {r:?}"),
+        })
     }
 
     /// Atomically replace one key's value with `merge(current)`,
     /// returning the previous value.
     pub fn fetch_update(&mut self, key: K, merge: M) -> Option<V> {
+        self.mutate(ShardOp::Update { key, merge, ctx: Ctx::unstamped() }, |r| match r {
+            ShardResp::Prev { prev, .. } => prev,
+            r => unreachable!("fetch_update answered {r:?}"),
+        })
+    }
+
+    /// Route a single-key mutation to its shard and decide it there,
+    /// helping and retrying past conflicting multi-ops; `answer` takes
+    /// the caller's result out of the final response. The op is built
+    /// once — a helped-multi retry re-proposes it (re-stamped: the stamp
+    /// rule needs the epoch/knowledge read immediately before each
+    /// attempt, and helping moves both) instead of re-cloning key and
+    /// value.
+    fn mutate<R>(
+        &mut self,
+        mut op: ShardOp<K, V, M>,
+        answer: impl FnOnce(ShardResp<K, V>) -> R,
+    ) -> R {
+        let (ShardOp::Put { key, .. } | ShardOp::Cas { key, .. } | ShardOp::Update { key, .. }) =
+            &op
+        else {
+            unreachable!("only single-key mutations are routed here")
+        };
         failpoint!("store::route");
-        let s = route(self.seed, self.nshards(), &key);
-        let mut op = ShardOp::Update { key, merge, ctx: Ctx::unstamped() };
+        let s = route(self.seed, self.nshards(), key);
         // progress: wait-free — each retry first completes the blocking
         // multi-op (helping), bounding iterations by the admitted multi-ops.
         loop {
             match self.invoke_stamped(s, &mut op) {
-                ShardResp::Prev { prev, .. } => return prev,
                 ShardResp::Blocked { holder, .. } => {
                     self.run_multi(&holder);
                 }
-                r => unreachable!("fetch_update answered {r:?}"),
+                r => return answer(r),
             }
         }
     }

@@ -18,6 +18,14 @@
 //! reclaim bound never passes the newest one. Steady-state memory is
 //! O(frontier spread), not O(total ops).
 //!
+//! The one walk that starts from the chain root rather than from a
+//! handle's own frontier lives here too, beside the reclaimer it races:
+//! [`Shared::walk_retained`] pins the root in the walker's segment
+//! hazard, validates every hop against `reclaimed_upto`, and feeds each
+//! decided entry to a visitor. Registration's bootstrap
+//! ([`Shared::bootstrap`]) and the decided-log diagnostics are its two
+//! visitors.
+//!
 //! Orderings: **every word of this protocol is `SeqCst`**, by design —
 //! the per-slot `frontier` and `seg_hazard`, and the shared `oldest`,
 //! `cp_pos`, `reclaimed_upto` and `reclaim_lock`. Reclamation
@@ -25,7 +33,8 @@
 //! (frontier-publish-then-hazard-clear vs. hazard-check-then-fresh-bound;
 //! detach high-water before unlink vs. hop-then-validate — DESIGN.md §8
 //! has the audit), and none of these words is on the per-decide fast
-//! path, so there is nothing to relax.
+//! path, so there is nothing to relax. The walk's slot and link loads
+//! are `SeqCst` as well.
 
 use std::ptr;
 use waitfree_sched::atomic::{AtomicUsize, Ordering};
@@ -37,16 +46,39 @@ use super::log::{CpImage, LogEntry, Segment};
 use super::registry::HandleSlot;
 use super::{Shared, WfHandle, WfUniversal};
 
-/// RAII release of `Shared::reclaim_lock`: storing 0 in `Drop` keeps
-/// the try-lock crash-safe — a `failpoint!` crash unwinding out of
-/// `try_reclaim` releases the lock on the way out, so a crashed
-/// reclaimer never wedges reclamation for everyone else.
-struct ReclaimGuard<'a>(&'a AtomicUsize);
+/// Stores 0 into its word when dropped — by return or by unwinding. It
+/// releases `Shared::reclaim_lock`, so a `failpoint!` crash out of
+/// `try_reclaim` never wedges reclamation for everyone else, and it
+/// clears a walker's segment hazard on every exit of
+/// [`Shared::walk_retained`].
+struct ZeroOnDrop<'a>(&'a AtomicUsize);
 
-impl Drop for ReclaimGuard<'_> {
+impl Drop for ZeroOnDrop<'_> {
     fn drop(&mut self) {
         self.0.store(0, Ordering::SeqCst);
     }
+}
+
+/// What [`Shared::walk_retained`] shows its visitor, in log order.
+pub(super) enum Walked<'a, S: ObjectSpec> {
+    /// A pass begins at this chain root, now pinned by the walker's
+    /// hazard. A rewalk starts a new pass here.
+    Pinned(*const Segment<S>),
+    /// The decided entry at position `pos`, inside `seg`.
+    Decided { seg: &'a Segment<S>, pos: usize, entry: &'a LogEntry<S> },
+    /// The pass reached the first undecided position or the chain's end.
+    End,
+}
+
+/// A visitor's answer. At [`Walked::End`] there is nothing left to go
+/// on to, so `Next` there starts a new pass, as `Rewalk` does.
+pub(super) enum Visit<T> {
+    /// Go on to the next decided position.
+    Next,
+    /// Stop the walk; it returns this value.
+    Stop(T),
+    /// Start a new pass from the then-current root.
+    Rewalk,
 }
 
 impl<S: ObjectSpec> Shared<S> {
@@ -85,7 +117,7 @@ impl<S: ObjectSpec> Shared<S> {
     /// cannot be freed until the hazard is cleared: any detach of it
     /// follows our revalidating load in the SeqCst total order, so the
     /// detacher's sweep sees our hazard.
-    pub(super) fn pin_oldest(&self, slot: &HandleSlot<S::Op>) -> *const Segment<S> {
+    fn pin_oldest(&self, slot: &HandleSlot<S::Op>) -> *const Segment<S> {
         // progress: lock-free — a retry means a reclaimer advanced
         // `oldest` between our load and revalidation; detaches are
         // bounded by decided checkpoints.
@@ -96,6 +128,143 @@ impl<S: ObjectSpec> Shared<S> {
                 return o;
             }
         }
+    }
+
+    /// Walk the retained log from the chain root to the first undecided
+    /// position, showing `visit` the pinned root, then every decided
+    /// entry in order, then the end of the decided prefix, until it
+    /// stops the walk.
+    ///
+    /// The walk owns the whole hazard protocol. It pins the root in
+    /// `slot`'s segment hazard, and hops to the next segment by moving
+    /// the hazard there and then proving the target was still chained:
+    /// detaches run oldest-first and record `reclaimed_upto` before each
+    /// unlink, so a value at or below the left segment's end means the
+    /// target was not detached when the hazard landed, and any later
+    /// detach of it follows the hazard in the SeqCst total order — its
+    /// sweep sees the hazard and keeps the segment. Otherwise the pass
+    /// starts over. The hazard is cleared on every exit, and only after
+    /// the visitor returned, so whatever the visitor published while
+    /// pinned (a registrant's frontier) is visible to any sweep that
+    /// finds the hazard gone.
+    ///
+    /// `visit` sees references valid only for the call: the segment may
+    /// be freed once the walk moves on.
+    pub(super) fn walk_retained<T>(
+        &self,
+        slot: &HandleSlot<S::Op>,
+        mut visit: impl FnMut(Walked<'_, S>) -> Visit<T>,
+    ) -> T {
+        let _unpin = ZeroOnDrop(&slot.seg_hazard);
+        // progress: lock-free — a new pass follows a reclaimer's detach
+        // under this walk, or a checkpoint decided during it; both are
+        // bounded by decided checkpoints.
+        'walk: loop {
+            let root = self.pin_oldest(slot);
+            let (mut seg, mut i) = (root, 0);
+            let mut at = Walked::Pinned(root);
+            // progress: bounded — one visit per decided position from the
+            // pinned root to the first undecided one.
+            loop {
+                let end = matches!(at, Walked::End);
+                match visit(at) {
+                    Visit::Stop(t) => return t,
+                    Visit::Next if !end => {}
+                    Visit::Next | Visit::Rewalk => continue 'walk,
+                }
+                // progress: bounded — at most one hop, then one slot.
+                at = loop {
+                    // SAFETY: the hazard covers `seg`: it is the pinned
+                    // root or a hop validated below.
+                    let s = unsafe { &*seg };
+                    if let Some(ls) = s.slots.get(i) {
+                        let raw = ls.load(Ordering::SeqCst);
+                        if raw.is_null() {
+                            break Walked::End;
+                        }
+                        let pos = s.base + i;
+                        i += 1;
+                        // SAFETY: a non-null slot owns its decided entry,
+                        // and the hazard keeps its segment alive.
+                        break Walked::Decided { seg: s, pos, entry: unsafe { &*raw } };
+                    }
+                    // ordering: SeqCst [pairs: universal.seg_install] —
+                    // pairs with the Release segment install in `seg_for`.
+                    let next = s.next.load(Ordering::SeqCst);
+                    if next.is_null() {
+                        break Walked::End;
+                    }
+                    // `s.end()` is read before the hazard moves: the
+                    // store unpins `s`, which a sweep may then free.
+                    let s_end = s.end();
+                    slot.seg_hazard.store(next as usize, Ordering::SeqCst);
+                    if self.reclaimed_upto.load(Ordering::SeqCst) > s_end {
+                        continue 'walk;
+                    }
+                    (seg, i) = (next, 0);
+                };
+            }
+        }
+    }
+
+    /// The replica a registrant on `slot` starts from: its anchor
+    /// segment, state, applied watermarks and replay cursor, with the
+    /// slot's frontier published so that everything from the cursor on
+    /// stays retained.
+    ///
+    /// Without checkpointing nothing is ever reclaimed: replay starts at
+    /// position 0 of the immortal base-0 segment. With checkpointing the
+    /// retained log may start past position 0, so the registrant adopts
+    /// the first checkpoint [`Self::walk_retained`] finds — a valid image
+    /// of the whole truncated prefix. The adopted frontier is published
+    /// before the image is cloned, and the adoption stands only if
+    /// `reclaimed_upto` then shows no detach past the checkpoint's
+    /// segment: detaches run oldest-first, so every later segment is
+    /// still chained, and any sweep that could free one recomputes its
+    /// bound after the store and keeps it. If the walk ends without a
+    /// checkpoint the log was never truncated — provided none exists at
+    /// all, which the `cp_pos` re-check certifies *after* a frontier-0
+    /// store: that store precedes our `cp_pos` read, which (reading 0)
+    /// precedes any checkpoint decide's `fetch_max`, which precedes any
+    /// reclaimer's `cp_pos` read and then its frontier scan — so every
+    /// reclaimer that could detach the root sees our 0 first. A
+    /// checkpoint that appeared mid-walk (its position scanned while
+    /// still null) means a rewalk, which then finds one: the decided
+    /// prefix is contiguous and the newest checkpoint's segment is
+    /// retained.
+    pub(super) fn bootstrap(
+        &self,
+        slot: &HandleSlot<S::Op>,
+        initial: &S,
+    ) -> (*const Segment<S>, S, Vec<usize>, usize) {
+        if self.cfg.checkpoint_every.is_none() {
+            slot.frontier.store(0, Ordering::SeqCst);
+            return (self.oldest.load(Ordering::SeqCst), initial.clone(), Vec::new(), 0);
+        }
+        let mut root = ptr::null();
+        self.walk_retained(slot, |at| match at {
+            Walked::Pinned(r) => {
+                root = r;
+                Visit::Next
+            }
+            Walked::Decided { seg, pos, entry: LogEntry::Checkpoint(img) } => {
+                slot.frontier.store(pos, Ordering::SeqCst);
+                if self.reclaimed_upto.load(Ordering::SeqCst) > seg.end() {
+                    slot.frontier.store(usize::MAX, Ordering::SeqCst);
+                    return Visit::Rewalk;
+                }
+                Visit::Stop((ptr::from_ref(seg), img.state.clone(), img.applied.clone(), pos + 1))
+            }
+            Walked::Decided { .. } => Visit::Next,
+            Walked::End => {
+                slot.frontier.store(0, Ordering::SeqCst);
+                if self.cp_pos.load(Ordering::SeqCst) == 0 {
+                    return Visit::Stop((root, initial.clone(), Vec::new(), 0));
+                }
+                slot.frontier.store(usize::MAX, Ordering::SeqCst);
+                Visit::Rewalk
+            }
+        })
     }
 
     /// Detach and free every log segment wholly behind the reclaim
@@ -127,7 +296,7 @@ impl<S: ObjectSpec> Shared<S> {
         {
             return;
         }
-        let _guard = ReclaimGuard(&self.reclaim_lock);
+        let _guard = ZeroOnDrop(&self.reclaim_lock);
         failpoint!("universal::reclaim");
         // SAFETY: `limbo` is only touched under `reclaim_lock` (held
         // here, released by the guard even on unwind) or with exclusive
@@ -396,7 +565,7 @@ mod tests {
         for op in &script {
             assert_eq!(cp.invoke(op.clone()), un.invoke(op.clone()), "{op:?}");
         }
-        assert_eq!(cp.refresh(), un.refresh());
+        assert_eq!(cp.read(FifoQueue::clone), un.read(FifoQueue::clone));
         assert!(obj_cp.checkpoints() >= 1);
         assert!(obj_cp.live_segments() < obj_un.live_segments());
     }
@@ -431,32 +600,39 @@ mod tests {
         assert!(obj.reclaimed_segments() >= 1, "reclaim ran under contention");
     }
 
-    /// Regression (and `cargo miri test` coverage for the retired
-    /// replay path): `retire()` unpins the handle's frontier, so later
-    /// activity by other handles reclaims the segment its cached replay
-    /// anchor points into — purely sequentially, no race needed. The
-    /// quiescent `refresh()` diagnostic must re-anchor at the retained
-    /// root (adopting a checkpoint when its cursor was truncated away)
-    /// instead of dereferencing the stale cache.
+    /// Both visitors of the one hazard-pinned walk on real threads, small
+    /// enough for `cargo miri test`: a writer invokes past several
+    /// checkpoint cadences and a segment reclaim, then keeps invoking
+    /// while a late registrant adopts a checkpoint and walks the
+    /// retained log with `decided_log`.
     #[test]
-    fn miri_smoke_retired_refresh_after_truncation() {
-        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(16));
-        let mut early = obj.register();
-        early.invoke(CounterOp::Add(1));
-        early.retire();
-        let mut busy = obj.register();
-        for _ in 0..3 * SEGMENT_SIZE {
-            busy.invoke(CounterOp::Add(1));
+    fn miri_smoke_late_registrant_walks_under_reclamation() {
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(8));
+        let mut h = obj.register();
+        for _ in 0..SEGMENT_SIZE + 16 {
+            h.invoke(CounterOp::Add(1));
         }
-        assert!(
-            obj.reclaimed_segments() >= 1,
-            "truncation ran behind the retired handle"
-        );
-        // The retired handle's cursor (1) now lies in a freed segment;
-        // its refresh must adopt a retained checkpoint and converge.
-        assert_eq!(early.refresh(), busy.refresh());
-        // Idempotent: a second quiescent refresh replays nothing new.
-        assert_eq!(early.refresh(), busy.refresh());
+        assert!(obj.reclaimed_segments() >= 1, "segment 0 is gone before the registrant arrives");
+        let other = obj.clone();
+        let late = thread::spawn(move || {
+            let mut late = other.register();
+            assert!(late.replayed() > 0, "the registrant adopted a checkpoint");
+            let seen = late.read(Counter::value);
+            let log = late.decided_log();
+            assert!(
+                log.windows(2).all(|w| w[0].0 == 0 && w[1] == (0, w[0].1 + 1)),
+                "the retained log is a contiguous run of the writer's ops: {log:?}"
+            );
+            late.retire();
+            seen
+        });
+        for _ in 0..SEGMENT_SIZE {
+            h.invoke(CounterOp::Add(1));
+        }
+        let seen = late.join().unwrap();
+        let total = (2 * SEGMENT_SIZE + 16) as i64;
+        assert!(((SEGMENT_SIZE + 16) as i64..=total).contains(&seen), "{seen}");
+        assert_eq!(h.read(Counter::value), total);
     }
 
     #[test]

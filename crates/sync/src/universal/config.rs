@@ -217,7 +217,7 @@ mod tests {
         }
         // The failed attempts announced nothing: a fresh handle's replay
         // sees exactly two additions.
-        assert_eq!(h.refresh(), {
+        assert_eq!(h.read(Counter::clone), {
             let mut c = Counter::new(0);
             c.apply(Pid(0), &CounterOp::Add(1));
             c.apply(Pid(0), &CounterOp::Add(1));
@@ -248,7 +248,7 @@ mod tests {
             h.try_invoke(CounterOp::Add(1)),
             Err(UniversalError::BudgetExhausted { tid: 0, max_ops: 2 })
         );
-        assert_eq!(h.refresh(), {
+        assert_eq!(h.read(Counter::clone), {
             let mut c = Counter::new(0);
             for _ in 0..4 {
                 c.apply(Pid(0), &CounterOp::Add(1));

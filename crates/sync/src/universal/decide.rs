@@ -313,7 +313,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         // the Release `fetch_max` in `publish_hint`.
         // Starting at `k` skips the prefix [0, k) without ever touching
         // those slots, so the decided-prefix invariant that the replay
-        // loop asserts (and `refresh` relies on) is inherited here: the
+        // step asserts is inherited here: the
         // acquire carries the publisher's happens-before edge to every
         // decide below `k`. A stale value only costs extra (cheap,
         // already-decided) iterations; segment reachability is

@@ -16,8 +16,8 @@
 //! | `log` | the decided sequence | [`Entry`], [`LogEntry`], [`CpImage`], segments and their growth |
 //! | `registry` | membership | handle slots, `register`/`retire`, the `pending` read helpers use |
 //! | `decide` | announce → collect → decide | `invoke`, the entry free list and limbo, the threading loop, the `hint` |
-//! | `replay` | apply | the replay loop, `read`, `refresh`, the decided-log walks, the frontier |
-//! | `checkpoint` | truncation | checkpoint decides, segment reclamation and its limbo |
+//! | `replay` | apply | the one replay step, `read`, the decided-log visitors, the frontier |
+//! | `checkpoint` | truncation | checkpoint decides, segment reclamation and its limbo, the hazard-pinned walk from the retained root |
 //!
 //! An invoke is `decide` (announce, then thread the op onto the log),
 //! then `replay` (apply up to the op's position), then `checkpoint` (the

@@ -36,7 +36,7 @@ use waitfree_sched::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use waitfree_faults::failpoint;
 use waitfree_model::ObjectSpec;
 
-use super::log::{Entry, LogEntry, Segment};
+use super::log::Entry;
 use super::{Shared, WfHandle, WfUniversal};
 
 /// Handle slots per registry segment. Small, so the bounded-by-peak
@@ -99,6 +99,16 @@ impl<Op> HandleSlot<Op> {
             seg_hazard: AtomicUsize::new(0),
             frontier: AtomicUsize::new(usize::MAX),
         }
+    }
+
+    /// Stop pinning anything: the frontier goes to `usize::MAX` first,
+    /// then both hazards are cleared. They are already clear in normal
+    /// operation (`pending` and the walk clear them on every exit);
+    /// clearing again covers a handle reused after a caught crash.
+    fn unpin(&self) {
+        self.frontier.store(usize::MAX, Ordering::SeqCst);
+        self.seg_hazard.store(0, Ordering::SeqCst);
+        self.entry_hazard.store(ptr::null_mut(), Ordering::SeqCst);
     }
 }
 
@@ -331,9 +341,9 @@ impl<S: ObjectSpec> WfUniversal<S> {
     /// replaying from position 0 (which may be truncated away); it
     /// then replays the remaining retained suffix, so adopting an
     /// older checkpoint costs extra replay, never correctness. The
-    /// walk pins segments with the slot's hazard and publishes the
-    /// adopted frontier before unpinning, so reclamation can never
-    /// free a segment out from under it.
+    /// `checkpoint` layer's hazard-pinned walk publishes the adopted
+    /// frontier before unpinning, so reclamation can never free a
+    /// segment out from under it.
     #[must_use]
     pub fn register(&self) -> WfHandle<S> {
         failpoint!("universal::register");
@@ -395,132 +405,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
         // Belt and braces: a previous owner's crash could have left a
         // stale hazard published; we own the slot now.
         slot.entry_hazard.store(ptr::null_mut(), Ordering::SeqCst);
-
-        // Bootstrap the replica. Without checkpointing, reclamation
-        // never runs: replay starts at position 0 in the immortal
-        // base-0 segment.
-        let anchor: *const Segment<S>;
-        let mut state = self.initial.clone();
-        let mut applied: Vec<usize> = Vec::new();
-        let mut cursor = 0usize;
-        if shared.cfg.checkpoint_every.is_none() {
-            slot.frontier.store(0, Ordering::SeqCst);
-            anchor = shared.oldest.load(Ordering::SeqCst);
-        } else {
-            // Checkpointed: walk the retained log from the pinned root
-            // and adopt the first checkpoint found (a valid image of
-            // the whole truncated prefix). If the walk hits the
-            // undecided frontier (or the chain end) without one, the
-            // log was never truncated — provided no checkpoint exists
-            // at all, which the cp_pos re-check certifies *after* our
-            // frontier-0 store: in the SeqCst total order our store
-            // precedes our cp_pos read, which (reading 0) precedes any
-            // checkpoint decide's fetch_max, which precedes any
-            // reclaimer's cp_pos read, which precedes its frontier
-            // scan — so every reclaimer that could detach the root
-            // sees our 0 frontier first and keeps it.
-            // progress: lock-free — a restart means a reclaimer detached a
-            // segment under this walk; detaches are bounded by decided
-            // checkpoints.
-            anchor = 'adopt: loop {
-                let root = shared.pin_oldest(slot);
-                let mut seg = root;
-                // progress: bounded — one hop per installed segment between
-                // `root` and the first decided checkpoint (truncation keeps one).
-                loop {
-                    // SAFETY: `root` is hazard-pinned; every later
-                    // segment reached below is hop-validated against
-                    // `reclaimed_upto` before being dereferenced.
-                    let s = unsafe { &*seg };
-                    let mut undecided = false;
-                    for (i, ls) in s.slots.iter().enumerate() {
-                        let raw = ls.load(Ordering::SeqCst);
-                        if raw.is_null() {
-                            undecided = true;
-                            break;
-                        }
-                        // SAFETY: a non-null slot owns its decided
-                        // entry; the segment holding it is pinned (or
-                        // hop-validated) so the entry is alive.
-                        if let LogEntry::Checkpoint(img) = unsafe { &*raw } {
-                            let q = s.base + i;
-                            // Publish the frontier first, then prove no
-                            // reclaimer working from a bound that
-                            // predates it has started on a *later*
-                            // segment: the hazard covers `seg` alone,
-                            // and replay from `q` follows its links.
-                            // Detaches run oldest-first and record
-                            // `reclaimed_upto` before unlinking, so a
-                            // value at or below `seg`'s end means every
-                            // later segment is still chained — and any
-                            // sweep that could free one recomputes its
-                            // bound after this store and keeps it.
-                            slot.frontier.store(q, Ordering::SeqCst);
-                            if shared.reclaimed_upto.load(Ordering::SeqCst) > s.end() {
-                                slot.frontier.store(usize::MAX, Ordering::SeqCst);
-                                continue 'adopt;
-                            }
-                            state = img.state.clone();
-                            applied = img.applied.clone();
-                            cursor = q + 1;
-                            break 'adopt seg;
-                        }
-                    }
-                    if undecided {
-                        slot.frontier.store(0, Ordering::SeqCst);
-                        if shared.cp_pos.load(Ordering::SeqCst) == 0 {
-                            // No checkpoint has ever been decided, so
-                            // nothing was ever truncated: the root is
-                            // the base-0 segment and replay-from-0 is
-                            // sound (and now pinned by our frontier).
-                            break 'adopt root;
-                        }
-                        // A checkpoint appeared mid-walk (we scanned
-                        // its position while still null). Rewalk: the
-                        // decided prefix is contiguous and the newest
-                        // checkpoint's segment is retained, so the
-                        // next pass finds one. Each rewalk implies a
-                        // concurrent checkpoint decide — progress
-                        // elsewhere, the usual accounting.
-                        slot.frontier.store(usize::MAX, Ordering::SeqCst);
-                        continue 'adopt;
-                    }
-                    let next = s.next.load(Ordering::SeqCst);
-                    if next.is_null() {
-                        // Chain end without a checkpoint: same
-                        // certification as the undecided case.
-                        slot.frontier.store(0, Ordering::SeqCst);
-                        if shared.cp_pos.load(Ordering::SeqCst) == 0 {
-                            break 'adopt root;
-                        }
-                        slot.frontier.store(usize::MAX, Ordering::SeqCst);
-                        continue 'adopt;
-                    }
-                    // Hop: move the hazard to the next segment, then
-                    // prove it was still chained (not detached) when we
-                    // look — without dereferencing it. The chain
-                    // invariant gives next.base == s.end(); if any
-                    // segment with end() > s.end()'s predecessor — i.e.
-                    // reclaimed_upto > s.end() — was detached, `next`
-                    // itself may be gone: restart. Otherwise any later
-                    // detach of `next` follows our hazard publish in
-                    // the SeqCst order and its sweep sees the hazard.
-                    // `s.end()` is read *before* the hazard moves to
-                    // `next`: the store unpins `s`, and a concurrent
-                    // sweep may free it in the same instant.
-                    let s_end = s.end();
-                    slot.seg_hazard.store(next as usize, Ordering::SeqCst);
-                    if shared.reclaimed_upto.load(Ordering::SeqCst) > s_end {
-                        continue 'adopt;
-                    }
-                    seg = next;
-                }
-            };
-            // Unpin only after the adopted frontier is published: the
-            // sweep checks hazards before recomputing the bound, so
-            // clearing here can never let the anchor be freed.
-            slot.seg_hazard.store(0, Ordering::SeqCst);
-        }
+        let (anchor, state, applied, cursor) = shared.bootstrap(slot, &self.initial);
         WfHandle {
             shared: Arc::clone(shared),
             tid: t,
@@ -612,15 +497,10 @@ impl<S: ObjectSpec> WfHandle<S> {
         // `shared`, alive for the life of this handle.
         let slot = unsafe { &*self.slot };
         // Unpin before anything else — including before the failpoint —
-        // so even a crash mid-retire stops pinning segments. Hazards
-        // are already clear in normal operation (pending/walks clear
-        // them on every exit path); clearing again covers a handle
-        // reused after a caught crash. Must precede the RETIRED store:
-        // once the slot is reclaimable a new owner may claim it, and
-        // these words are then the new owner's.
-        slot.frontier.store(usize::MAX, Ordering::SeqCst);
-        slot.seg_hazard.store(0, Ordering::SeqCst);
-        slot.entry_hazard.store(ptr::null_mut(), Ordering::SeqCst);
+        // so even a crash mid-retire stops pinning segments. Must
+        // precede the RETIRED store: once the slot is reclaimable a new
+        // owner may claim it, and these words are then the new owner's.
+        slot.unpin();
         slot.state.store(SLOT_RETIRED, Ordering::SeqCst);
         self.shared.active.fetch_sub(1, Ordering::SeqCst);
         failpoint!("universal::retire");
@@ -659,10 +539,7 @@ impl<S: ObjectSpec> Drop for WfHandle<S> {
         if !self.retired {
             // SAFETY: `slot` points into the registry chain owned by
             // `shared`, still alive (we hold the Arc).
-            let slot = unsafe { &*self.slot };
-            slot.frontier.store(usize::MAX, Ordering::SeqCst);
-            slot.seg_hazard.store(0, Ordering::SeqCst);
-            slot.entry_hazard.store(ptr::null_mut(), Ordering::SeqCst);
+            unsafe { &*self.slot }.unpin();
         }
         // Free displaced announce entries; one still pinned by a
         // concurrently stalled helper's hazard is leaked (bounded: at
@@ -736,7 +613,7 @@ mod tests {
             assert_eq!(h.tid(), i);
             h.invoke(CounterOp::Add(1));
         }
-        let total = handles[0].refresh();
+        let total = handles[0].read(Counter::clone);
         assert_eq!(total, {
             let mut c = Counter::new(0);
             for t in 0..2 * REGISTRY_SEGMENT {

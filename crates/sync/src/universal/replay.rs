@@ -17,71 +17,90 @@
 //! Acquire-load of the `hint` word — without announcing, allocating or
 //! CASing anything, linearized at that load (DESIGN.md §11).
 //!
+//! Both catch-ups — an invoke's, up to its own op, and a read's, up to
+//! the frontier it observed — loop one per-position step, the only
+//! place a replica applies the log.
+//!
 //! A handle publishes its *replay frontier* in its registry slot after
 //! every call that moved its cursor, and only then; the reclaim bound
 //! never passes a published frontier, which is what keeps the handle's
-//! cached segment pointers alive.
+//! cached segment pointers alive. The decided-log diagnostics start
+//! from the retained root instead, through the `checkpoint` layer's
+//! hazard-pinned walk.
 //!
-//! Orderings: slot loads are `Acquire`, pairing with the release half of
-//! the winner's `SeqCst` decide or checkpoint install, so the
-//! `LogEntry` pointed to is fully visible.
+//! Orderings: the step's slot load is `Acquire`, pairing with the
+//! release half of the winner's `SeqCst` decide or checkpoint install,
+//! so the `LogEntry` pointed to is fully visible.
 
 use waitfree_sched::atomic::Ordering;
 
 use waitfree_faults::failpoint;
 use waitfree_model::{ObjectSpec, Pid};
 
-use super::log::{LogEntry, Segment};
-use super::registry::HandleSlot;
-use super::{Shared, UniversalError, WfHandle};
+use super::checkpoint::{Visit, Walked};
+use super::log::LogEntry;
+use super::{UniversalError, WfHandle};
 
 impl<S: ObjectSpec> WfHandle<S> {
+    /// Replay the decided position at `cursor` and step past it: apply,
+    /// in decide order, every member the `(tid, seq)` dedup has not seen
+    /// yet, and return the response of this handle's operation `own` if
+    /// it was among them. The position is applied whole — its later
+    /// members were linearized by the same decide, so applying them is
+    /// plain catch-up — keeping `cursor` a whole-position index.
+    /// Checkpoint entries contribute no members: the replica already
+    /// equals their image when it reaches them.
+    ///
+    /// Always inlined: left a call, `wfbench`'s `uni_counter`
+    /// `read_p99_ns` read ≈ 48 % higher on a 2-vCPU host (446 → 663 ns
+    /// median, ten alternating pairs), and inlining lets the read path
+    /// drop the `own` branch.
+    #[inline(always)]
+    fn replay_step(&mut self, own: Option<usize>) -> Option<S::Resp> {
+        self.replay_seg = self.shared.seg_for(self.replay_seg, self.cursor);
+        // ordering: Acquire [pairs: universal.decide,
+        // universal.cp_install] — pairs with the winning decide CAS and
+        // with the checkpoint-image install (both SeqCst ⊇ Release), so
+        // the LogEntry behind a non-null slot is fully initialized
+        // before we dereference it.
+        let raw = self.shared.slot(self.replay_seg, self.cursor).load(Ordering::Acquire);
+        assert!(
+            !raw.is_null(),
+            "replay reads only decided positions: its own op's or below the hint"
+        );
+        // SAFETY: a non-null slot owns its decided entry, and the
+        // segment cannot be reclaimed: its end() exceeds this handle's
+        // published frontier (≤ cursor), which the reclaim bound never
+        // passes. The borrow ends inside this call.
+        let le = unsafe { &*raw };
+        self.cursor += 1;
+        let mut resp = None;
+        for m in le.members() {
+            if m.tid >= self.applied.len() {
+                self.applied.resize(m.tid + 1, 0);
+            }
+            if m.seq != self.applied[m.tid] {
+                continue; // duplicate from helping
+            }
+            failpoint!("universal::replay");
+            if m.tid == self.tid && Some(m.seq) == own {
+                resp = Some(self.state.apply(Pid(m.tid), &m.op));
+            } else {
+                self.state.apply_discard(Pid(m.tid), &m.op);
+            }
+            self.applied[m.tid] += 1;
+        }
+        resp
+    }
+
     /// Replay until this handle's own operation `seq` is applied and
-    /// return its response. A batch is applied member by member in
-    /// decide order; the position containing the op is finished before
-    /// returning (its later members were linearized by the same decide,
-    /// so applying them is plain local catch-up), keeping `cursor` a
-    /// whole-position index. Checkpoint entries contribute no members:
-    /// the replica already equals their image when it reaches them.
+    /// return its response.
     pub(super) fn replay_own(&mut self, seq: usize) -> S::Resp {
         // progress: bounded — applies one decided position per
         // iteration; stops at this operation's own entry, which the
         // caller's threading loop guaranteed is decided.
         loop {
-            self.replay_seg = self.shared.seg_for(self.replay_seg, self.cursor);
-            // ordering: Acquire [pairs: universal.decide,
-            // universal.cp_install] — pairs with the winning decide
-            // CAS and with the checkpoint-image install (both
-            // SeqCst ⊇ Release), so the LogEntry behind a non-null
-            // slot is fully initialized before we dereference it.
-            let raw = self.shared.slot(self.replay_seg, self.cursor).load(Ordering::Acquire);
-            assert!(
-                !raw.is_null(),
-                "own entry is threaded at or before the first undecided position"
-            );
-            // SAFETY: a non-null slot owns its decided entry, and this
-            // segment cannot be reclaimed (its end() exceeds our
-            // published frontier); the borrow ends inside this
-            // iteration.
-            let le = unsafe { &*raw };
-            self.cursor += 1;
-            let mut resp = None;
-            for m in le.members() {
-                if m.tid >= self.applied.len() {
-                    self.applied.resize(m.tid + 1, 0);
-                }
-                if m.seq != self.applied[m.tid] {
-                    continue; // duplicate from helping
-                }
-                failpoint!("universal::replay");
-                if m.tid == self.tid && m.seq == seq {
-                    resp = Some(self.state.apply(Pid(m.tid), &m.op));
-                } else {
-                    self.state.apply_discard(Pid(m.tid), &m.op);
-                }
-                self.applied[m.tid] += 1;
-            }
-            if let Some(r) = resp {
+            if let Some(r) = self.replay_step(Some(seq)) {
                 // `cursor` was already advanced past the position whose
                 // decide carried our op.
                 self.last_pos = Some(self.cursor - 1);
@@ -114,119 +133,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         self.published_frontier = self.cursor;
     }
 
-    /// Replay any outstanding log entries and return a copy of the
-    /// current abstract state (a linearizable read of the whole
-    /// object). On the checkpointed path this also performs the same
-    /// checkpoint/frontier duty as an invoke. On a *retired* handle the
-    /// replay is unpinned (the frontier stays `usize::MAX`), so it is a
-    /// quiescent diagnostic there — as the decided-log walks already
-    /// are.
-    pub fn refresh(&mut self) -> S {
-        if self.retired {
-            // `retire()` unpinned our frontier, so any amount of later
-            // activity by other handles may have reclaimed the segment
-            // the cached `replay_seg` points at — never touch it again.
-            // Under the quiescence contract (no invoke in flight) the
-            // chain is stable for the duration of this call: re-anchor
-            // at the retained root, exactly as `walk_decided` does.
-            let root = self.shared.oldest.load(Ordering::SeqCst).cast_const();
-            // SAFETY: quiescence — the chain root is stable and no
-            // segment is freed while this diagnostic runs.
-            let base = unsafe { &*root }.base;
-            self.replay_seg = root;
-            self.thread_seg = root;
-            if self.cursor < base {
-                // Truncation passed our cursor while we were retired.
-                // Truncation implies a decided checkpoint at `cp_pos`
-                // with the whole prefix up to it decided and its
-                // segment retained (the reclaim bound never passes
-                // `cp_pos`), so scanning from the root finds a
-                // checkpoint before any null slot: adopt it, exactly
-                // as a late registrant bootstraps. The image's
-                // `applied` watermarks keep the dedup exact across the
-                // jump.
-                let mut seg = root;
-                // progress: bounded — one hop per installed segment; truncation
-                // retains a decided checkpoint, so the jump lands within the
-                // chain.
-                'adopt: loop {
-                    // SAFETY: quiescence, as above.
-                    let s = unsafe { &*seg };
-                    for (i, ls) in s.slots.iter().enumerate() {
-                        let raw = ls.load(Ordering::SeqCst);
-                        assert!(
-                            !raw.is_null(),
-                            "truncation implies a retained decided checkpoint"
-                        );
-                        // SAFETY: a non-null slot owns its decided
-                        // entry; segment alive as above.
-                        if let LogEntry::Checkpoint(img) = unsafe { &*raw } {
-                            self.state = img.state.clone();
-                            self.applied = img.applied.clone();
-                            self.cursor = s.base + i + 1;
-                            self.replay_seg = seg;
-                            self.thread_seg = seg;
-                            break 'adopt;
-                        }
-                    }
-                    let next = s.next.load(Ordering::SeqCst);
-                    assert!(
-                        !next.is_null(),
-                        "truncation implies a retained decided checkpoint"
-                    );
-                    seg = next;
-                }
-            }
-        }
-        // progress: bounded — applies one decided position per
-        // iteration; stops at the first undecided slot.
-        loop {
-            self.replay_seg = self.shared.seg_for(self.replay_seg, self.cursor);
-            // ordering: Acquire [pairs: universal.decide,
-            // universal.cp_install] — same slot-publication edges as
-            // the replay loop.
-            let raw = self.shared.slot(self.replay_seg, self.cursor).load(Ordering::Acquire);
-            if raw.is_null() {
-                break;
-            }
-            // SAFETY: as in `replay_own` — the slot owns the
-            // entry and the segment is pinned by our frontier (or by
-            // quiescence on a retired handle).
-            let le = unsafe { &*raw };
-            self.cursor += 1;
-            self.apply_members(le);
-        }
-        if !self.retired {
-            // All positions below `cursor` are decided (we replayed
-            // them), so the hint invariant is preserved; publishing
-            // keeps later log-free reads from re-walking this prefix.
-            self.publish_hint(self.cursor);
-            self.maybe_checkpoint();
-            self.publish_frontier();
-        }
-        self.state.clone()
-    }
-
-    /// Apply every not-yet-applied member of a decided entry to this
-    /// handle's replica, advancing the per-thread dedup watermarks.
-    /// Checkpoint entries contribute no members. Shared by the pure
-    /// catch-up replays (`refresh`, `try_read`); `replay_own` keeps its
-    /// own copy because it additionally watches for the
-    /// caller's own response and fires the `universal::replay`
-    /// failpoint per applied op.
-    fn apply_members(&mut self, le: &LogEntry<S>) {
-        for m in le.members() {
-            if m.tid >= self.applied.len() {
-                self.applied.resize(m.tid + 1, 0);
-            }
-            if m.seq != self.applied[m.tid] {
-                continue; // duplicate from helping
-            }
-            self.state.apply_discard(Pid(m.tid), &m.op);
-            self.applied[m.tid] += 1;
-        }
-    }
-
     /// Linearizable **log-free** read: evaluate `f` against this
     /// handle's replica caught up to the decided frontier observed on
     /// entry, without announcing, allocating, or CASing anything.
@@ -253,9 +159,9 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// lets segment reclamation advance). Either way the log itself
     /// sees zero appends and zero RMWs — `invokes`/`decides`/
     /// `last_decided_position` are untouched, which the no-trace tests
-    /// assert. Unlike [`Self::refresh`], `read` never proposes a
-    /// checkpoint (that duty stays on mutators) and never clones the
-    /// state: `f` borrows the replica in place.
+    /// assert. `read` never proposes a checkpoint (that duty stays on
+    /// mutators) and never clones the state: `f` borrows the replica in
+    /// place, and `S::clone` copies out the whole object.
     ///
     /// # Panics
     ///
@@ -271,9 +177,8 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// [`Self::read`], reporting a retired handle as a typed error
     /// instead of panicking. A retired handle's frontier is unpinned
     /// (`usize::MAX`), so its cached segments may be reclaimed at any
-    /// time — the quiescent diagnostics (`refresh`, the decided-log
-    /// walks) re-anchor under the quiescence contract, but a
-    /// linearizable read offers no such contract, so it refuses.
+    /// time, and its slot may already belong to a new owner: it
+    /// refuses, as the decided-log walks do.
     ///
     /// # Errors
     ///
@@ -295,22 +200,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         // progress: bounded — `cursor` advances one position per
         // iteration up to the frontier read on entry.
         while self.cursor < frontier {
-            self.replay_seg = self.shared.seg_for(self.replay_seg, self.cursor);
-            // ordering: Acquire [pairs: universal.decide,
-            // universal.cp_install] — same slot-publication edges as
-            // the replay loop.
-            let raw = self.shared.slot(self.replay_seg, self.cursor).load(Ordering::Acquire);
-            assert!(
-                !raw.is_null(),
-                "hint is a lower bound on the first undecided position"
-            );
-            // SAFETY: a non-null slot owns its decided entry, and the
-            // segment cannot be reclaimed: its end() exceeds this
-            // handle's published frontier (≤ cursor), which the
-            // reclaim bound never passes.
-            let le = unsafe { &*raw };
-            self.cursor += 1;
-            self.apply_members(le);
+            self.replay_step(None);
         }
         self.publish_frontier();
         Ok(f(&self.state))
@@ -334,6 +224,11 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// "retained" is the whole log. Read-only diagnostic;
     /// quiescently consistent: call it only when no invoke is in
     /// flight (or under the deterministic scheduler).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`UniversalError::Retired`] display if the
+    /// handle is retired, as [`Self::read`] does.
     #[must_use]
     pub fn decided_log(&self) -> Vec<(usize, usize)> {
         self.walk_decided(|out, le| {
@@ -347,6 +242,10 @@ impl<S: ObjectSpec> WfHandle<S> {
     /// vector of `(tid, seq)` pairs per decide, checkpoint positions
     /// skipped. `decided_batches().len()` vs `decided_log().len()`
     /// measures how much combining happened.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::decided_log`].
     #[must_use]
     pub fn decided_batches(&self) -> Vec<Vec<(usize, usize)>> {
         self.walk_decided(|out, le| {
@@ -356,85 +255,28 @@ impl<S: ObjectSpec> WfHandle<S> {
         })
     }
 
-    /// Walk decided slots from the oldest retained segment to the first
-    /// null, feeding each `LogEntry` to `push`. The walk pins segments
-    /// with this slot's hazard (restarting from scratch if a hop races
-    /// a detach), except on a retired handle — whose slot may already
-    /// belong to a new owner — where it relies on the documented
-    /// quiescence contract instead.
+    /// Feed the retained log's decided entries, oldest first, to `push`
+    /// through the `checkpoint` layer's hazard-pinned walk on this
+    /// handle's slot — a retired handle's slot may already be another
+    /// owner's, so a retired handle panics.
     fn walk_decided<T>(&self, mut push: impl FnMut(&mut Vec<T>, &LogEntry<S>)) -> Vec<T> {
+        assert!(!self.retired, "{}", UniversalError::Retired { tid: self.tid });
         // SAFETY: `slot` points into the registry chain owned by
         // `shared`, alive for the life of this handle.
         let slot = unsafe { &*self.slot };
-        let pin = !self.retired;
         let mut out = Vec::new();
-        // progress: lock-free — a restart means a reclaimer detached a
-        // segment under this walk; detaches are bounded by decided
-        // checkpoints.
-        'walk: loop {
-            out.clear();
-            let mut seg = if pin {
-                shared_pin(&self.shared, slot)
-            } else {
-                self.shared.oldest.load(Ordering::SeqCst).cast_const()
-            };
-            // progress: bounded — one hop per installed segment from the
-            // pinned (or quiescent) root to the observed frontier.
-            loop {
-                // SAFETY: pinned by the slot's segment hazard (hops are
-                // validated against `reclaimed_upto` before the target
-                // is dereferenced), or covered by the quiescence
-                // contract on a retired handle.
-                let s = unsafe { &*seg };
-                for ls in s.slots.iter() {
-                    // ordering: Acquire [pairs: universal.decide,
-                    // universal.cp_install] — same slot-publication
-                    // edges as the replay loop.
-                    let raw = ls.load(Ordering::Acquire);
-                    if raw.is_null() {
-                        if pin {
-                            slot.seg_hazard.store(0, Ordering::SeqCst);
-                        }
-                        return out;
-                    }
-                    // SAFETY: the slot owns its decided entry; segment
-                    // alive as above.
-                    push(&mut out, unsafe { &*raw });
-                }
-                // ordering: Acquire [pairs: universal.seg_install] —
-                // pairs with the Release segment install in `seg_for`
-                // before we walk into the next segment.
-                let next = s.next.load(Ordering::Acquire);
-                if next.is_null() {
-                    if pin {
-                        slot.seg_hazard.store(0, Ordering::SeqCst);
-                    }
-                    return out;
-                }
-                if pin {
-                    // Hop: same publish-then-validate protocol as the
-                    // registration bootstrap walk — including reading
-                    // `s.end()` while the hazard still covers `s` (the
-                    // store unpins it).
-                    let s_end = s.end();
-                    slot.seg_hazard.store(next as usize, Ordering::SeqCst);
-                    if self.shared.reclaimed_upto.load(Ordering::SeqCst) > s_end {
-                        continue 'walk;
-                    }
-                }
-                seg = next;
+        self.shared.walk_retained(slot, |at| match at {
+            Walked::Pinned(_) => {
+                out.clear();
+                Visit::Next
             }
-        }
+            Walked::Decided { entry, .. } => {
+                push(&mut out, entry);
+                Visit::Next
+            }
+            Walked::End => Visit::Stop(std::mem::take(&mut out)),
+        })
     }
-}
-
-/// Free function so `walk_decided` can pin without borrowing `self`
-/// mutably (it takes `&self`): identical to `Shared::pin_oldest`.
-fn shared_pin<S: ObjectSpec>(
-    shared: &Shared<S>,
-    slot: &HandleSlot<S::Op>,
-) -> *const Segment<S> {
-    shared.pin_oldest(slot)
 }
 
 #[cfg(test)]
@@ -446,13 +288,13 @@ mod tests {
     use waitfree_sched::thread;
 
     #[test]
-    fn refresh_converges_across_handles() {
+    fn read_converges_across_handles() {
         let mut handles = register_n(Counter::new(0), 2);
         let mut h1 = handles.pop().unwrap();
         let mut h0 = handles.pop().unwrap();
         h0.invoke(CounterOp::Add(3));
         h0.invoke(CounterOp::Add(4));
-        assert_eq!(h1.refresh(), h0.refresh(), "replicas converge");
+        assert_eq!(h1.read(Counter::clone), h0.read(Counter::clone), "replicas converge");
     }
 
     #[test]
@@ -506,6 +348,15 @@ mod tests {
             Err(UniversalError::Retired { .. }) => {}
             other => panic!("expected Retired, got {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "handle on registry slot 0 is retired")]
+    fn decided_log_on_a_retired_handle_panics_with_the_retired_display() {
+        let mut h = WfUniversal::with_config(Counter::new(7), UniversalConfig::default()).register();
+        h.invoke(CounterOp::Add(1));
+        h.retire();
+        let _ = h.decided_log();
     }
 
     #[test]

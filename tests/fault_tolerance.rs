@@ -59,9 +59,14 @@ use waitfree::sync::universal::{UniversalConfig, UniversalError, WfHandle, WfUni
 
 /// Sites the adversary may target: announce published, mid-collect
 /// (a victim planned there crashes while building a batch), pre-CAS,
-/// post-CAS.
-const SITES: &[&str] =
-    &["universal::announced", "universal::collect", "universal::cas", "universal::decided"];
+/// post-CAS, and mid-replay (the victim's op is already decided).
+const SITES: &[&str] = &[
+    "universal::announced",
+    "universal::collect",
+    "universal::cas",
+    "universal::decided",
+    "universal::replay",
+];
 
 /// One timeline event: an operation's invocation or its response.
 #[derive(Clone, Debug)]

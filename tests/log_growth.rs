@@ -7,8 +7,8 @@
 //!    bound, so helping never leaks whole segments),
 //! 2. no entry was lost or duplicated across a boundary (the
 //!    fetch-and-add ticket-uniqueness witness), and
-//! 3. `refresh()` replays correctly across segment boundaries, so a
-//!    handle that sat idle through several segments of history still
+//! 3. a read's catch-up replays correctly across segment boundaries, so
+//!    a handle that sat idle through several segments of history still
 //!    converges.
 //!
 //! A capped configuration (`UniversalConfig::cap`) must still surface
@@ -78,7 +78,7 @@ fn contended_log_grows_across_segments_without_losing_tickets() {
 }
 
 #[test]
-fn refresh_replays_across_segment_boundaries() {
+fn read_replays_across_segment_boundaries() {
     let ops = 3 * SEGMENT_SIZE + 7;
     let (obj, mut handles) = register_n(Counter::new(0), 2, UniversalConfig::default());
     let mut idle = handles.pop().unwrap();
@@ -86,10 +86,14 @@ fn refresh_replays_across_segment_boundaries() {
     for i in 0..ops {
         busy.invoke(CounterOp::Add(i as i64));
     }
-    // The idle handle has replayed nothing; refresh must walk the whole
+    // The idle handle has replayed nothing; its read must walk the whole
     // chain, crossing every boundary, and converge on the busy replica.
     assert_eq!(idle.replayed(), 0);
-    assert_eq!(idle.refresh(), busy.refresh(), "replicas converge across segments");
+    assert_eq!(
+        idle.read(Counter::clone),
+        busy.read(Counter::clone),
+        "replicas converge across segments"
+    );
     assert!(idle.replayed() >= ops, "idle handle replayed the full log");
     let installed = obj.installed_segments();
     assert!(installed >= 3, "history spanned segments: {installed}");
@@ -162,7 +166,7 @@ fn live_segments_drop_back_after_truncation() {
     // Once the idle handle catches up, the spread collapses again.
     // (Reclamation fires on checkpoint decides, not on frontier
     // publishes, so trigger a pass explicitly after the catch-up.)
-    idle.refresh();
+    idle.read(|_| ());
     obj.reclaim();
     assert!(
         obj.live_segments() <= 3,

@@ -464,8 +464,8 @@ fn ms_queue_body(rec: HistoryRecorder<FifoQueue>) {
 /// Log growth past `SEGMENT_SIZE` (64) plus every read-side API: two
 /// workers run 65 ops each, so even if every decide batches both
 /// clients' ops the log passes position 64, one of them installs the
-/// second log segment, and the other's replay walk, `try_read`,
-/// `refresh` and `decided_log` traversals all acquire from that
+/// second log segment, and the other's replay walk, `try_read` and
+/// `read` catch-ups and `decided_log` traversal all acquire from that
 /// install; the main thread's `Debug` format and the segment accessor
 /// (read on a worker's clone too, so `universal.seg_count` is acquired
 /// off the installing thread) exercise the observer loads. Built for
@@ -488,7 +488,7 @@ fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
                 // and must all resolve inside the ordering contract.
                 let _ = h.try_read(|s| s.value());
                 if t == 0 {
-                    let _ = h.refresh();
+                    let _ = h.read(Counter::clone);
                 } else {
                     let _ = h.decided_log();
                     let _ = obj.installed_segments();
@@ -573,7 +573,7 @@ fn ms_queue_contention_body(rec: HistoryRecorder<FifoQueue>) {
 }
 
 /// Checkpoint images on the read side: an aggressive checkpoint
-/// cadence plus `try_read`, `refresh` and `decided_log` traversals, so
+/// cadence plus `try_read`, `read` and `decided_log` traversals, so
 /// those walks acquire from a checkpoint-install CAS decided by the
 /// *other* thread (the plain checkpointed body never replays through
 /// a foreign checkpoint via the read-only APIs).
@@ -591,7 +591,7 @@ fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
                 }
                 let _ = h.try_read(|s| s.value());
                 if t == 0 {
-                    let _ = h.refresh();
+                    let _ = h.read(Counter::clone);
                 } else {
                     let _ = h.decided_log();
                 }
@@ -723,97 +723,6 @@ fn universal_churn_campaigns_linearize() {
         &Counter::new(0),
         universal_churn_body,
     );
-}
-
-/// The happens-before verdict over churn schedules: every plain load in
-/// every explored interleaving of register → invoke → retire → respawn
-/// must be justified by declared release/acquire (or SeqCst) edges —
-/// the registry's claim CAS, slot state, announce cells, and
-/// `slots_hi` high-water carry enough ordering on their own, with no
-/// hidden help from the scheduler's SC serialization.
-#[test]
-fn universal_churn_schedules_satisfy_happens_before() {
-    for seed in 0..SEEDS {
-        let res = run(
-            waitfree::sched::RandomWalk::new(seed),
-            RunOptions::default(),
-            || {
-                let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
-                let workers: Vec<_> = (0..2)
-                    .map(|t| {
-                        let obj = obj.clone();
-                        vthread::spawn(move || {
-                            for gen in 0..2 {
-                                let mut h = obj.register();
-                                h.invoke(CounterOp::FetchAndAdd((100 * t + 10 * gen + 1) as i64));
-                                h.retire();
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().unwrap();
-                }
-            },
-        );
-        assert!(res.error.is_none(), "seed {seed}: {:?}", res.error);
-        let hb = waitfree::sched::hb_check(&res.trace);
-        assert!(
-            hb.is_clean(),
-            "seed {seed}: membership orderings too weak \
-             ({} of {} reads unjustified): {}",
-            hb.violations.len(),
-            hb.reads_checked,
-            hb.violations[0]
-        );
-        assert!(hb.reads_checked > 0, "seed {seed}: no loads judged");
-    }
-}
-
-/// The happens-before verdict over checkpointed schedules: the
-/// checkpoint/reclaim protocol (checkpoint CAS, `cp_pos` advance,
-/// frontier publication, hazard publish/validate, segment detach) is
-/// uniformly SeqCst by design — so every explored interleaving must
-/// justify its plain loads from declared edges alone. A relaxation
-/// smuggled into the new protocol words would surface here as an
-/// unjustified read.
-#[test]
-fn checkpointed_schedules_satisfy_happens_before() {
-    for seed in 0..SEEDS {
-        let res = run(
-            waitfree::sched::RandomWalk::new(seed),
-            RunOptions::default(),
-            || {
-                let obj = WfUniversal::with_config(Counter::new(0), checkpointed(2));
-                let workers: Vec<_> = (0..2)
-                    .map(|t| {
-                        let obj = obj.clone();
-                        vthread::spawn(move || {
-                            for gen in 0..2 {
-                                let mut h = obj.register();
-                                h.invoke(CounterOp::FetchAndAdd((100 * t + 10 * gen + 1) as i64));
-                                h.retire();
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().unwrap();
-                }
-            },
-        );
-        assert!(res.error.is_none(), "seed {seed}: {:?}", res.error);
-        let hb = waitfree::sched::hb_check(&res.trace);
-        assert!(
-            hb.is_clean(),
-            "seed {seed}: checkpoint/reclaim orderings too weak \
-             ({} of {} reads unjustified): {}",
-            hb.violations.len(),
-            hb.reads_checked,
-            hb.violations[0]
-        );
-        assert!(hb.reads_checked > 0, "seed {seed}: no loads judged");
-    }
 }
 
 /// The combining layer is not dead code under the schedule explorer:

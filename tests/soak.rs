@@ -8,7 +8,7 @@
 //! slack only absorbs allocator retention (freed pages glibc keeps
 //! resident) and fragmentation creep, both of which plateau.
 //!
-//! The op mix is seeded: add amounts and refresh jitter come from a
+//! The op mix is seeded: add amounts and read jitter come from a
 //! printed xorshift seed (`WF_SOAK_SEED` to replay), so a failing run
 //! names the exact workload that broke. `WF_SOAK_OPS` scales the total
 //! op count (default 400k for a quick local pass; CI runs 10M). The
@@ -105,17 +105,17 @@ fn soak_checkpointed_rss_stays_flat() {
                     // Seeded jitter: add amounts vary, and the handle
                     // occasionally replays from its frontier instead of
                     // deciding — the catch-up path must not pin memory.
-                    let mut until_refresh = 64 + (rng.next() % 512) as usize;
+                    let mut until_read = 64 + (rng.next() % 512) as usize;
                     for _ in 0..per_round {
                         let delta = 1 + (rng.next() % 3) as i64;
                         match h.invoke(CounterOp::FetchAndAdd(delta)) {
                             CounterResp::Value(_) => sum += delta,
                             other => panic!("seed={seed}: unexpected response {other:?}"),
                         }
-                        until_refresh -= 1;
-                        if until_refresh == 0 {
-                            h.refresh();
-                            until_refresh = 64 + (rng.next() % 512) as usize;
+                        until_read -= 1;
+                        if until_read == 0 {
+                            h.read(|_| ());
+                            until_read = 64 + (rng.next() % 512) as usize;
                         }
                     }
                     h.retire();
