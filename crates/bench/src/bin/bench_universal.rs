@@ -118,11 +118,12 @@ struct WorkStats {
 
 impl WorkStats {
     fn of<S: waitfree_model::ObjectSpec>(h: &WfHandle<S>) -> Self {
+        let s = h.stats();
         WorkStats {
-            max_steps: h.max_threading_steps(),
-            decides: h.decides(),
-            cas_failures: h.cas_failures(),
-            invokes: h.invokes(),
+            max_steps: s.max_threading_steps,
+            decides: s.decides,
+            cas_failures: s.cas_failures,
+            invokes: s.invokes,
             ..WorkStats::default()
         }
     }

@@ -7,10 +7,11 @@
 //! free list and the collect scan allocates nothing when no other slot
 //! is pending. A log segment install adds two allocations every
 //! `SEGMENT_SIZE` positions (the segment and its slot array), counted
-//! separately through `installed_segments`. A store `put` adds the two
-//! clones of its `ShardOp` — each deep-copies `Ctx.know` — into the
-//! announce entry and the log entry; the handle's own version vector is
-//! lent to the op, not copied. Reads allocate nothing.
+//! separately through `stats().installed_segments`. A store `put` adds
+//! the two clones of its `ShardOp` — each deep-copies `Ctx.know` — into
+//! the announce entry and the log entry; the handle's own version
+//! vector is lent to the op, not copied. Reads and `stats()` snapshots
+//! allocate nothing.
 
 use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
 use waitfree_objects::counter::{Counter, CounterOp};
@@ -36,7 +37,7 @@ fn solo_counter_invoke_allocates_once_per_op() {
         h.invoke(CounterOp::Add(1));
     }
     for by_ref in [false, true] {
-        let segments = obj.installed_segments();
+        let segments = obj.stats().installed_segments;
         let ((), (calls, bytes)) = allocs_during(|| {
             for _ in 0..OPS {
                 if by_ref {
@@ -46,7 +47,7 @@ fn solo_counter_invoke_allocates_once_per_op() {
                 }
             }
         });
-        let installs = (obj.installed_segments() - segments) as u64;
+        let installs = (obj.stats().installed_segments - segments) as u64;
         println!(
             "counter invoke (by_ref={by_ref}): {calls} allocs / {bytes} bytes over {OPS} ops, \
              {installs} segment installs"
@@ -70,6 +71,13 @@ fn caught_up_read_allocates_nothing() {
     });
     println!("counter read: {calls} allocs over {OPS} reads");
     assert_eq!(calls, 0);
+    let ((), (calls, _)) = allocs_during(|| {
+        for _ in 0..OPS {
+            assert_eq!((obj.stats().registry_slots, h.stats().invokes), (1, WARMUP));
+        }
+    });
+    println!("stats: {calls} allocs over {OPS} object and handle snapshots");
+    assert_eq!(calls, 0);
 }
 
 #[test]
@@ -81,7 +89,7 @@ fn store_put_and_get_stay_within_budget() {
         h.put(i % KEYS, 0);
     }
     let segments = |s: &ShardedStore<u64, i64, Bump>| -> usize {
-        (0..s.shards()).map(|i| s.shard(i).installed_segments()).sum()
+        (0..s.shards()).map(|i| s.shard(i).stats().installed_segments).sum()
     };
     let before = segments(&store);
     let ((), (calls, bytes)) = allocs_during(|| {

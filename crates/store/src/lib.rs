@@ -105,7 +105,9 @@ pub mod spec;
 
 pub use model::{StoreModel, StoreOp, StoreResp};
 pub use router::route;
-pub use spec::{Bump, Ctx, Merge, MultiDesc, MultiId, Peek, PendingMulti, ShardOp, ShardResp, ShardState, SnapPart};
+pub use spec::{
+    Bump, Ctx, Merge, MultiDesc, MultiId, Peek, PendingMulti, ShardOp, ShardResp, ShardState, ShardStats, SnapPart,
+};
 
 /// Construction parameters for a [`ShardedStore`].
 #[derive(Clone, Debug)]
@@ -265,7 +267,7 @@ pub struct Snapshot<K: Ord, V> {
     /// The assembled, torn-multi-repaired global map.
     pub map: BTreeMap<K, V>,
     /// Per-shard log position at which this snapshot's marker was
-    /// decided (via `WfHandle::last_decided_position`).
+    /// decided (the shard handle's `stats().last_decided_position`).
     pub marker_positions: Vec<Option<usize>>,
 }
 
@@ -440,9 +442,10 @@ where
     /// entry, so the read occupies a log position and is linearized by
     /// its decide — the path `get` took before the log-free replica
     /// read existed. Kept for callers that want a log-ordered
-    /// linearization witness (`last_decided_position` names the read's
-    /// position) and as the reference the local ≡ decided read tests
-    /// compare `get` against. Same lock/help/retry discipline as `get`.
+    /// linearization witness (`stats().last_decided_position` on the
+    /// shard handle names the read's position) and as the reference the
+    /// local ≡ decided read tests compare `get` against. Same
+    /// lock/help/retry discipline as `get`.
     pub fn get_decided(&mut self, key: &K) -> Option<V> {
         failpoint!("store::route");
         let s = route(self.seed, self.nshards(), key);
@@ -710,7 +713,7 @@ where
             match self.invoke(s, ShardOp::Marker { epoch }) {
                 ShardResp::Part(p) => {
                     parts.push(*p);
-                    marker_positions.push(self.shards[s].last_decided_position());
+                    marker_positions.push(self.shards[s].stats().last_decided_position);
                 }
                 r => unreachable!("marker answered {r:?}"),
             }
@@ -730,19 +733,6 @@ where
         for h in &mut self.shards {
             h.retire();
         }
-    }
-
-    /// Worst single-invoke threading-step count over all shard handles
-    /// (the helping-bound diagnostic, max across shards).
-    #[must_use]
-    pub fn max_threading_steps(&self) -> usize {
-        self.shards.iter().map(WfHandle::max_threading_steps).max().unwrap_or(0)
-    }
-
-    /// Total consensus decides across all shard handles.
-    #[must_use]
-    pub fn decides(&self) -> usize {
-        self.shards.iter().map(WfHandle::decides).sum()
     }
 
     /// The underlying per-shard handle (diagnostics, tests).
@@ -976,7 +966,7 @@ mod tests {
         h.put(1, 1);
         h.retire();
         for s in 0..2 {
-            assert!(st.shard(s).active_handles() == 0);
+            assert!(st.shard(s).stats().active_handles == 0);
         }
     }
 
@@ -997,14 +987,9 @@ mod tests {
         for k in 0..32u64 {
             assert_eq!(r.get(&k), Some(k as i64));
         }
-        let snap_diag: Vec<_> = (0..4)
-            .map(|s| {
-                let h = r.shard_handle(s);
-                (h.invokes(), h.decides(), h.last_decided_position(), h.replayed())
-            })
-            .collect();
+        let snap_diag: Vec<_> = (0..4).map(|s| r.shard_handle(s).stats()).collect();
         let writer_pos: Vec<_> =
-            (0..4).map(|s| w.shard_handle(s).last_decided_position()).collect();
+            (0..4).map(|s| w.shard_handle(s).stats().last_decided_position).collect();
         for k in 0..32u64 {
             assert_eq!(r.get(&k), Some(k as i64));
             assert_eq!(r.multi_get(&[k, (k + 1) % 32]), vec![
@@ -1013,23 +998,19 @@ mod tests {
             ]);
         }
         for s in 0..4 {
-            let h = r.shard_handle(s);
-            assert_eq!(h.invokes(), snap_diag[s].0, "shard {s}: read counted as invoke");
-            assert_eq!(h.decides(), snap_diag[s].1, "shard {s}: read attempted a decide");
-            assert_eq!(h.last_decided_position(), snap_diag[s].2);
             assert_eq!(
-                h.replayed(),
-                snap_diag[s].3,
-                "shard {s}: nothing new was decided, so reads replayed nothing"
+                r.shard_handle(s).stats(),
+                snap_diag[s],
+                "shard {s}: reads that found nothing new decided move no counter"
             );
-            assert_eq!(w.shard_handle(s).last_decided_position(), writer_pos[s]);
+            assert_eq!(w.shard_handle(s).stats().last_decided_position, writer_pos[s]);
         }
         // The next write lands exactly where it would have without the
         // 96 reads in between: the log grew by zero positions.
         let k0 = (0..32u64).find(|k| st.shard_of(k) == 0).unwrap();
         w.put(k0, -1);
         assert_eq!(
-            w.shard_handle(0).last_decided_position(),
+            w.shard_handle(0).stats().last_decided_position,
             writer_pos[0].map(|p| p + 1).or(Some(0)),
         );
     }
@@ -1039,9 +1020,10 @@ mod tests {
         let st = store(2);
         let mut h = st.handle();
         h.put(5, 50);
-        let decides = h.decides();
+        let shard = st.shard_of(&5);
+        let decides = h.shard_handle(shard).stats().decides;
         assert_eq!(h.get_decided(&5), Some(50));
-        assert!(h.decides() > decides, "a decided read occupies a log position");
+        assert!(h.shard_handle(shard).stats().decides > decides, "a decided read occupies a log position");
         assert_eq!(h.get(&5), Some(50), "both paths agree");
     }
 
@@ -1100,7 +1082,7 @@ mod tests {
         assert_eq!((b.origin, b.next_seq), (Some(0), 5));
         assert_eq!((a.origin, a.next_seq), (Some(1), 1));
         for s in 0..2 {
-            let seen = a.shards[s].read(ShardState::tombstones);
+            let seen = a.shards[s].read(ShardState::stats).tombstones;
             assert!(seen <= 2, "shard {s} holds {seen} tombstones for 2 origins");
         }
     }
@@ -1116,11 +1098,11 @@ mod tests {
         for i in 0..2000u64 {
             h.put(i % 64, i as i64);
         }
-        let total_ckpts: usize = (0..2).map(|s| st.shard(s).checkpoints()).sum();
+        let total_ckpts: usize = (0..2).map(|s| st.shard(s).stats().checkpoints).sum();
         assert!(total_ckpts > 0, "checkpoint cadence never fired");
         h.retire();
         let mut h2 = st.handle();
-        let reclaimed: usize = (0..2).map(|s| st.shard(s).reclaimed_segments()).sum();
+        let reclaimed: usize = (0..2).map(|s| st.shard(s).stats().reclaimed_segments).sum();
         assert!(reclaimed > 0, "no shard segment was ever reclaimed");
         // A late joiner adopting a checkpoint still reads everything.
         for i in 1936..2000u64 {

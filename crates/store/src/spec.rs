@@ -310,6 +310,18 @@ pub enum ShardResp<K: Ord, V> {
     Part(Box<SnapPart<K, V>>),
 }
 
+/// A shard's bookkeeping sizes (gauges), from [`ShardState::stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Origins remembered here: at most one per handle that ever
+    /// prepared a multi-op on this shard, however many it ran.
+    pub tombstones: usize,
+    /// Commits resolved but not yet settled here.
+    pub unsettled: usize,
+    /// Early captures waiting for their marker.
+    pub early: usize,
+}
+
 /// The shard state machine. See module docs.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ShardState<K: Ord, V, M> {
@@ -666,23 +678,10 @@ where
         }
     }
 
-    /// Origins remembered here (gauge): at most one per handle that
-    /// ever prepared a multi-op on this shard, however many it ran.
+    /// This shard's bookkeeping sizes.
     #[must_use]
-    pub fn tombstones(&self) -> usize {
-        self.origins.len()
-    }
-
-    /// Commits resolved but not yet settled here (gauge).
-    #[must_use]
-    pub fn unsettled_len(&self) -> usize {
-        self.unsettled.len()
-    }
-
-    /// Early captures waiting for their marker (gauge).
-    #[must_use]
-    pub fn early_len(&self) -> usize {
-        self.early.len()
+    pub fn stats(&self) -> ShardStats {
+        ShardStats { tombstones: self.origins.len(), unsettled: self.unsettled.len(), early: self.early.len() }
     }
 }
 
@@ -955,12 +954,11 @@ mod tests {
     #[test]
     fn tombstones_and_image_size_track_origins_not_commits() {
         let small = after_commits(100);
-        assert_eq!(small.tombstones(), 3);
+        assert_eq!(small.stats().tombstones, 3);
         let large = after_commits(10_000);
-        assert_eq!(large.tombstones(), 3, "tombstones grew with the commit count");
+        let stats = ShardStats { tombstones: 3, unsettled: 0, early: 0 };
+        assert_eq!(large.stats(), stats, "tombstones grew with the commit count");
         assert_eq!(image_entries(&after_commits(1_000)), image_entries(&after_commits(100_000)));
-        assert_eq!(large.unsettled_len(), 0);
-        assert_eq!(large.early_len(), 0);
     }
 
     /// A helper that slept through its multi-op's completion *and* the
@@ -1014,7 +1012,7 @@ mod tests {
             r => panic!("straggler prepare answered {r:?}"),
         }
         assert_eq!(st.map.get(&1), Some(&1));
-        assert_eq!(st.tombstones(), 2);
+        assert_eq!(st.stats().tombstones, 2);
     }
 
     /// A `Blocked` prepare leaves no trace, so its retry after helping
@@ -1031,13 +1029,13 @@ mod tests {
             r => panic!("conflicting prepare answered {r:?}"),
         }
         assert_eq!(st, before);
-        assert_eq!(st.tombstones(), 1);
+        assert_eq!(st.stats().tombstones, 1);
         st.apply(Pid(0), &ShardOp::Resolve { id: holder.id, commit: true, ctx: ctx(0) });
         match st.apply(Pid(0), &ShardOp::Prepare { desc: late, ctx: ctx(0) }) {
             ShardResp::Vote { ok: true, .. } => {}
             r => panic!("retried prepare answered {r:?}"),
         }
-        assert_eq!(st.tombstones(), 2);
+        assert_eq!(st.stats().tombstones, 2);
     }
 
     #[test]

@@ -357,30 +357,6 @@ impl<S: ObjectSpec> Shared<S> {
 }
 
 impl<S: ObjectSpec> WfUniversal<S> {
-    /// Log segments detached and freed by checkpointed reclamation.
-    /// Always 0 without checkpointing.
-    #[must_use]
-    pub fn reclaimed_segments(&self) -> usize {
-        self.shared.reclaimed.load(Ordering::SeqCst)
-    }
-
-    /// Log segments currently allocated: installed minus reclaimed
-    /// (detached-but-hazard-pinned limbo segments count as live — they
-    /// still hold memory). The bounded-memory witness: under sustained
-    /// checkpointed traffic this flattens out at O(frontier spread /
-    /// [`SEGMENT_SIZE`](super::SEGMENT_SIZE)) while
-    /// `installed_segments` keeps climbing.
-    #[must_use]
-    pub fn live_segments(&self) -> usize {
-        self.installed_segments() - self.reclaimed_segments()
-    }
-
-    /// Checkpoint entries decided into the log so far.
-    #[must_use]
-    pub fn checkpoints(&self) -> usize {
-        self.shared.checkpoints.load(Ordering::SeqCst)
-    }
-
     /// Run a reclamation pass now (detach + sweep), as invokes do after
     /// deciding a checkpoint. Useful for tests and for forcing the
     /// final sweep after handles retire; a no-op without checkpointing
@@ -466,17 +442,10 @@ mod tests {
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
         }
-        assert!(obj.checkpoints() >= 2, "cadence fired: {}", obj.checkpoints());
-        assert!(
-            obj.reclaimed_segments() >= 4,
-            "old segments reclaimed: {}",
-            obj.reclaimed_segments()
-        );
-        assert!(
-            obj.live_segments() <= 3,
-            "live segments bounded by frontier spread, got {}",
-            obj.live_segments()
-        );
+        let stats = obj.stats();
+        assert!(stats.checkpoints >= 2, "cadence fired: {}", stats.checkpoints);
+        assert!(stats.reclaimed_segments >= 4, "old segments reclaimed: {}", stats.reclaimed_segments);
+        assert!(stats.live_segments <= 3, "live segments bounded by frontier spread, got {}", stats.live_segments);
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(per as i64));
         // The retained decided prefix starts past the truncation point:
         // far fewer pairs than total ops.
@@ -495,10 +464,10 @@ mod tests {
         for _ in 0..per {
             h.invoke(CounterOp::Add(1));
         }
-        assert!(obj.reclaimed_segments() >= 1, "truncation happened");
+        assert!(obj.stats().reclaimed_segments >= 1, "truncation happened");
         let mut late = obj.register();
         assert!(
-            late.replayed() > 0,
+            late.stats().replayed > 0,
             "late registrant started from a checkpoint, not position 0"
         );
         assert_eq!(late.invoke(CounterOp::Get), CounterResp::Value(per as i64));
@@ -536,7 +505,7 @@ mod tests {
         // reclaimer (a fast build gets through 400 before the writers
         // fill their first segment).
         let mut probes = 0;
-        while probes < 400 || (obj.reclaimed_segments() < 32 && probes < 1_000_000) {
+        while probes < 400 || (obj.stats().reclaimed_segments < 32 && probes < 1_000_000) {
             let mut late = obj.register();
             let len = late.read(FifoQueue::len) as i64;
             assert!((ITEMS..=ITEMS + 3).contains(&len), "{len}");
@@ -547,7 +516,7 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        assert!(obj.reclaimed_segments() > 0, "reclamation never ran under the registrants");
+        assert!(obj.stats().reclaimed_segments > 0, "reclamation never ran under the registrants");
     }
 
     #[test]
@@ -566,8 +535,8 @@ mod tests {
             assert_eq!(cp.invoke(op.clone()), un.invoke(op.clone()), "{op:?}");
         }
         assert_eq!(cp.read(FifoQueue::clone), un.read(FifoQueue::clone));
-        assert!(obj_cp.checkpoints() >= 1);
-        assert!(obj_cp.live_segments() < obj_un.live_segments());
+        assert!(obj_cp.stats().checkpoints >= 1);
+        assert!(obj_cp.stats().live_segments < obj_un.stats().live_segments);
     }
 
     /// Checkpoint truncation under real threads, small enough for
@@ -596,8 +565,9 @@ mod tests {
         }
         h.retire();
         obj.reclaim();
-        assert!(obj.checkpoints() >= 1, "cadence fired under contention");
-        assert!(obj.reclaimed_segments() >= 1, "reclaim ran under contention");
+        let stats = obj.stats();
+        assert!(stats.checkpoints >= 1, "cadence fired under contention");
+        assert!(stats.reclaimed_segments >= 1, "reclaim ran under contention");
     }
 
     /// Both visitors of the one hazard-pinned walk on real threads, small
@@ -612,11 +582,11 @@ mod tests {
         for _ in 0..SEGMENT_SIZE + 16 {
             h.invoke(CounterOp::Add(1));
         }
-        assert!(obj.reclaimed_segments() >= 1, "segment 0 is gone before the registrant arrives");
+        assert!(obj.stats().reclaimed_segments >= 1, "segment 0 is gone before the registrant arrives");
         let other = obj.clone();
         let late = thread::spawn(move || {
             let mut late = other.register();
-            assert!(late.replayed() > 0, "the registrant adopted a checkpoint");
+            assert!(late.stats().replayed > 0, "the registrant adopted a checkpoint");
             let seen = late.read(Counter::value);
             let log = late.decided_log();
             assert!(
@@ -669,7 +639,7 @@ mod tests {
         for _ in 0..4 * SEGMENT_SIZE {
             h.invoke(ProbeOp(Arc::clone(&probe)));
         }
-        let installed = obj.installed_segments();
+        let installed = obj.stats().installed_segments;
         assert!(installed >= 4, "log spanned segments: {installed}");
         assert!(Arc::strong_count(&probe) > 1, "log holds payloads");
         h.retire();
@@ -678,11 +648,8 @@ mod tests {
         // Mid-life reclamation really freed memory: only the frontier
         // neighbourhood survives, and with it only a bounded number of
         // payload clones (announce cell + retained tail).
-        assert!(
-            obj.live_segments() <= 2,
-            "retired segments freed while object lives: {} live",
-            obj.live_segments()
-        );
+        let live = obj.stats().live_segments;
+        assert!(live <= 2, "retired segments freed while object lives: {live} live");
         assert!(
             Arc::strong_count(&probe) <= 2 * SEGMENT_SIZE + 2,
             "payload refs bounded by retained tail, got {}",

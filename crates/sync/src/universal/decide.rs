@@ -152,57 +152,6 @@ impl<S: ObjectSpec> Shared<S> {
 }
 
 impl<S: ObjectSpec> WfHandle<S> {
-    /// Consensus decides the last completed `invoke` spent threading its
-    /// operation. Wait-freedom (§4.1) bounds this by O(n) *regardless of
-    /// other threads' speed or crashes* — the fault-tolerance tests
-    /// assert it.
-    #[must_use]
-    pub fn last_threading_steps(&self) -> usize {
-        self.last_threading_steps
-    }
-
-    /// Worst [`Self::last_threading_steps`] across this handle's life.
-    #[must_use]
-    pub fn max_threading_steps(&self) -> usize {
-        self.max_threading_steps
-    }
-
-    /// Total consensus decides (CAS attempts) across this handle's life
-    /// — the numerator of the amortized decides-per-op metric the
-    /// combining layer lowers: under contention `decides() /
-    /// invokes()` drops toward 1/n.
-    #[must_use]
-    pub fn decides(&self) -> usize {
-        self.decides
-    }
-
-    /// How many of [`Self::decides`] lost their CAS to a concurrent
-    /// winner. Losing is cheap (the loser adopts the winner), but every
-    /// loss is a wasted RMW on the contended slot; the benchmark reports
-    /// this per completed op.
-    #[must_use]
-    pub fn cas_failures(&self) -> usize {
-        self.cas_failures
-    }
-
-    /// Completed (`Ok`) invocations through this handle — the
-    /// denominator of the per-op counter metrics.
-    #[must_use]
-    pub fn invokes(&self) -> usize {
-        self.invokes
-    }
-
-    /// Log position whose decide carried this handle's most recent
-    /// completed op (`None` before the first successful invoke). Under
-    /// batch combining this is the position of the *batch* containing
-    /// the op. Layered protocols use it to relate their own entries to
-    /// log order — e.g. `waitfree-store` reports the per-shard
-    /// positions its snapshot markers were decided at.
-    #[must_use]
-    pub fn last_decided_position(&self) -> Option<usize> {
-        self.last_pos
-    }
-
     /// Move displaced announce entries no helper hazard covers to the
     /// free list, where the next announces overwrite them in place.
     /// One pass over the registry reads every entry hazard — after
@@ -355,9 +304,9 @@ impl<S: ObjectSpec> WfHandle<S> {
             let (candidate, is_own) = self.collect_candidate(k, hi, own, &mut own_solo);
             failpoint!("universal::cas");
             let (winner, won, returned) = self.shared.decide(log_slot, candidate);
-            self.decides += 1;
+            self.counters.decides += 1;
             if !won {
-                self.cas_failures += 1;
+                self.counters.cas_failures += 1;
                 if is_own {
                     // Reuse our Solo box at the next position instead
                     // of re-allocating it.
@@ -391,8 +340,7 @@ impl<S: ObjectSpec> WfHandle<S> {
             }
         }
         self.publish_hint(k);
-        self.last_threading_steps = steps;
-        self.max_threading_steps = self.max_threading_steps.max(steps);
+        self.counters.max_threading_steps = self.counters.max_threading_steps.max(steps);
         Ok(())
     }
 
@@ -719,12 +667,10 @@ mod tests {
     #[test]
     fn threading_steps_are_counted_and_bounded_solo() {
         let mut h = WfUniversal::with_config(Counter::new(0), UniversalConfig::default()).register();
-        assert_eq!(h.max_threading_steps(), 0);
+        assert_eq!(h.stats().max_threading_steps, 0);
         h.invoke(CounterOp::Add(1));
         // Alone, threading one op takes exactly one consensus decide.
-        assert_eq!(h.last_threading_steps(), 1);
-        assert_eq!(h.max_threading_steps(), 1);
-        assert_eq!(h.n(), 1);
+        assert_eq!(h.stats().max_threading_steps, 1);
     }
 
     #[test]
@@ -734,9 +680,8 @@ mod tests {
             h.invoke(CounterOp::Add(1));
         }
         // Alone: one decide per op, none lost, batches all singletons.
-        assert_eq!(h.invokes(), 5);
-        assert_eq!(h.decides(), 5);
-        assert_eq!(h.cas_failures(), 0);
+        let stats = h.stats();
+        assert_eq!((stats.invokes, stats.decides, stats.cas_failures), (5, 5, 0));
         assert_eq!(h.decided_batches().len(), 5);
         assert!(h.decided_batches().iter().all(|b| b.len() == 1));
     }

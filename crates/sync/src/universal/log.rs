@@ -29,7 +29,7 @@ use waitfree_sched::atomic::{AtomicPtr, Ordering};
 
 use waitfree_model::ObjectSpec;
 
-use super::{Shared, WfUniversal};
+use super::Shared;
 
 /// Log positions per segment. 64 keeps a segment at one or two cache
 /// pages of pointers and makes the growth tests cheap to trigger.
@@ -254,23 +254,11 @@ impl<S: ObjectSpec> Shared<S> {
     }
 }
 
-impl<S: ObjectSpec> WfUniversal<S> {
-    /// Log segments ever installed (each [`SEGMENT_SIZE`] positions),
-    /// including ones since reclaimed. Starts at 1.
-    #[must_use]
-    pub fn installed_segments(&self) -> usize {
-        // ordering: Acquire [pairs: universal.seg_count] — pairs with
-        // the AcqRel fetch_add in `seg_for`, so a count of `n` implies
-        // the `n`th install is visible to this reader.
-        self.shared.segments.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::universal::fixtures::capped;
-    use crate::universal::{UniversalConfig, UniversalError};
+    use crate::universal::{UniversalConfig, UniversalError, WfUniversal};
     use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
 
     #[test]
@@ -316,7 +304,7 @@ mod tests {
             h.invoke(CounterOp::Add(1));
         }
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(per as i64));
-        let installed = obj.installed_segments();
+        let installed = obj.stats().installed_segments;
         assert!(installed >= 3, "log grew across segments: {installed}");
     }
 }

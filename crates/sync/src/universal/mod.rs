@@ -18,6 +18,7 @@
 //! | `decide` | announce → collect → decide | `invoke`, the entry free list and limbo, the threading loop, the `hint` |
 //! | `replay` | apply | the one replay step, `read`, the decided-log visitors, the frontier |
 //! | `checkpoint` | truncation | checkpoint decides, segment reclamation and its limbo, the hazard-pinned walk from the retained root |
+//! | `stats` | diagnostics | [`ObjectStats`], [`HandleStats`], the one place every counter is loaded |
 //!
 //! An invoke is `decide` (announce, then thread the op onto the log),
 //! then `replay` (apply up to the op's position), then `checkpoint` (the
@@ -47,10 +48,12 @@ mod decide;
 mod log;
 mod registry;
 mod replay;
+mod stats;
 
 pub use config::{UniversalConfig, UniversalError};
 pub use log::{CpImage, Entry, LogEntry, SEGMENT_SIZE};
 pub use registry::REGISTRY_SEGMENT;
+pub use stats::{HandleStats, ObjectStats};
 
 use self::log::Segment;
 use self::registry::{HandleSlot, RegSegment};
@@ -68,24 +71,20 @@ struct Shared<S: ObjectSpec> {
     /// Slot reuse keeps this at peak concurrent registrations, not
     /// total arrivals.
     slots_hi: AtomicUsize,
-    /// Currently registered handles (diagnostics; a crash mid-retirement
-    /// or a dropped-without-retire handle stays counted).
+    /// [`ObjectStats`]' `active_handles`, `peak_active` and
+    /// `total_arrivals`: diagnostics only.
     active: AtomicUsize,
-    /// High-water mark of `active` (diagnostics).
     peak_active: AtomicUsize,
-    /// Total `register` calls ever (diagnostics).
     arrivals: AtomicUsize,
     /// Root of the live log chain: the oldest segment not yet detached
     /// by reclamation. With checkpointing off this never moves and is
     /// always the base-0 segment.
     oldest: AtomicPtr<Segment<S>>,
-    /// Number of segments ever installed (diagnostics; duplicates that
-    /// lose the install race are freed and not counted; reclaimed
-    /// segments stay counted — see `reclaimed`).
+    /// [`ObjectStats`]' `installed_segments` (a duplicate that loses
+    /// the install race is freed and not counted), `reclaimed_segments`
+    /// (detached *and freed*) and `checkpoints`: diagnostics only.
     segments: AtomicUsize,
-    /// Number of segments detached *and freed* by reclamation.
     reclaimed: AtomicUsize,
-    /// Number of checkpoint entries decided into the log.
     checkpoints: AtomicUsize,
     /// Position of the latest decided checkpoint; 0 means "none yet"
     /// (checkpoints are only ever proposed at positions ≥ 1, so the
@@ -113,20 +112,12 @@ impl<S: ObjectSpec> fmt::Debug for Shared<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
             .field("cfg", &self.cfg)
-            // ordering: Acquire [pairs: universal.slots_hi] —
-            // diagnostics read cross-thread state; Acquire keeps the
-            // printed values consistent with the structures they
-            // describe (uniform rule for observers).
-            .field("slots_hi", &self.slots_hi.load(Ordering::Acquire))
-            .field("active", &self.active.load(Ordering::SeqCst))
-            // ordering: Acquire [pairs: universal.seg_count] — same
-            // observer rule as `slots_hi`.
-            .field("segments", &self.segments.load(Ordering::Acquire))
-            .field("reclaimed", &self.reclaimed.load(Ordering::SeqCst))
-            .field("checkpoints", &self.checkpoints.load(Ordering::SeqCst))
+            .field("stats", &self.stats())
             .field("cp_pos", &self.cp_pos.load(Ordering::SeqCst))
-            // ordering: Acquire [pairs: universal.hint_pub] — same
-            // observer rule as `slots_hi`.
+            // ordering: Acquire [pairs: universal.hint_pub] —
+            // diagnostics read cross-thread state; Acquire keeps the
+            // printed value consistent with the structures it describes
+            // (uniform rule for observers).
             .field("hint", &self.hint.load(Ordering::Acquire))
             .finish_non_exhaustive()
     }
@@ -166,7 +157,7 @@ unsafe impl<S: ObjectSpec + Send + Sync> Sync for Shared<S> where S::Op: Send + 
 /// let mut c = obj.register(); // reuses a's registry slot
 /// assert_eq!(c.tid(), 0);
 /// assert_eq!(c.invoke(CounterOp::Get), CounterResp::Value(5));
-/// assert_eq!(obj.registry_slots(), 2);
+/// assert_eq!(obj.stats().registry_slots, 2);
 ///
 /// // Bounded memory for a long-running service: checkpoint every 64
 /// // positions and free the segments behind every replica.
@@ -176,7 +167,7 @@ unsafe impl<S: ObjectSpec + Send + Sync> Sync for Shared<S> where S::Op: Send + 
 /// for _ in 0..1_000 {
 ///     h.invoke(CounterOp::Add(1));
 /// }
-/// assert!(service.reclaimed_segments() > 0);
+/// assert!(service.stats().reclaimed_segments > 0);
 /// ```
 pub struct WfUniversal<S: ObjectSpec> {
     shared: Arc<Shared<S>>,
@@ -254,19 +245,10 @@ pub struct WfHandle<S: ObjectSpec> {
     /// Set by [`WfHandle::retire`]; all later invokes return
     /// [`UniversalError::Retired`].
     retired: bool,
-    /// Threading-loop iterations (consensus decides) of the last invoke.
-    last_threading_steps: usize,
-    /// Maximum threading-loop iterations over any single invoke.
-    max_threading_steps: usize,
-    /// Total consensus decides (CAS attempts) across this handle's life.
-    decides: usize,
-    /// Decides whose CAS lost to a concurrent winner.
-    cas_failures: usize,
-    /// Completed `invoke`/`try_invoke` calls (Ok only).
-    invokes: usize,
-    /// Log position whose decide applied this handle's most recent op
-    /// (`None` before the first completed invoke).
-    last_pos: Option<usize>,
+    /// This handle's counters, bumped in place by the decide and replay
+    /// layers. `replayed` stays 0 here: [`WfHandle::stats`] reads it
+    /// from `cursor`.
+    counters: HandleStats,
 }
 
 // SAFETY: the raw segment/slot pointers cached here always point into

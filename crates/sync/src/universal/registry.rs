@@ -37,7 +37,7 @@ use waitfree_faults::failpoint;
 use waitfree_model::ObjectSpec;
 
 use super::log::Entry;
-use super::{Shared, WfHandle, WfUniversal};
+use super::{HandleStats, Shared, WfHandle, WfUniversal};
 
 /// Handle slots per registry segment. Small, so the bounded-by-peak
 /// tests can observe reuse without thousands of arrivals.
@@ -424,43 +424,8 @@ impl<S: ObjectSpec> WfUniversal<S> {
             next_seq: base,
             budget_end: base + shared.cfg.max_ops,
             retired: false,
-            last_threading_steps: 0,
-            max_threading_steps: 0,
-            decides: 0,
-            cas_failures: 0,
-            invokes: 0,
-            last_pos: None,
+            counters: HandleStats::default(),
         }
-    }
-
-    /// Currently registered handles. A handle dropped without
-    /// [`WfHandle::retire`] (a crashed client) stays counted — it still
-    /// occupies its slot.
-    #[must_use]
-    pub fn active_handles(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
-    /// High-water mark of [`Self::active_handles`].
-    #[must_use]
-    pub fn peak_active(&self) -> usize {
-        self.shared.peak_active.load(Ordering::SeqCst)
-    }
-
-    /// Total [`Self::register`] calls over the object's life.
-    #[must_use]
-    pub fn total_arrivals(&self) -> usize {
-        self.shared.arrivals.load(Ordering::SeqCst)
-    }
-
-    /// One past the highest registry slot index ever claimed — the
-    /// registry's memory footprint witness (allocated registry segments
-    /// are `ceil(registry_slots / REGISTRY_SEGMENT)`). Slot reuse keeps
-    /// this bounded by peak *concurrently active* handles (plus
-    /// transient claim races), never by [`Self::total_arrivals`].
-    #[must_use]
-    pub fn registry_slots(&self) -> usize {
-        self.shared.registered()
     }
 }
 
@@ -470,14 +435,6 @@ impl<S: ObjectSpec> WfHandle<S> {
     #[must_use]
     pub fn tid(&self) -> usize {
         self.tid
-    }
-
-    /// The registered-slot high-water: one past the highest slot index
-    /// ever claimed — the `n` of the O(peak active handles) helping
-    /// bound.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.shared.registered()
     }
 
     /// Leave the object: all later invokes on this handle return
@@ -594,11 +551,10 @@ mod tests {
             assert_eq!(h.tid(), 0, "sequential churn reuses slot 0");
             h.invoke(CounterOp::Add(1));
             h.retire();
-            assert_eq!(obj.total_arrivals(), i + 1);
+            assert_eq!(obj.stats().total_arrivals, i + 1);
         }
-        assert_eq!(obj.registry_slots(), 1);
-        assert_eq!(obj.peak_active(), 1);
-        assert_eq!(obj.active_handles(), 0);
+        let stats = obj.stats();
+        assert_eq!((stats.registry_slots, stats.peak_active, stats.active_handles), (1, 1, 0));
         let mut probe = obj.register();
         assert_eq!(probe.invoke(CounterOp::Get), CounterResp::Value(100));
     }
@@ -607,8 +563,8 @@ mod tests {
     fn register_grows_past_a_registry_segment() {
         let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
         let mut handles: Vec<_> = (0..2 * REGISTRY_SEGMENT).map(|_| obj.register()).collect();
-        assert_eq!(obj.registry_slots(), 2 * REGISTRY_SEGMENT);
-        assert_eq!(obj.peak_active(), 2 * REGISTRY_SEGMENT);
+        let stats = obj.stats();
+        assert_eq!((stats.registry_slots, stats.peak_active), (2 * REGISTRY_SEGMENT, 2 * REGISTRY_SEGMENT));
         for (i, h) in handles.iter_mut().enumerate() {
             assert_eq!(h.tid(), i);
             h.invoke(CounterOp::Add(1));
@@ -632,11 +588,11 @@ mod tests {
         let mut crashed = obj.register();
         crashed.invoke(CounterOp::Add(10));
         drop(crashed);
-        assert_eq!(obj.active_handles(), 1, "crashed client stays counted");
+        assert_eq!(obj.stats().active_handles, 1, "crashed client stays counted");
         let mut h = obj.register();
         assert_eq!(h.tid(), 1, "leaked slot is skipped, not reused");
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value(10));
-        assert_eq!(obj.registry_slots(), 2);
+        assert_eq!(obj.stats().registry_slots, 2);
     }
 
     /// Churn across the announce/help path under real threads, small
@@ -666,7 +622,8 @@ mod tests {
             CounterResp::Value(v) => assert_eq!(v, 6),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(obj.registry_slots() <= 2, "churn of 2 threads needs at most 2 slots");
-        assert_eq!(obj.total_arrivals(), 7);
+        let stats = obj.stats();
+        assert!(stats.registry_slots <= 2, "churn of 2 threads needs at most 2 slots");
+        assert_eq!(stats.total_arrivals, 7);
     }
 }

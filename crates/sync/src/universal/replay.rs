@@ -103,8 +103,8 @@ impl<S: ObjectSpec> WfHandle<S> {
             if let Some(r) = self.replay_step(Some(seq)) {
                 // `cursor` was already advanced past the position whose
                 // decide carried our op.
-                self.last_pos = Some(self.cursor - 1);
-                self.invokes += 1;
+                self.counters.last_decided_position = Some(self.cursor - 1);
+                self.counters.invokes += 1;
                 return r;
             }
         }
@@ -204,15 +204,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         }
         self.publish_frontier();
         Ok(f(&self.state))
-    }
-
-    /// Total log positions this handle has replayed (diagnostics). A
-    /// combined batch counts as one position however many ops it
-    /// carries; on the checkpointed path an adopting registrant starts
-    /// already past the checkpoint position.
-    #[must_use]
-    pub fn replayed(&self) -> usize {
-        self.cursor
     }
 
     /// The decided *retained* prefix of the log as `(tid, seq)` pairs,
@@ -321,7 +312,7 @@ mod tests {
         for _ in 0..5 {
             h0.invoke(CounterOp::Add(1));
         }
-        let (inv, dec, pos) = (h1.invokes(), h1.decides(), h1.last_decided_position());
+        let before = h1.stats();
         let log_before = h0.decided_log();
         for _ in 0..100 {
             assert_eq!(h1.read(Counter::value), 5);
@@ -329,14 +320,15 @@ mod tests {
         // Zero log appends, zero shared-log RMWs: every invoke/decide
         // diagnostic is exactly where it was, and the decided log is
         // byte-for-byte the same.
-        assert_eq!(h1.invokes(), inv, "read must not count as an invoke");
-        assert_eq!(h1.decides(), dec, "read must not attempt a decide");
-        assert_eq!(h1.last_decided_position(), pos);
+        let after = h1.stats();
+        assert_eq!(after.invokes, before.invokes, "read must not count as an invoke");
+        assert_eq!(after.decides, before.decides, "read must not attempt a decide");
+        assert_eq!(after.last_decided_position, before.last_decided_position);
         assert_eq!(h0.decided_log(), log_before, "read must not grow the log");
         // The next mutation lands at the same position it would have
         // without the reads.
         h0.invoke(CounterOp::Add(1));
-        assert_eq!(h0.last_decided_position(), Some(log_before.len()));
+        assert_eq!(h0.stats().last_decided_position, Some(log_before.len()));
     }
 
     #[test]
@@ -370,7 +362,7 @@ mod tests {
             h0.invoke(CounterOp::Add(1));
             assert_eq!(h1.read(Counter::value), i + 1);
         }
-        assert!(obj.reclaimed_segments() > 0, "truncation actually ran");
+        assert!(obj.stats().reclaimed_segments > 0, "truncation actually ran");
     }
 
     #[test]
@@ -394,8 +386,8 @@ mod tests {
                             assert!(v <= ((threads - 1) * per) as i64);
                             last = v;
                         }
-                        assert_eq!(h.invokes(), 0);
-                        assert_eq!(h.decides(), 0);
+                        let stats = h.stats();
+                        assert_eq!((stats.invokes, stats.decides), (0, 0));
                     } else {
                         for _ in 0..per {
                             h.invoke(CounterOp::Add(1));

@@ -27,7 +27,7 @@ use waitfree_objects::queue::{FifoQueue, QueueOp, QueueResp};
 use waitfree_objects::register::{RegOp, RegResp, RwRegister};
 use waitfree_objects::stack::{Stack, StackOp, StackResp};
 
-use crate::universal::{UniversalConfig, WfHandle, WfUniversal};
+use crate::universal::{ObjectStats, UniversalConfig, WfHandle, WfUniversal};
 
 /// Define a dynamic-membership front-end over one typed wrapper: a
 /// cloneable object with `register()` → handle, plus `retire()` /
@@ -47,17 +47,10 @@ macro_rules! dynamic_front_end {
                 $handle(self.0.register())
             }
 
-            /// Currently registered handles.
+            /// The object's counters.
             #[must_use]
-            pub fn active_handles(&self) -> usize {
-                self.0.active_handles()
-            }
-
-            /// One past the highest registry slot ever claimed —
-            /// bounded by peak active handles, not total arrivals.
-            #[must_use]
-            pub fn registry_slots(&self) -> usize {
-                self.0.registry_slots()
+            pub fn stats(&self) -> ObjectStats {
+                self.0.stats()
             }
         }
 
@@ -289,8 +282,9 @@ mod tests {
             h.retire();
             assert!(h.is_retired());
         }
-        assert_eq!(counter.registry_slots(), 1, "sequential churn reuses one slot");
-        assert_eq!(counter.active_handles(), 0);
+        let stats = counter.stats();
+        assert_eq!(stats.registry_slots, 1, "sequential churn reuses one slot");
+        assert_eq!(stats.active_handles, 0);
         let mut probe = counter.register();
         assert_eq!(probe.get(), 20);
     }

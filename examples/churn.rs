@@ -50,18 +50,19 @@ fn main() {
         for j in joins {
             j.join().unwrap();
         }
+        let s = obj.stats();
         println!(
             "wave {:2}: {:3} arrivals so far, registry holds {} slots (peak active {})",
             wave + 1,
-            obj.total_arrivals(),
-            obj.registry_slots(),
-            obj.peak_active()
+            s.total_arrivals,
+            s.registry_slots,
+            s.peak_active
         );
     }
 
     let expected = (WAVES * CLIENTS_PER_WAVE) as i64 * OPS_PER_CLIENT;
     assert!(
-        obj.registry_slots() <= 2 * CLIENTS_PER_WAVE,
+        obj.stats().registry_slots <= 2 * CLIENTS_PER_WAVE,
         "registry grew with arrivals, not concurrency"
     );
 
@@ -73,7 +74,7 @@ fn main() {
     drop(doomed); // no retire(): the slot stays claimed
     println!(
         "a client died mid-session: {} active handle(s) linger, object unharmed",
-        obj.active_handles()
+        obj.stats().active_handles
     );
 
     // Life goes on for everyone else.
@@ -90,6 +91,6 @@ fn main() {
     assert_eq!(total, expected + 1 + OPS_PER_CLIENT, "an add was lost");
     println!(
         "final count {total}: every add from {} arrivals (one of them dead) accounted for",
-        obj.total_arrivals()
+        obj.stats().total_arrivals
     );
 }

@@ -121,11 +121,8 @@ fn main() {
         snap.marker_positions
     );
     for s in 0..store.shards() {
-        println!(
-            "shard {s}: {} checkpoints, {} segments reclaimed",
-            store.shard(s).checkpoints(),
-            store.shard(s).reclaimed_segments()
-        );
+        let stats = store.shard(s).stats();
+        println!("shard {s}: {} checkpoints, {} segments reclaimed", stats.checkpoints, stats.reclaimed_segments);
     }
     h.retire();
 }

@@ -39,23 +39,24 @@ fn concurrent_churn_is_bounded_by_peak_active_not_arrivals() {
         j.join().unwrap();
     }
 
-    assert_eq!(obj.total_arrivals(), WORKERS * ROUNDS);
-    assert_eq!(obj.active_handles(), 0, "every registration retired");
-    assert!(obj.peak_active() <= WORKERS);
+    let stats = obj.stats();
+    assert_eq!(stats.total_arrivals, WORKERS * ROUNDS);
+    assert_eq!(stats.active_handles, 0, "every registration retired");
+    assert!(stats.peak_active <= WORKERS);
     // The memory bound of the infinite-arrival construction: slots are
     // recycled, so the registry high-water tracks peak concurrent
     // registrations (plus transient claim races), not the 200 arrivals.
     assert!(
-        obj.registry_slots() <= 2 * WORKERS,
+        stats.registry_slots <= 2 * WORKERS,
         "registry grew to {} slots for {} concurrent workers",
-        obj.registry_slots(),
+        stats.registry_slots,
         WORKERS
     );
     assert!(
-        obj.registry_slots() < obj.total_arrivals() / 10,
+        stats.registry_slots < stats.total_arrivals / 10,
         "registry scales with arrivals ({} slots, {} arrivals)",
-        obj.registry_slots(),
-        obj.total_arrivals()
+        stats.registry_slots,
+        stats.total_arrivals
     );
 
     let mut probe = obj.register();
@@ -84,7 +85,7 @@ fn respawned_clients_observe_their_predecessors() {
         last = seen;
         h.retire();
     }
-    assert_eq!(obj.registry_slots(), 1, "one generation alive at a time needs one slot");
+    assert_eq!(obj.stats().registry_slots, 1, "one generation alive at a time needs one slot");
 }
 
 #[cfg(feature = "failpoints")]
@@ -172,14 +173,11 @@ mod storms {
         // Crash accounting: a victim at either membership site has
         // already left the active count (retire decrements before its
         // failpoint; register crashes before claiming).
-        assert_eq!(obj.active_handles(), 0, "seed {seed}: crashed clients leak active count");
+        let stats = obj.stats();
+        assert_eq!(stats.active_handles, 0, "seed {seed}: crashed clients leak active count");
         // The registry stays bounded by peak concurrency — crashed
         // clients' slots are retired-and-quiesced, hence reclaimable.
-        assert!(
-            obj.registry_slots() <= 2 * WORKERS,
-            "seed {seed}: registry grew to {} slots",
-            obj.registry_slots()
-        );
+        assert!(stats.registry_slots <= 2 * WORKERS, "seed {seed}: registry grew to {} slots", stats.registry_slots);
 
         // No add lost, none duplicated, across crashes and slot reuse.
         let mut probe = obj.register();
@@ -230,22 +228,19 @@ fn checkpointed_churn_stays_exact_with_bounded_memory() {
         j.join().unwrap();
     }
 
-    assert_eq!(obj.active_handles(), 0);
-    assert!(obj.registry_slots() <= 2 * WORKERS);
     // 240 ops plus interleaved checkpoints span several segments; all
     // but the frontier neighbourhood must be gone. (Slack: concurrent
     // registrants may anchor one segment behind the newest checkpoint,
     // and the tail segment is never detached.)
     obj.reclaim();
+    let stats = obj.stats();
+    assert_eq!(stats.active_handles, 0);
+    assert!(stats.registry_slots <= 2 * WORKERS);
+    assert!(stats.reclaimed_segments >= 1, "churn truncated the log: {} reclaimed", stats.reclaimed_segments);
     assert!(
-        obj.reclaimed_segments() >= 1,
-        "churn truncated the log: {} reclaimed",
-        obj.reclaimed_segments()
-    );
-    assert!(
-        obj.live_segments() <= 4,
+        stats.live_segments <= 4,
         "live segments bounded by frontier spread, not arrivals: {}",
-        obj.live_segments()
+        stats.live_segments
     );
 
     let mut probe = obj.register();

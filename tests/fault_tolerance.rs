@@ -135,7 +135,7 @@ fn adversarial_round(p: Leg, seed: u64) {
                 events.lock().unwrap().push((stamp, Ev::Resp(tid, resp.clone())));
                 responses.push(resp);
             }
-            (responses, h.max_threading_steps())
+            (responses, h.stats().max_threading_steps)
         })
     };
 
@@ -470,7 +470,7 @@ fn crash_during_combine_leaves_collected_ops_helpable() {
             Outcome::Completed(h) => {
                 assert_ne!(tid, VICTIM, "the victim cannot have completed all ops");
                 assert!(
-                    h.max_threading_steps() <= 2 * N + 8,
+                    h.stats().max_threading_steps <= 2 * N + 8,
                     "thread {tid} exceeded the helping bound mid-crash"
                 );
                 survivor_handle = Some(h);
@@ -543,7 +543,7 @@ fn crash_during_checkpoint_leaves_cadence_retryable() {
     for _ in 0..EVERY - 1 {
         h0.invoke(CounterOp::Add(1));
     }
-    assert_eq!(obj.checkpoints(), 0, "cadence not yet due");
+    assert_eq!(obj.stats().checkpoints, 0, "cadence not yet due");
 
     failpoints::configure(
         "universal::checkpoint",
@@ -572,9 +572,10 @@ fn crash_during_checkpoint_leaves_cadence_retryable() {
 
     // Exact counts: the op itself committed (4 increments total), no
     // checkpoint was decided, nothing was reclaimed.
-    assert_eq!(obj.checkpoints(), 0, "a pre-CAS crash publishes no checkpoint");
-    assert_eq!(obj.reclaimed_segments(), 0);
-    assert_eq!(obj.active_handles(), 2, "the crashed client stays counted");
+    let stats = obj.stats();
+    assert_eq!(stats.checkpoints, 0, "a pre-CAS crash publishes no checkpoint");
+    assert_eq!(stats.reclaimed_segments, 0);
+    assert_eq!(stats.active_handles, 2, "the crashed client stays counted");
 
     // The cadence is still armed: the next op on a surviving handle
     // replays past position EVERY and checkpoints (the budgeted
@@ -583,7 +584,7 @@ fn crash_during_checkpoint_leaves_cadence_retryable() {
         CounterResp::Value(v) => assert_eq!(v, EVERY as i64, "victim's op took effect"),
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(obj.checkpoints(), 1, "a survivor retried the checkpoint");
+    assert_eq!(obj.stats().checkpoints, 1, "a survivor retried the checkpoint");
     failpoints::clear();
 }
 
@@ -633,8 +634,9 @@ fn crash_during_reclaim_releases_the_lock_and_frees_nothing() {
 
     // Exact counts: the checkpoint that triggered reclamation was
     // already decided; the reclaimer freed nothing before dying.
-    assert_eq!(obj.checkpoints(), 1, "the triggering checkpoint committed");
-    assert_eq!(obj.reclaimed_segments(), 0, "a pre-detach crash frees nothing");
+    let stats = obj.stats();
+    assert_eq!(stats.checkpoints, 1, "the triggering checkpoint committed");
+    assert_eq!(stats.reclaimed_segments, 0, "a pre-detach crash frees nothing");
 
     // The victim's ops all committed: exactly EVERY increments (the
     // checkpoint-winning op included) — the rest of its loop never ran.
@@ -649,11 +651,8 @@ fn crash_during_reclaim_releases_the_lock_and_frees_nothing() {
     for _ in 0..4 * SEGMENT_SIZE {
         probe.invoke(CounterOp::Add(1));
     }
-    assert!(
-        obj.reclaimed_segments() >= 1,
-        "reclamation still available after the crash: {} reclaimed",
-        obj.reclaimed_segments()
-    );
+    let reclaimed = obj.stats().reclaimed_segments;
+    assert!(reclaimed >= 1, "reclamation still available after the crash: {reclaimed} reclaimed");
     match probe.invoke(CounterOp::Get) {
         CounterResp::Value(v) => assert_eq!(v, (EVERY + 4 * SEGMENT_SIZE) as i64),
         other => panic!("unexpected {other:?}"),
@@ -927,8 +926,9 @@ fn crashed_multi_round(nth: u64, reuse: bool) {
     if victim.is_some() {
         for s in 0..store.shards() {
             let mut probe = store.shard(s).register();
-            assert_eq!(probe.read(ShardState::unsettled_len), 0, "nth {nth}: shard {s} unsettled");
-            assert!(probe.read(ShardState::tombstones) <= 2, "nth {nth}: shard {s} tombstones");
+            let stats = probe.read(ShardState::stats);
+            assert_eq!(stats.unsettled, 0, "nth {nth}: shard {s} unsettled");
+            assert!(stats.tombstones <= 2, "nth {nth}: shard {s} tombstones");
         }
     }
 }

@@ -38,7 +38,7 @@ fn contention_round(p: Leg) {
                 for _ in 0..per {
                     h.invoke(CounterOp::Add(1));
                 }
-                (h.tid(), h.max_threading_steps())
+                (h.tid(), h.stats().max_threading_steps)
             })
         })
         .collect();
@@ -78,7 +78,7 @@ fn helping_bound_survives_checkpointing_with_cadence_slack() {
                 for _ in 0..per {
                     h.invoke(CounterOp::Add(1));
                 }
-                (h.tid(), h.max_threading_steps())
+                (h.tid(), h.stats().max_threading_steps)
             })
         })
         .collect();
@@ -108,7 +108,7 @@ fn helping_bound_is_over_active_handles_not_arrivals() {
         h.invoke(CounterOp::Add(1));
         h.retire();
     }
-    assert_eq!(obj.registry_slots(), 1, "sequential churn reuses one slot");
+    assert_eq!(obj.stats().registry_slots, 1, "sequential churn reuses one slot");
 
     let n = 4;
     let per = 200;
@@ -119,11 +119,11 @@ fn helping_bound_is_over_active_handles_not_arrivals() {
                 for _ in 0..per {
                     h.invoke(CounterOp::Add(1));
                 }
-                (h.tid(), h.max_threading_steps())
+                (h.tid(), h.stats().max_threading_steps)
             })
         })
         .collect();
-    let hi = obj.registry_slots();
+    let hi = obj.stats().registry_slots;
     assert_eq!(hi, n, "four concurrent registrants need four slots");
     for j in joins {
         let (tid, max_steps) = j.join().unwrap();
@@ -131,7 +131,7 @@ fn helping_bound_is_over_active_handles_not_arrivals() {
             max_steps <= 2 * hi + 8,
             "slot {tid}: {max_steps} threading steps exceeds the restated \
              O(active) bound (hi = {hi}, arrivals = {})",
-            obj.total_arrivals()
+            obj.stats().total_arrivals
         );
     }
 }
@@ -173,7 +173,7 @@ mod stall {
                 for _ in 0..PER {
                     h.invoke(CounterOp::Add(1));
                 }
-                h.max_threading_steps()
+                h.stats().max_threading_steps
             })
         };
 
@@ -280,12 +280,12 @@ mod combining {
         failpoints::clear();
 
         StormStats {
-            decides: finished.iter().map(|h| h.decides()).sum(),
-            cas_failures: finished.iter().map(|h| h.cas_failures()).sum(),
-            invokes: finished.iter().map(|h| h.invokes()).sum(),
+            decides: finished.iter().map(|h| h.stats().decides).sum(),
+            cas_failures: finished.iter().map(|h| h.stats().cas_failures).sum(),
+            invokes: finished.iter().map(|h| h.stats().invokes).sum(),
             positions: finished[0].decided_batches().len(),
             ops: finished[0].decided_log().len(),
-            worst: finished.iter().map(|h| h.max_threading_steps()).max().unwrap(),
+            worst: finished.iter().map(|h| h.stats().max_threading_steps).max().unwrap(),
         }
     }
 

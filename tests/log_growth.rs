@@ -45,7 +45,7 @@ fn contended_log_grows_across_segments_without_losing_tickets() {
                         other => panic!("unexpected {other:?}"),
                     })
                     .collect();
-                (tickets, obj.installed_segments())
+                (tickets, obj.stats().installed_segments)
             })
         })
         .collect();
@@ -88,14 +88,14 @@ fn read_replays_across_segment_boundaries() {
     }
     // The idle handle has replayed nothing; its read must walk the whole
     // chain, crossing every boundary, and converge on the busy replica.
-    assert_eq!(idle.replayed(), 0);
+    assert_eq!(idle.stats().replayed, 0);
     assert_eq!(
         idle.read(Counter::clone),
         busy.read(Counter::clone),
         "replicas converge across segments"
     );
-    assert!(idle.replayed() >= ops, "idle handle replayed the full log");
-    let installed = obj.installed_segments();
+    assert!(idle.stats().replayed >= ops, "idle handle replayed the full log");
+    let installed = obj.stats().installed_segments;
     assert!(installed >= 3, "history spanned segments: {installed}");
 }
 
@@ -118,7 +118,7 @@ fn log_full_cap_is_enforced_beyond_the_first_segment() {
         }
         other => panic!("expected LogFull, got {other:?}"),
     }
-    assert_eq!(obj.installed_segments(), 2, "the capped log still grew past segment one");
+    assert_eq!(obj.stats().installed_segments, 2, "the capped log still grew past segment one");
 }
 
 #[test]
@@ -136,19 +136,20 @@ fn live_segments_drop_back_after_truncation() {
     let mut live_high = 0;
     for _ in 0..8 * SEGMENT_SIZE {
         h.invoke(CounterOp::Add(1));
-        live_high = live_high.max(obj.live_segments());
+        live_high = live_high.max(obj.stats().live_segments);
     }
-    let installed = obj.installed_segments();
+    let installed = obj.stats().installed_segments;
     assert!(installed >= 8, "history spanned many segments: {installed}");
+    let reclaimed = obj.stats().reclaimed_segments;
     assert!(
-        obj.reclaimed_segments() >= installed - 3,
-        "all but the frontier neighbourhood was reclaimed ({} of {installed})",
-        obj.reclaimed_segments()
+        reclaimed >= installed - 3,
+        "all but the frontier neighbourhood was reclaimed ({reclaimed} of {installed})"
     );
     // A single handle's frontier spread is at most one cadence plus the
     // current partial segment: live never exceeded a small constant.
     assert!(live_high <= 3, "live segments stayed bounded, peaked at {live_high}");
-    assert!(obj.live_segments() <= 2, "live segments dropped back: {}", obj.live_segments());
+    let live = obj.stats().live_segments;
+    assert!(live <= 2, "live segments dropped back: {live}");
 
     // An idle second handle is a frontier anchor: its spread — not total
     // ops — is what bounds memory. Registering it pins the current tail
@@ -158,21 +159,15 @@ fn live_segments_drop_back_after_truncation() {
     for _ in 0..4 * SEGMENT_SIZE {
         h.invoke(CounterOp::Add(1));
     }
-    assert!(
-        obj.live_segments() <= 2 + 4,
-        "an idle-but-active frontier bounds live segments by its spread: {}",
-        obj.live_segments()
-    );
+    let live = obj.stats().live_segments;
+    assert!(live <= 2 + 4, "an idle-but-active frontier bounds live segments by its spread: {live}");
     // Once the idle handle catches up, the spread collapses again.
     // (Reclamation fires on checkpoint decides, not on frontier
     // publishes, so trigger a pass explicitly after the catch-up.)
     idle.read(|_| ());
     obj.reclaim();
-    assert!(
-        obj.live_segments() <= 3,
-        "catch-up collapses the spread: {} live",
-        obj.live_segments()
-    );
+    let live = obj.stats().live_segments;
+    assert!(live <= 3, "catch-up collapses the spread: {live} live");
     assert_eq!(
         h.invoke(CounterOp::Get),
         CounterResp::Value((12 * SEGMENT_SIZE) as i64),

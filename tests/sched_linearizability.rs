@@ -44,7 +44,7 @@ use waitfree::store::{Bump, ShardedStore, StoreConfig, StoreModel, StoreOp, Stor
 use waitfree::sync::consensus::{ConsensusCell, UsizeConsensus};
 use waitfree::sync::faa_queue::FaaQueue;
 use waitfree::sync::lockfree::{MsQueue, TreiberStack};
-use waitfree::sync::universal::{UniversalConfig, WfUniversal};
+use waitfree::sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 use waitfree::sync::wrappers::{WfCounter, WfQueue, WfRegister, WfStack};
 
 use common::register_n;
@@ -491,7 +491,7 @@ fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
                     let _ = h.read(Counter::clone);
                 } else {
                     let _ = h.decided_log();
-                    let _ = obj.installed_segments();
+                    let _ = obj.stats();
                 }
             })
         })
@@ -500,7 +500,7 @@ fn universal_log_growth_body(rec: HistoryRecorder<Counter>) {
         w.join().unwrap();
     }
     let _ = format!("{obj:?}");
-    let _ = obj.installed_segments();
+    let _ = obj.stats();
 }
 
 /// Same-role contention on the lock-free baselines: two pushers and
@@ -1525,13 +1525,15 @@ fn helper_parked_across_entry_recycling_skips_or_helps_the_current_entry() {
 /// protocol's: announce cell, `announced`, the decide CAS, `done`, one
 /// `hint` advance, the frontier — six, where re-publishing an unmoved
 /// hint twice more made eight. A read on the caught-up handle that
-/// follows writes nothing at all (it used to re-store its frontier).
+/// follows writes nothing at all (it used to re-store its frontier),
+/// and neither do the object's and the handle's `stats()` snapshots.
 #[test]
 fn solo_invoke_writes_six_words_and_a_caught_up_read_none() {
     let fence_post = Arc::new(AtomicI64::new(0));
     let post = Arc::clone(&fence_post);
     let result = run(Script::new(Vec::new()), RunOptions::default(), move || {
-        let mut h = WfUniversal::with_config(Counter::new(0), UniversalConfig::default()).register();
+        let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
+        let mut h = obj.register();
         for _ in 0..3 {
             h.invoke(CounterOp::Add(1));
         }
@@ -1540,6 +1542,8 @@ fn solo_invoke_writes_six_words_and_a_caught_up_read_none() {
         post.store(2, Ordering::SeqCst);
         assert_eq!(h.read(Counter::value), 4);
         post.store(3, Ordering::SeqCst);
+        assert_eq!((obj.stats().checkpoints, h.stats().invokes), (0, 4));
+        post.store(4, Ordering::SeqCst);
     });
     assert!(result.error.is_none(), "{:?}", result.error);
     // The fence posts are the only `AtomicI64` ops in the run.
@@ -1550,7 +1554,7 @@ fn solo_invoke_writes_six_words_and_a_caught_up_read_none() {
         .filter(|(_, e)| e.atomic == "AtomicI64")
         .map(|(i, _)| i)
         .collect();
-    assert_eq!(posts.len(), 3);
+    assert_eq!(posts.len(), 4);
     let writes = |from: usize, to: usize| {
         ops[from + 1..to].iter().filter(|e| e.op != AtomicOp::Load).count()
     };
@@ -1568,6 +1572,40 @@ fn solo_invoke_writes_six_words_and_a_caught_up_read_none() {
         "a read that found nothing new wrote to shared memory: {:#?}",
         ops[posts[1] + 1..posts[2]].iter().filter(|e| e.op != AtomicOp::Load).collect::<Vec<_>>()
     );
+    assert!(posts[3] > posts[2] + 1, "the object's stats loaded its counters");
+    assert_eq!(writes(posts[2], posts[3]), 0, "a stats() snapshot wrote to shared memory");
+}
+
+/// A `stats()` observer parked after its first counter load while a
+/// writer runs six segments of invokes at checkpoint cadence 8, so
+/// segments are installed and reclaimed in between. Loading `installed`
+/// first read 1, then 6 reclaimed, and `live_segments` underflowed.
+#[test]
+fn stats_observer_parked_across_reclamation_sees_live_at_most_installed() {
+    let seen = Arc::new(Mutex::new(None));
+    let sink = Arc::clone(&seen);
+    // vthreads: the body, the observer, the writer.
+    let plan = vec![(0, UNTIL_PARKED), (1, 2), (2, UNTIL_PARKED)];
+    let result = run(Phases::new(plan), RunOptions::default(), move || {
+        let obj = WfUniversal::with_config(Counter::new(0), checkpointed(8));
+        let mut h = obj.register();
+        let observer = vthread::spawn({
+            let obj = obj.clone();
+            move || obj.stats()
+        });
+        let writer = vthread::spawn(move || {
+            for _ in 0..6 * SEGMENT_SIZE {
+                h.invoke(CounterOp::Add(1));
+            }
+        });
+        let parked = observer.join().unwrap();
+        writer.join().unwrap();
+        *sink.lock().unwrap() = Some((parked, obj.stats()));
+    });
+    assert!(result.error.is_none(), "{:?}", result.error);
+    let (parked, after) = seen.lock().unwrap().expect("the run completed");
+    assert!(parked.reclaimed_segments < after.reclaimed_segments, "not parked across reclamation: {after:?}");
+    assert!(parked.live_segments <= parked.installed_segments, "more live than installed: {parked:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree::sched::atomic::{AtomicUsize, Ordering};
 use waitfree::sched::thread;
-use waitfree::store::{Bump, ShardState, ShardedStore, StoreConfig};
+use waitfree::store::{Bump, ShardState, ShardStats, ShardedStore, StoreConfig};
 use waitfree::sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 
 /// Concurrent workers per round.
@@ -130,13 +130,14 @@ fn soak_checkpointed_rss_stays_flat() {
         // Every worker retired, so the final reclamation pass has run:
         // the object-level bound is exact regardless of the allocator.
         obj.reclaim();
+        let stats = obj.stats();
         assert!(
-            obj.live_segments() <= 8,
+            stats.live_segments <= 8,
             "seed={seed} round={round}: {} live segments with all workers retired \
              (installed {}, reclaimed {})",
-            obj.live_segments(),
-            obj.installed_segments(),
-            obj.reclaimed_segments()
+            stats.live_segments,
+            stats.installed_segments,
+            stats.reclaimed_segments
         );
 
         match rss_mib() {
@@ -148,9 +149,9 @@ fn soak_checkpointed_rss_stays_flat() {
             Some(rss) => {
                 println!(
                     "soak: round={round} rss={rss:.1} MiB installed={} reclaimed={} checkpoints={}",
-                    obj.installed_segments(),
-                    obj.reclaimed_segments(),
-                    obj.checkpoints()
+                    stats.installed_segments,
+                    stats.reclaimed_segments,
+                    stats.checkpoints
                 );
                 if round + 1 == WARMUP_ROUNDS {
                     baseline = Some(rss);
@@ -177,11 +178,12 @@ fn soak_checkpointed_rss_stays_flat() {
         CounterResp::Value(expected),
         "seed={seed}: final state diverged after {total} ops"
     );
+    let stats = obj.stats();
     assert!(
-        obj.checkpoints() > 0 && obj.reclaimed_segments() > 0,
+        stats.checkpoints > 0 && stats.reclaimed_segments > 0,
         "seed={seed}: the soak never truncated (checkpoints={}, reclaimed={})",
-        obj.checkpoints(),
-        obj.reclaimed_segments()
+        stats.checkpoints,
+        stats.reclaimed_segments
     );
 }
 
@@ -228,8 +230,7 @@ impl Drop for Finished {
 fn check_gauges(store: &ShardedStore<u64, i64, Bump>, origins: usize, live: usize, ctx: &str) {
     for s in 0..STORE_SHARDS {
         let mut probe = store.shard(s).register();
-        let (tombs, unsettled, early) =
-            probe.read(|st: &ShardState<u64, i64, Bump>| (st.tombstones(), st.unsettled_len(), st.early_len()));
+        let ShardStats { tombstones: tombs, unsettled, early } = probe.read(ShardState::stats);
         probe.retire();
         assert!(tombs <= origins, "{ctx} shard {s}: {tombs} tombstones for {origins} originators ever created");
         assert!(unsettled <= live, "{ctx} shard {s}: {unsettled} unsettled commits with {live} live handles");
