@@ -11,11 +11,13 @@
 //! the two clones of its `ShardOp` — each deep-copies `Ctx.know` — into
 //! the announce entry and the log entry; the handle's own version
 //! vector is lent to the op, not copied. Reads and `stats()` snapshots
-//! allocate nothing.
+//! allocate nothing. A shard image (a `ShardState` clone) allocates its
+//! map packed: one node per 11 keys, not per 6.
 
 use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
 use waitfree_objects::counter::{Counter, CounterOp};
-use waitfree_store::{Bump, ShardedStore, StoreConfig};
+use waitfree_model::{ObjectSpec, Pid};
+use waitfree_store::{Bump, Ctx, ShardOp, ShardState, ShardedStore, StoreConfig};
 use waitfree_sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 
 #[global_allocator]
@@ -114,4 +116,21 @@ fn store_put_and_get_stay_within_budget() {
     });
     println!("store get: {calls} allocs over {OPS} gets");
     assert_eq!(calls, 0);
+}
+
+/// A shard image is a packed tree: cloning a `ShardState` whose map was
+/// grown by ascending puts (the loader's order, which leaves `BTreeMap`
+/// nodes about half full) bulk-builds full nodes, about one allocation
+/// per 11 keys where a structural copy of the grown tree makes one per 6.
+#[test]
+fn shard_image_clone_is_packed() {
+    const KEYS: u64 = 16_384;
+    let mut st: ShardState<u64, i64, Bump> = ShardState::new(0, 1, 0);
+    for key in 0..KEYS {
+        st.apply(Pid(0), &ShardOp::Put { key, val: Some(key as i64), ctx: Ctx { epoch: 0, know: Vec::new() } });
+    }
+    let (image, (calls, bytes)) = allocs_during(|| st.clone());
+    println!("shard image clone: {calls} allocs / {bytes} bytes for {KEYS} keys");
+    assert!(image == st);
+    assert!(calls <= KEYS / 10, "{calls} allocations for {KEYS} keys: the image is not packed");
 }

@@ -4,8 +4,12 @@
 //! (`waitfree::sync::universal`), differing by a `UniversalConfig`.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use waitfree::model::ObjectSpec;
-use waitfree::objects::counter::Counter;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use waitfree::model::{ObjectSpec, Pid};
+use waitfree::objects::counter::{Counter, CounterOp, CounterResp};
+use waitfree::sched::atomic::diag::{AtomicUsize, Ordering};
 use waitfree::sync::universal::{UniversalConfig, WfHandle, WfUniversal};
 
 /// A fresh object over `initial` with `n` handles registered in order:
@@ -64,6 +68,55 @@ impl Leg {
     /// One counter handle per thread on a fresh object.
     pub fn counters(self, n: usize) -> Vec<WfHandle<Counter>> {
         register_n(Counter::new(0), n, self.cfg).1
+    }
+}
+
+/// A [`Counter`] that counts every clone of itself, for tests that
+/// price checkpoint images and bootstraps in state copies. All copies
+/// share one tally, so `Arc::strong_count(&tally)` is also the number of
+/// copies alive (the object's initial state, every replica, every
+/// image). The tally is a `diag` atomic: counting must not add schedule
+/// points to the runs it observes. Equality and hashing see the counter
+/// alone.
+#[derive(Debug)]
+pub struct CloneCounted {
+    pub counter: Counter,
+    pub tally: Arc<AtomicUsize>,
+}
+
+impl CloneCounted {
+    pub fn new(initial: i64) -> Self {
+        CloneCounted { counter: Counter::new(initial), tally: Arc::new(AtomicUsize::new(0)) }
+    }
+}
+
+impl Clone for CloneCounted {
+    fn clone(&self) -> Self {
+        self.tally.fetch_add(1, Ordering::SeqCst);
+        CloneCounted { counter: self.counter.clone(), tally: Arc::clone(&self.tally) }
+    }
+}
+
+impl PartialEq for CloneCounted {
+    fn eq(&self, other: &Self) -> bool {
+        self.counter == other.counter
+    }
+}
+
+impl Eq for CloneCounted {}
+
+impl Hash for CloneCounted {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.counter.hash(h);
+    }
+}
+
+impl ObjectSpec for CloneCounted {
+    type Op = CounterOp;
+    type Resp = CounterResp;
+
+    fn apply(&mut self, pid: Pid, op: &CounterOp) -> CounterResp {
+        self.counter.apply(pid, op)
     }
 }
 

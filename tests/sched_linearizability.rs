@@ -47,7 +47,7 @@ use waitfree::sync::lockfree::{MsQueue, TreiberStack};
 use waitfree::sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 use waitfree::sync::wrappers::{WfCounter, WfQueue, WfRegister, WfStack};
 
-use common::register_n;
+use common::{register_n, CloneCounted};
 
 /// Checkpointed truncation at cadence `every`.
 fn checkpointed(every: usize) -> UniversalConfig {
@@ -676,6 +676,56 @@ fn checkpointed_universal_campaigns_linearize() {
         &Counter::new(0),
         checkpointed_universal_counter_body,
     );
+}
+
+/// Two handles race three fetch-and-adds each at checkpoint cadence 2
+/// (as [`checkpointed_universal_counter_body`]), so some schedules have
+/// a handle propose a checkpoint at a position the other's op decides
+/// first; then a late registrant bootstraps across whatever claims the
+/// schedule left. Sends `(clones, checkpoints)` for the run to `sink`.
+fn lost_checkpoint_race_body(rec: HistoryRecorder<CloneCounted>, sink: &Mutex<Vec<(usize, usize)>>) {
+    let initial = CloneCounted::new(0);
+    let tally = Arc::clone(&initial.tally);
+    let (obj, handles) = register_n(initial, 2, checkpointed(2));
+    let workers: Vec<_> = handles
+        .into_iter()
+        .map(|mut h| {
+            let rec = rec.clone();
+            vthread::spawn(move || {
+                let pid = Pid(h.tid());
+                for i in 0..3 {
+                    let op = CounterOp::FetchAndAdd((10 * h.tid() + i + 1) as i64);
+                    rec.record(pid, op.clone(), || h.invoke(op.clone()));
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let mut late = obj.register();
+    assert_eq!(late.read(|s| s.counter.value()), 1 + 2 + 3 + 11 + 12 + 13);
+    let clones = tally.load(Ordering::SeqCst);
+    sink.lock().unwrap().push((clones, obj.stats().checkpoints));
+}
+
+/// A lost checkpoint race builds no image: the claim is decided before
+/// the state is cloned, so on every schedule the state is cloned once
+/// per filled checkpoint and once per registration's bootstrap (two
+/// workers and the late registrant) — never for a proposer whose claim
+/// lost its position.
+#[test]
+fn a_lost_checkpoint_race_clones_no_image() {
+    let runs = Mutex::new(Vec::new());
+    sweep("WfUniversal<CloneCounted> (lost checkpoint race)", &CloneCounted::new(0), |rec| {
+        lost_checkpoint_race_body(rec, &runs)
+    });
+    let runs = runs.into_inner().unwrap();
+    assert_eq!(runs.len(), 2 * SEEDS as usize);
+    for (i, &(clones, checkpoints)) in runs.iter().enumerate() {
+        assert_eq!(clones, checkpoints + 3, "run {i}: clones beyond checkpoints + bootstraps");
+    }
+    assert!(runs.iter().any(|&(_, cps)| cps > 0), "no schedule checkpointed at all");
 }
 
 #[test]
