@@ -25,11 +25,12 @@
 //! (including a `"construction": "hoisted"` marker so trend comparisons
 //! never mix pre- and post-hoisting runs), and the full report. A
 //! pre-schema-2 file (a bare report object) is wrapped as the first run
-//! with timestamp `"pre-merge"`. The usual single-report
-//! `results/bench_universal.json` copy is still written by `finish()`.
-//! Environment knobs for the CI smoke job: `BENCH_UNIVERSAL_OPS` (ops
-//! per thread, default 2000) and `BENCH_UNIVERSAL_SAMPLES` (median-of
-//! samples, default 5).
+//! with timestamp `"pre-merge"`. `finish()` also writes the usual
+//! single-report `results/bench_universal.json`; it only repeats the
+//! trajectory's latest run, so it is a local scratch copy that git
+//! ignores. Environment knobs for the CI smoke job:
+//! `BENCH_UNIVERSAL_OPS` (ops per thread, default 2000) and
+//! `BENCH_UNIVERSAL_SAMPLES` (median-of samples, default 9).
 //!
 //! The steady-state rows (`workload == "steady"`) are the checkpointed-
 //! truncation before/after: a long fixed op count (default ten million,
@@ -505,8 +506,8 @@ fn main() {
     }
 
     // The recorded perf-trajectory file at the repo root: merge this run
-    // into the prior runs (never overwrite the history), alongside the
-    // standard single-report results/ copy written by finish().
+    // into the prior runs (never overwrite the history); the
+    // single-report results/ copy finish() writes is not a record.
     let config = Json::Obj(vec![
         ("ops_per_thread".into(), Json::num(ops as u64)),
         ("samples".into(), Json::num(samples as u64)),

@@ -266,9 +266,6 @@ pub struct Snapshot<K: Ord, V> {
     pub epoch: u64,
     /// The assembled, torn-multi-repaired global map.
     pub map: BTreeMap<K, V>,
-    /// Per-shard log position at which this snapshot's marker was
-    /// decided (the shard handle's `stats().last_decided_position`).
-    pub marker_positions: Vec<Option<usize>>,
 }
 
 /// Per-thread access to a [`ShardedStore`]: one registered `WfHandle`
@@ -699,22 +696,17 @@ where
     /// shard; assembly is local. A client that crashes mid-snapshot
     /// costs a bounded, one-time amount per shard it never reached:
     /// one retained early capture (claimable if the straggler is
-    /// merely stalled and its marker eventually lands) and one range
-    /// split in the shard's interval-compressed epoch bookkeeping.
-    /// Later mutations and snapshots are unaffected — each epoch is
-    /// swept into a capture at most once (a per-shard stamp watermark),
-    /// so a permanently open epoch does not tax subsequent writes.
+    /// merely stalled and its marker eventually lands). Later
+    /// mutations and snapshots are unaffected — each epoch is swept
+    /// into a capture at most once (a per-shard stamp watermark), so a
+    /// permanently open epoch does not tax subsequent writes.
     pub fn snapshot(&mut self) -> Snapshot<K, V> {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut parts: Vec<SnapPart<K, V>> = Vec::with_capacity(self.nshards());
-        let mut marker_positions = Vec::with_capacity(self.nshards());
         for s in 0..self.nshards() {
             failpoint!("store::snapshot");
             match self.invoke(s, ShardOp::Marker { epoch }) {
-                ShardResp::Part(p) => {
-                    parts.push(*p);
-                    marker_positions.push(self.shards[s].stats().last_decided_position);
-                }
+                ShardResp::Part(p) => parts.push(*p),
                 r => unreachable!("marker answered {r:?}"),
             }
         }
@@ -724,7 +716,7 @@ where
         // Shards partition the key space, so the parts are disjoint:
         // one collect sorts the presorted runs and bulk-builds the tree.
         let map = parts.iter_mut().flat_map(|p| mem::take(&mut p.map)).collect();
-        Snapshot { epoch, map, marker_positions }
+        Snapshot { epoch, map }
     }
 
     /// Retire every per-shard registration (PR 6 dynamic membership).
@@ -926,8 +918,6 @@ mod tests {
         for k in 0..32u64 {
             assert_eq!(snap.map.get(&k), Some(&(k as i64)));
         }
-        assert_eq!(snap.marker_positions.len(), 4);
-        assert!(snap.marker_positions.iter().all(Option::is_some));
         // A later snapshot gets a later epoch and the same data.
         let snap2 = h.snapshot();
         assert_eq!(snap2.epoch, 2);

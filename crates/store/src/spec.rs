@@ -47,8 +47,11 @@
 //!   invoking ([`Ctx::epoch`]), and a mutation stamped `>= e` that gets
 //!   decided before shard-local marker `e` triggers a pre-mutation
 //!   *early capture* — the part is photographed before the mutation
-//!   applies, so the straggler is excluded. See DESIGN §10 for the
-//!   argument that this yields a causally consistent cut.
+//!   applies, so the straggler is excluded. A marker obeys the same
+//!   rule: `Marker{e}` proves every epoch below `e` open, so it
+//!   captures those first, as a mutation stamped `e - 1` would. See
+//!   DESIGN §10 for the argument that this yields a causally
+//!   consistent cut.
 //!
 //! All maps are `BTreeMap`s (not hash maps): the state must
 //! be `Eq + Hash` for the linearizability checker, and iteration order
@@ -336,9 +339,10 @@ pub struct ShardState<K: Ord, V, M> {
     /// Mutation counter: bumped by every state-changing transition.
     version: u64,
     map: BTreeMap<K, V>,
-    /// Key → holder of in-flight multi-op locks. A key appears here iff
-    /// its holder is in `pending`.
-    locks: BTreeMap<K, MultiId>,
+    /// Prepared-but-unresolved multi-ops. These *are* the locks: a
+    /// local key named by a pending descriptor is locked by it (see
+    /// [`Self::holder_of`]), and `prepare` admits no descriptor that
+    /// names a locked key, so each key has at most one holder.
     pending: BTreeMap<MultiId, PendingMulti<K, V>>,
     /// Tombstones: per origin, the newest multi-op admitted here and
     /// its verdict. An arbitrarily stalled helper may re-send `Prepare`
@@ -374,18 +378,13 @@ pub struct ShardState<K: Ord, V, M> {
     /// Max observed version per shard over all ops applied here,
     /// indexed by shard (length `nshards` from construction).
     know: Vec<u64>,
-    /// Snapshot bookkeeping: every epoch `<= snap_floor` has its marker
-    /// applied here; `snap_done` holds marker-applied epochs above the
-    /// floor, compressed to ranges so a crashed snapshot (a permanent
-    /// hole below later epochs) costs O(holes) memory, not one entry
-    /// per later snapshot forever.
-    snap_floor: u64,
-    snap_done: EpochSet,
-    /// Highest mutation stamp already swept by [`pre_capture`]
-    /// (ShardState::pre_capture): epochs at or below it have their
-    /// capture ensured (early, done, or ≤ floor), so each mutation only
-    /// walks epochs *newly revealed* by its stamp — amortized O(1) per
-    /// epoch, even when a crashed snapshot pins `snap_floor` forever.
+    /// Highest epoch swept by the stamp rule ([`Self::pre_capture`])
+    /// or reached by a marker. Invariant: every epoch `<= stamp_hi`
+    /// either has its marker applied here or has an early capture
+    /// waiting for it, and no epoch above it has either — so each
+    /// mutation only walks the epochs *newly revealed* by its stamp,
+    /// amortized O(1) per epoch even when a crashed snapshot leaves an
+    /// epoch open forever.
     stamp_hi: u64,
     /// Pre-mutation captures for epochs whose marker has not reached
     /// this shard but whose existence a straggling mutation revealed
@@ -412,13 +411,10 @@ impl<K: Clone + Ord, V: Clone, M> Clone for ShardState<K, V, M> {
             seed,
             version,
             map,
-            locks,
             pending,
             origins,
             unsettled,
             know,
-            snap_floor,
-            snap_done,
             stamp_hi,
             early,
             _merge,
@@ -429,63 +425,14 @@ impl<K: Clone + Ord, V: Clone, M> Clone for ShardState<K, V, M> {
             seed: *seed,
             version: *version,
             map: map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            locks: locks.clone(),
             pending: pending.clone(),
             origins: origins.clone(),
             unsettled: unsettled.clone(),
             know: know.clone(),
-            snap_floor: *snap_floor,
-            snap_done: snap_done.clone(),
             stamp_hi: *stamp_hi,
             early: early.clone(),
             _merge: PhantomData,
         }
-    }
-}
-
-/// A set of `u64` epochs stored as disjoint, non-adjacent inclusive
-/// ranges. All ops are `O(log |ranges|)`; memory is bounded by the
-/// number of gaps between stored runs (crashed snapshots), not the
-/// number of epochs ever inserted.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct EpochSet(BTreeMap<u64, u64>);
-
-impl EpochSet {
-    fn contains(&self, e: u64) -> bool {
-        self.0.range(..=e).next_back().is_some_and(|(_, &end)| end >= e)
-    }
-
-    fn insert(&mut self, e: u64) {
-        if self.contains(e) {
-            return;
-        }
-        let mut start = e;
-        let mut end = e;
-        // !contains(e) means any predecessor range ends strictly below
-        // e, so `pe + 1` cannot overflow.
-        if let Some((&ps, &pe)) = self.0.range(..e).next_back() {
-            if pe + 1 == e {
-                start = ps;
-            }
-        }
-        if e < u64::MAX {
-            if let Some(&se) = self.0.get(&(e + 1)) {
-                end = se;
-                self.0.remove(&(e + 1));
-            }
-        }
-        self.0.insert(start, end);
-    }
-
-    /// If a stored range starts exactly at `e`, remove it and return
-    /// its (inclusive) end.
-    fn take_run(&mut self, e: u64) -> Option<u64> {
-        self.0.remove(&e)
-    }
-
-    #[cfg(test)]
-    fn ranges(&self) -> usize {
-        self.0.len()
     }
 }
 
@@ -503,13 +450,10 @@ where
             seed,
             version: 0,
             map: BTreeMap::new(),
-            locks: BTreeMap::new(),
             pending: BTreeMap::new(),
             origins: BTreeMap::new(),
             unsettled: BTreeMap::new(),
             know: vec![0; nshards],
-            snap_floor: 0,
-            snap_done: EpochSet::default(),
             stamp_hi: 0,
             early: BTreeMap::new(),
             _merge: PhantomData,
@@ -531,29 +475,21 @@ where
         }
     }
 
-    /// The stamp rule: a mutation stamped `stamp` proves every epoch in
-    /// `(snap_floor, stamp]` was opened before it ran. Any such epoch
-    /// whose marker has not reached this shard gets an early capture of
-    /// the **pre-mutation** state, excluding the mutation from the cut.
+    /// The stamp rule: an op stamped `stamp` proves every epoch up to
+    /// `stamp` was opened before it ran. Each such epoch above
+    /// `stamp_hi` has neither its marker applied here nor a capture
+    /// (the `stamp_hi` invariant), so it gets an early capture of the
+    /// **pre-op** state, excluding the op from the cut.
     ///
-    /// Each epoch is swept at most once (`stamp_hi` remembers how far
-    /// previous mutations got), so the per-mutation cost is the number
-    /// of epochs opened since the last mutation here — amortized O(1)
-    /// per epoch even when a crashed snapshot wedges `snap_floor`.
+    /// Each epoch is swept at most once, so the per-op cost is the
+    /// number of epochs opened since the last sweep here — amortized
+    /// O(1) per epoch.
     fn pre_capture(&mut self, stamp: u64) {
-        let mut e = self.snap_floor.max(self.stamp_hi) + 1;
-        // progress: bounded — `e` strictly increases each iteration and
-        // stops at `stamp`; at most one capture is published per epoch.
-        while e <= stamp {
-            if !self.snap_done.contains(e) {
-                let part = self.part_now(e);
-                self.early.insert(e, part);
-            }
-            e += 1;
+        for e in self.stamp_hi + 1..=stamp {
+            let part = self.part_now(e);
+            self.early.insert(e, part);
         }
-        if stamp > self.stamp_hi {
-            self.stamp_hi = stamp;
-        }
+        self.stamp_hi = self.stamp_hi.max(stamp);
     }
 
     /// Apply a mutating op's context: early-capture first (so an
@@ -568,13 +504,18 @@ where
         }
     }
 
-    /// The holder descriptor blocking `key`, if any.
+    /// The holder descriptor blocking `key`, if any: the pending
+    /// multi-op whose descriptor names `key`, when `key` is this
+    /// shard's. Free when nothing is pending; otherwise O(in-flight
+    /// multi-ops), at most one per originator.
     fn holder_of(&self, key: &K) -> Option<Box<MultiDesc<K, V>>> {
-        let id = self.locks.get(key)?;
+        if self.pending.is_empty() || route(self.seed, self.nshards, key) != self.shard {
+            return None;
+        }
         let pm = self
             .pending
-            .get(id)
-            .expect("a locked key's holder is pending (lock/pending invariant)");
+            .values()
+            .find(|pm| pm.desc.expects.contains_key(key) || pm.desc.writes.contains_key(key))?;
         Some(Box::new(pm.desc.clone()))
     }
 
@@ -650,8 +591,7 @@ where
             }
             _ => {}
         }
-        let local = desc.local_keys(self.seed, self.nshards, self.shard);
-        for k in &local {
+        for k in desc.local_keys(self.seed, self.nshards, self.shard) {
             if let Some(holder) = self.holder_of(k) {
                 // Nothing is recorded: the retry after helping must
                 // find this id as new as it is now.
@@ -663,9 +603,6 @@ where
             .iter()
             .filter(|(k, _)| route(self.seed, self.nshards, k) == self.shard)
             .all(|(k, expect)| self.map.get(k) == expect.as_ref());
-        for k in local {
-            self.locks.insert(k.clone(), id);
-        }
         self.pending.insert(id, PendingMulti { desc: desc.clone(), vote });
         self.origins.insert(id.origin(), Tombstone { seq: id.seq(), verdict: None });
         self.version += 1;
@@ -679,11 +616,6 @@ where
             // do, and the machine stays total.
             return ShardResp::Ack { version: self.version };
         };
-        for k in pm.desc.local_keys(self.seed, self.nshards, self.shard) {
-            if self.locks.get(k) == Some(&id) {
-                self.locks.remove(k);
-            }
-        }
         if commit {
             self.apply_writes_of(&pm.desc);
             self.unsettled.insert(id, pm.desc.shards.clone());
@@ -702,28 +634,17 @@ where
         ShardResp::Ack { version: self.version }
     }
 
-    fn marker(&mut self, e: u64) -> ShardResp<K, V> {
-        let part = match self.early.remove(&e) {
-            Some(p) => p,
-            None => self.part_now(e),
-        };
-        self.mark_done(e);
-        ShardResp::Part(Box::new(part))
-    }
-
-    /// Record that marker `e` has been applied here.
-    fn mark_done(&mut self, e: u64) {
-        if e > self.snap_floor && !self.snap_done.contains(e) {
-            self.snap_done.insert(e);
-            if let Some(end) = self.snap_done.take_run(self.snap_floor + 1) {
-                self.snap_floor = end;
-            }
-            // No `early` cleanup is needed at the floor: an early
-            // capture exists only for an epoch whose marker has not
-            // been applied here, and the floor only ever advances over
-            // marker-applied epochs — so every `early` key is already
-            // strictly above the floor.
-        }
+    /// Apply marker `e`'s bookkeeping and hand back its early capture,
+    /// if one was waiting. A marker is a stamped message: the epoch
+    /// counter is a fetch-add, so `Marker{e}` proves every epoch below
+    /// `e` is open, exactly as an op stamped `e - 1` would. Sweep those
+    /// first, then claim `e`'s capture and raise `stamp_hi` over `e` —
+    /// which keeps the `stamp_hi` invariant with no record of which
+    /// markers were applied.
+    fn claim_marker(&mut self, e: u64) -> Option<SnapPart<K, V>> {
+        self.pre_capture(e.saturating_sub(1));
+        self.stamp_hi = self.stamp_hi.max(e);
+        self.early.remove(&e)
     }
 
     /// This shard's bookkeeping sizes.
@@ -819,19 +740,20 @@ where
                 self.absorb(ctx);
                 self.settle(*id)
             }
-            ShardOp::Marker { epoch } => self.marker(*epoch),
+            ShardOp::Marker { epoch } => {
+                let part = self.claim_marker(*epoch).unwrap_or_else(|| self.part_now(*epoch));
+                ShardResp::Part(Box::new(part))
+            }
         }
     }
 
     /// Only `Marker` builds a response worth skipping: a replica
-    /// replaying another client's marker claims the early capture and
-    /// advances the epoch bookkeeping without cloning its map into a
-    /// part nobody reads.
+    /// replaying another client's marker does the marker's bookkeeping
+    /// without cloning its map into a part nobody reads.
     fn apply_discard(&mut self, pid: Pid, op: &Self::Op) {
         match op {
             ShardOp::Marker { epoch } => {
-                self.early.remove(epoch);
-                self.mark_done(*epoch);
+                self.claim_marker(*epoch);
             }
             _ => {
                 let _ = self.apply(pid, op);
@@ -843,27 +765,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoch_set_compresses_adjacent_runs() {
-        let mut s = EpochSet::default();
-        for e in [1u64, 2, 3, 5, 6, 10] {
-            s.insert(e);
-        }
-        assert_eq!(s.ranges(), 3, "{s:?}");
-        s.insert(4); // bridges [1,3] and [5,6]
-        assert_eq!(s.ranges(), 2, "{s:?}");
-        for e in 1..=6 {
-            assert!(s.contains(e));
-        }
-        assert!(!s.contains(7));
-        assert!(s.contains(10));
-        s.insert(10); // idempotent
-        assert_eq!(s.ranges(), 2);
-        assert_eq!(s.take_run(1), Some(6));
-        assert!(!s.contains(3));
-        assert_eq!(s.take_run(7), None);
-    }
 
     type St = ShardState<u64, i64, ()>;
 
@@ -911,37 +812,84 @@ mod tests {
         }
     }
 
-    /// A permanently open epoch (crashed snapshotter) must not make
-    /// later mutations re-walk the epoch range, must keep later marker
-    /// bookkeeping compressed, and must keep its own early capture
-    /// claimable forever.
+    /// A permanently open epoch (crashed snapshotter) costs one
+    /// retained capture: each open epoch is captured once, later
+    /// mutations do not re-walk the epoch range, and the early capture
+    /// stays claimable forever.
     #[test]
     fn stuck_epoch_costs_are_bounded() {
         let mut st = St::new(0, 1, 0);
         st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(1), ctx: ctx(0) });
         // Epochs 1..=4 open; markers for 2..=4 arrive (epoch 1 crashed
         // before reaching this shard). A mutation stamped 4 reveals all
-        // four and early-captures them once.
+        // four and early-captures each once; the markers claim those
+        // captures instead of building new ones.
         st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(2), ctx: ctx(4) });
-        assert_eq!(st.early.len(), 4);
+        assert_eq!(st.stats().early, 4);
         assert_eq!(st.stamp_hi, 4);
         for e in 2..=4 {
-            part(st.apply(Pid(0), &ShardOp::Marker { epoch: e }));
+            let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: e }));
+            assert_eq!(p.map.get(&1), Some(&1), "marker {e} rebuilt its part");
         }
-        assert_eq!(st.early.len(), 1, "markers claimed their captures");
-        assert_eq!(st.snap_floor, 0, "epoch 1's hole pins the floor");
-        assert_eq!(st.snap_done.ranges(), 1, "done epochs stay one range");
+        assert_eq!(st.stats().early, 1, "markers claimed their captures");
+        assert_eq!(st.stamp_hi, 4);
         // Later mutations at the same stamp do no epoch work at all.
+        let early = st.early.clone();
         st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(3), ctx: ctx(4) });
-        assert_eq!(st.early.len(), 1);
+        assert_eq!(st.early, early);
+        assert_eq!(st.stamp_hi, 4);
         // The stalled snapshotter finally lands its marker: it claims
         // the early capture (pre-mutation state, excluding every write
-        // stamped >= 1) and the floor snaps forward over the whole run.
+        // stamped >= 1).
         let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 1 }));
         assert_eq!(p.map.get(&1), Some(&1), "early capture excluded stamped writes");
-        assert_eq!(st.early.len(), 0);
-        assert_eq!(st.snap_floor, 4);
-        assert_eq!(st.snap_done.ranges(), 0);
+        assert_eq!(st.stats().early, 0);
+        assert_eq!(st.stamp_hi, 4);
+    }
+
+    /// A marker is a stamped message: `Marker{3}` proves epochs 1 and 2
+    /// are open, so it captures both before anything after it lands
+    /// here — a later write stamped below them included — and their
+    /// own markers claim those captures.
+    #[test]
+    fn a_marker_captures_the_open_epochs_below_it() {
+        let mut st = St::new(0, 1, 0);
+        st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(1), ctx: ctx(0) });
+        part(st.apply(Pid(0), &ShardOp::Marker { epoch: 3 }));
+        assert_eq!(st.stats().early, 2);
+        st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(2), ctx: ctx(0) });
+        let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 1 }));
+        assert_eq!(p.map.get(&1), Some(&1), "the write after marker 3 leaked into epoch 1");
+        assert_eq!(st.stats().early, 1);
+    }
+
+    /// A descriptor spanning two shards names keys of both, but it
+    /// locks only its own shard's: on shard 0 the key routed to shard 1
+    /// neither blocks a read nor a prepare that names only it.
+    #[test]
+    fn a_foreign_key_in_a_pending_descriptor_does_not_block() {
+        let mut st = St::new(0, 2, 0);
+        let key_on = |shard| (0u64..).find(|k| route(0, 2, k) == shard).unwrap();
+        let (mine, foreign) = (key_on(0), key_on(1));
+        let mut d = desc(MultiId::new(1, 0), &[(mine, 10), (foreign, 20)]);
+        d.shards = vec![0, 1];
+        st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
+        match st.apply(Pid(0), &ShardOp::Get { key: mine }) {
+            ShardResp::Blocked { holder, .. } => assert_eq!(holder.id, d.id),
+            r => panic!("get on a locked key answered {r:?}"),
+        }
+        assert!(st.peek(&mine).is_err());
+        assert_eq!(st.peek(&foreign), Ok((None, st.version)));
+        match st.apply(Pid(0), &ShardOp::Get { key: foreign }) {
+            ShardResp::Value { val: None, .. } => {}
+            r => panic!("get on a foreign key answered {r:?}"),
+        }
+        let mut other = desc(MultiId::new(2, 0), &[(foreign, 30)]);
+        other.shards = vec![1];
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: other, ctx: ctx(0) }) {
+            ShardResp::Vote { ok: true, .. } => {}
+            r => panic!("prepare naming only a foreign key answered {r:?}"),
+        }
     }
 
     /// Reads on a locked key hand back the holder instead of a value —
@@ -975,14 +923,7 @@ mod tests {
     /// Entries held by every collection of the state: what an image
     /// (checkpoint, bootstrap) has to clone.
     fn image_entries(st: &St) -> usize {
-        st.map.len()
-            + st.locks.len()
-            + st.pending.len()
-            + st.origins.len()
-            + st.unsettled.len()
-            + st.know.len()
-            + st.snap_done.ranges()
-            + st.early.len()
+        st.map.len() + st.pending.len() + st.origins.len() + st.unsettled.len() + st.know.len() + st.early.len()
     }
 
     /// `n` committed multi-ops on 16 keys, round-robin over three

@@ -61,7 +61,7 @@ pub struct HandleStats {
     pub max_threading_steps: usize,
     /// Log position of the batch that carried the latest completed op
     /// (`None` before the first): how layered protocols relate their
-    /// entries to log order, e.g. the store's snapshot markers.
+    /// entries to log order, e.g. the store's decided reads.
     pub last_decided_position: Option<usize>,
 }
 

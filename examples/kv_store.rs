@@ -114,12 +114,7 @@ fn main() {
     let snap = h.snapshot();
     let sum: i64 = snap.map.values().sum();
     assert_eq!(sum, total + ACCOUNTS as i64);
-    println!(
-        "final snapshot (epoch {}): {} accounts, total {sum}; marker positions {:?}",
-        snap.epoch,
-        snap.map.len(),
-        snap.marker_positions
-    );
+    println!("final snapshot (epoch {}): {} accounts, total {sum}", snap.epoch, snap.map.len());
     for s in 0..store.shards() {
         let stats = store.shard(s).stats();
         println!("shard {s}: {} checkpoints, {} segments reclaimed", stats.checkpoints, stats.reclaimed_segments);
