@@ -89,7 +89,7 @@
 //! decide), composing with the `universal::*` sites underneath —
 //! including `universal::read` on the log-free `get`/`multi_get` path.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::mem;
@@ -618,16 +618,13 @@ where
     /// verdict already, but phase 2 still visits every shard because
     /// the finisher may have crashed mid-resolve. `Stale` ends the
     /// call (`None`): the originator has since started a later
-    /// multi-op, which it does only once this one is resolved and
-    /// settled on every shard — a helper that slept through all of
-    /// that has nothing left to do. A `Blocked` prepare
-    /// recursively helps the older holder first. Phase 2 decides the
-    /// unanimous verdict everywhere; `Resolve` acks are idempotent.
-    /// After a commit's resolves are all acknowledged, a settle sweep
-    /// retires the id from every shard's possibly-torn capture window
-    /// (snapshot-cost bookkeeping, not correctness: a crash anywhere in
-    /// the sweep just leaves the id in some windows until the next
-    /// helper of the same multi re-settles).
+    /// multi-op, which it does only once this one is resolved on every
+    /// shard — a helper that slept through all of that has nothing left
+    /// to do. A `Blocked` prepare recursively helps the older holder
+    /// first. Phase 2 decides the unanimous verdict everywhere;
+    /// `Resolve` acks are idempotent. That is the whole protocol: two
+    /// decides per involved shard, and the shards' tombstones are all
+    /// the bookkeeping snapshot repair needs ([`SnapPart::committed`]).
     fn run_multi(&mut self, desc: &MultiDesc<K, V>) -> Option<bool> {
         let mut verdict: Option<bool> = None;
         let mut all = true;
@@ -667,21 +664,6 @@ where
             match self.invoke_stamped(s, &mut op) {
                 ShardResp::Ack { .. } => {}
                 r => unreachable!("resolve answered {r:?}"),
-            }
-        }
-        if commit {
-            // Every involved shard has acknowledged the resolve (the
-            // loop above returned), so this commit can no longer be
-            // torn: tell each shard to drop it from its capture window.
-            // The ctx makes the settle obey the stamp rule, which is
-            // what licenses the drop (see `ShardState::unsettled`).
-            for &s in &desc.shards {
-                failpoint!("store::multi");
-                let mut op = ShardOp::Settle { id: desc.id, ctx: Ctx::unstamped() };
-                match self.invoke_stamped(s, &mut op) {
-                    ShardResp::Ack { .. } => {}
-                    r => unreachable!("settle answered {r:?}"),
-                }
             }
         }
         Some(commit)
@@ -749,7 +731,10 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
 }
 
 /// Torn-multi repair: a multi-op committed in one part must be applied
-/// in every involved part of the same cut.
+/// in every involved part of the same cut. One rule: a part's pending
+/// descriptor is applied exactly when some part lists its id in
+/// [`SnapPart::committed`] (only an involved shard can: the id names a
+/// tombstone only where it was prepared).
 ///
 /// Why the needed data is always there: `Resolve(commit)` is only sent
 /// after `Prepare` decided on *every* involved shard, so if a part
@@ -760,49 +745,25 @@ fn resp_version<K: Ord, V>(resp: &ShardResp<K, V>) -> u64 {
 /// after the cut. Multi-ops pending in every part are consistently
 /// *excluded*.
 ///
-/// Captures carry only the *unsettled* commit window, so the scan here
-/// is over in-flight multi-ops, not all commits ever. A part that has
-/// an id in neither `pending` nor `unsettled` already settled it —
-/// its writes are in the part's map — and is skipped; a settle cannot
-/// reach a part whose cut-mates still show the multi pending, because
-/// settles obey the stamp rule and are decided only after every
-/// involved resolve (see `ShardState::unsettled`).
+/// Why the committing part still lists the id: a shard's tombstone
+/// moves past `(o, s)` only when `(o, s + 1)` is prepared there, and
+/// the originator numbers `(o, s + 1)` only after every resolve of
+/// `(o, s)` was acknowledged. That prepare's stamp and knowledge vector
+/// force any cut containing it to contain every resolve of `(o, s)`,
+/// and then no part is pending `(o, s)`. So captures carry one
+/// committed id per origin, not the commit history (DESIGN §10).
 fn repair_torn<K, V>(parts: &mut [SnapPart<K, V>], seed: u64)
 where
     K: Clone + Ord + Hash + Debug,
     V: Clone + Eq + Hash + Debug,
 {
     let nshards = parts.len();
-    // Commit verdicts still repair-relevant in the cut: id → involved
-    // shards.
-    let mut committed: BTreeMap<MultiId, Vec<usize>> = BTreeMap::new();
-    for p in parts.iter() {
-        for (id, shards) in &p.unsettled {
-            committed.entry(*id).or_insert_with(|| shards.clone());
-        }
-    }
-    for (id, shards) in &committed {
-        for &t in shards {
-            let part = &mut parts[t];
-            let Some(pm) = part.pending.remove(id) else {
-                // Already resolved here (settled or not): the writes
-                // are in `part.map`.
-                continue;
-            };
-            for (k, w) in &pm.desc.writes {
-                if route(seed, nshards, k) != t {
-                    continue;
-                }
-                match w {
-                    Some(v) => {
-                        part.map.insert(k.clone(), v.clone());
-                    }
-                    None => {
-                        part.map.remove(k);
-                    }
-                }
+    let committed: BTreeSet<MultiId> = parts.iter().flat_map(|p| p.committed.iter().copied()).collect();
+    for (s, part) in parts.iter_mut().enumerate() {
+        for (id, pm) in &part.pending {
+            if committed.contains(id) {
+                pm.desc.apply_writes(&mut part.map, seed, nshards, s);
             }
-            part.unsettled.insert(*id, pm.desc.shards.clone());
         }
     }
 }
@@ -1074,6 +1035,63 @@ mod tests {
         for s in 0..2 {
             let seen = a.shards[s].read(ShardState::stats).tombstones;
             assert!(seen <= 2, "shard {s} holds {seen} tombstones for 2 origins");
+        }
+    }
+
+    /// A committed multi-op decides a prepare and a resolve on each
+    /// involved shard and nothing anywhere else.
+    #[test]
+    fn a_two_shard_commit_decides_twice_per_involved_shard() {
+        let st = store(4);
+        let mut h = st.handle();
+        let key_on = |s| (0u64..).find(|k| st.shard_of(k) == s).unwrap();
+        for s in 0..4 {
+            h.put(key_on(s), 0);
+        }
+        let positions = |h: &StoreHandle<u64, i64, Bump>| -> Vec<usize> {
+            (0..4).map(|s| h.shard_handle(s).stats().last_decided_position.unwrap()).collect()
+        };
+        let before = positions(&h);
+        h.multi_put([(key_on(1), Some(1)), (key_on(3), Some(3))]);
+        let moved: Vec<usize> = positions(&h).iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, [0, 2, 0, 2]);
+    }
+
+    /// Snapshot repair on parts captured from real shard replicas: a
+    /// descriptor pending in one part is applied exactly when the other
+    /// part shows it committed.
+    #[test]
+    fn repair_applies_a_pending_descriptor_only_if_a_part_committed_it() {
+        use waitfree_model::{ObjectSpec, Pid};
+        let seed = StoreConfig::default().seed;
+        let key_on = |s| (0u64..).find(|k| route(seed, 2, k) == s).unwrap();
+        let (k0, k1) = (key_on(0), key_on(1));
+        let desc = MultiDesc {
+            id: MultiId::new(1, 0),
+            expects: BTreeMap::new(),
+            writes: BTreeMap::from([(k0, Some(10)), (k1, Some(11))]),
+            shards: vec![0, 1],
+        };
+        // Resolve decided on shard 0 only (`Some(verdict)`) or nowhere.
+        for resolved_on_0 in [Some(true), Some(false), None] {
+            let mut parts: Vec<SnapPart<u64, i64>> = (0..2)
+                .map(|s| {
+                    let mut st = ShardState::<u64, i64, ()>::new(s, 2, seed);
+                    st.apply(Pid(0), &ShardOp::Prepare { desc: desc.clone(), ctx: Ctx::unstamped() });
+                    if let (0, Some(commit)) = (s, resolved_on_0) {
+                        st.apply(Pid(0), &ShardOp::Resolve { id: desc.id, commit, ctx: Ctx::unstamped() });
+                    }
+                    match st.apply(Pid(0), &ShardOp::Marker { epoch: 1 }) {
+                        ShardResp::Part(p) => *p,
+                        r => panic!("marker answered {r:?}"),
+                    }
+                })
+                .collect();
+            assert!(parts[1].pending.contains_key(&desc.id));
+            repair_torn(&mut parts, seed);
+            let applied = resolved_on_0 == Some(true);
+            assert_eq!(parts[0].map.get(&k0), applied.then_some(&10), "{resolved_on_0:?}");
+            assert_eq!(parts[1].map.get(&k1), applied.then_some(&11), "{resolved_on_0:?}");
         }
     }
 

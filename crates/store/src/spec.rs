@@ -21,24 +21,21 @@
 //!   after its resolve and shard B before it — a half-applied
 //!   multi-op with no valid linearization.
 //!
-//! * **Multi-key two-phase** ([`ShardOp::Prepare`]/[`Resolve`](ShardOp::Resolve)/
-//!   [`Settle`](ShardOp::Settle)).
+//! * **Multi-key two-phase** ([`ShardOp::Prepare`]/[`Resolve`](ShardOp::Resolve)).
 //!   `Prepare` atomically locks every locally-owned key of the
 //!   descriptor, evaluates the local expectations, and records an
 //!   immutable vote. `Resolve` applies the writes (on commit), frees
 //!   the locks, and records the verdict in the originator's tombstone.
-//!   `Settle` — decided only after its sender saw `Resolve`
-//!   acknowledged on *every* involved shard — retires the commit from
-//!   the possibly-torn window that snapshot captures carry (see
-//!   below). All three are idempotent under helping: a duplicate
-//!   `Prepare` returns the recorded vote or verdict, duplicate
-//!   `Resolve`/`Settle` ack. Votes are recorded exactly once per shard,
-//!   so every resolver — initiator or helper — computes the same commit
-//!   verdict. Ids are per originator ([`MultiId`]) and an originator
-//!   runs one multi-op at a time, so a shard keeps **one tombstone per
-//!   originator**, not one per multi-op: a `Prepare` for an id its
-//!   originator has since superseded is answered
-//!   [`ShardResp::Stale`] (see `ShardState::origins`).
+//!   Both are idempotent under helping: a duplicate `Prepare` returns
+//!   the recorded vote or verdict, a duplicate `Resolve` acks. Votes
+//!   are recorded exactly once per shard, so every resolver —
+//!   initiator or helper — computes the same commit verdict. Ids are
+//!   per originator ([`MultiId`]) and an originator runs one multi-op
+//!   at a time, so a shard keeps **one tombstone per originator**, not
+//!   one per multi-op: a `Prepare` for an id its originator has since
+//!   superseded is answered [`ShardResp::Stale`] (see
+//!   `ShardState::origins`). The tombstones are also all the commit
+//!   bookkeeping a snapshot capture carries ([`SnapPart::committed`]).
 //!
 //! * **Snapshot markers** ([`ShardOp::Marker`]). Deciding `Marker{e}`
 //!   captures this shard's contribution to global snapshot `e`
@@ -59,10 +56,11 @@
 //! sorted iteration, so checkpoint images and the replicas bootstrapped
 //! from them are packed trees whatever order the keys were inserted in.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use waitfree_model::{ObjectSpec, Pid};
 
@@ -74,7 +72,7 @@ use crate::router::route;
 /// and that handle's own multi-op count (**seq**) in the low
 /// [`MultiId::SEQ_BITS`]. An originator numbers its multi-ops in the
 /// order it runs them and starts `(o, s + 1)` only after `(o, s)` is
-/// resolved and settled on every involved shard, so within one origin a
+/// resolved on every involved shard, so within one origin a
 /// larger seq supersedes every smaller one — the rule
 /// `ShardState::origins` relies on. A bare `MultiId(n)` with
 /// `n < 2^40` is origin 0, seq `n`.
@@ -167,7 +165,7 @@ pub struct MultiDesc<K: Ord, V> {
     pub shards: Vec<usize>,
 }
 
-impl<K: Ord + Hash, V> MultiDesc<K, V> {
+impl<K: Clone + Ord + Hash, V: Clone> MultiDesc<K, V> {
     /// Keys of this descriptor owned by `shard` (expects ∪ writes).
     fn local_keys(&self, seed: u64, nshards: usize, shard: usize) -> Vec<&K> {
         let mut keys: Vec<&K> = self
@@ -179,6 +177,21 @@ impl<K: Ord + Hash, V> MultiDesc<K, V> {
         keys.sort();
         keys.dedup();
         keys
+    }
+
+    /// Apply this descriptor's writes owned by `shard` to `map` — what
+    /// that shard's commit does, and what snapshot repair does for it.
+    pub(crate) fn apply_writes(&self, map: &mut BTreeMap<K, V>, seed: u64, nshards: usize, shard: usize) {
+        for (k, w) in self.writes.iter().filter(|(k, _)| route(seed, nshards, *k) == shard) {
+            match w {
+                Some(v) => {
+                    map.insert(k.clone(), v.clone());
+                }
+                None => {
+                    map.remove(k);
+                }
+            }
+        }
     }
 }
 
@@ -207,15 +220,17 @@ pub struct SnapPart<K: Ord, V> {
     pub epoch: u64,
     pub map: BTreeMap<K, V>,
     /// Multi-ops prepared but not yet resolved at the cut. Snapshot
-    /// assembly patches these against `unsettled` elsewhere (torn-multi
-    /// repair) — see [`crate::ShardedStore`] docs.
+    /// assembly applies one exactly when another part lists it in
+    /// `committed` (torn-multi repair) — see [`crate::ShardedStore`]
+    /// docs.
     pub pending: BTreeMap<MultiId, PendingMulti<K, V>>,
-    /// Committed multi-ops not yet settled here (id → involved
-    /// shards): the only commits that can be torn in this cut, so the
-    /// only ones a capture needs to carry. Bounded by in-flight
-    /// multi-ops (plus crashed resolvers), **not** by all commits ever
-    /// — see `ShardState::unsettled`.
-    pub unsettled: BTreeMap<MultiId, Vec<usize>>,
+    /// Per origin, its newest multi-op here when this shard's verdict
+    /// on it is commit: read off the tombstones (`ShardState::origins`),
+    /// so at most one id per originator, **not** one per commit ever.
+    /// It is every commit that can be torn in a cut holding this part:
+    /// the tombstone moves past `(o, s)` only at the prepare of
+    /// `(o, s + 1)`, which follows every resolve of `(o, s)`.
+    pub committed: BTreeSet<MultiId>,
     /// Mutation counter at the cut.
     pub version: u64,
     /// Observed-shard-version vector at the cut, indexed by shard
@@ -261,12 +276,11 @@ pub enum ShardOp<K: Ord, V, M> {
     Update { key: K, merge: M, ctx: Ctx },
     Prepare { desc: MultiDesc<K, V>, ctx: Ctx },
     Resolve { id: MultiId, commit: bool, ctx: Ctx },
-    /// Sent by a resolver *after* it observed `Resolve` acknowledged on
-    /// every involved shard: this commit can no longer be torn in any
-    /// consistent cut, so drop it from the capture window. Carries a
-    /// `Ctx` so the stamp rule and the knowledge vector order it
-    /// against open snapshots like any other mutation — that ordering
-    /// is what makes dropping it sound (see `ShardState::unsettled`).
+    /// A no-op: answers `Ack` at the current version and changes
+    /// nothing, its ctx included. The store never sends it — snapshot
+    /// repair reads commits off the tombstones. Exists only because the
+    /// repository's benchmark (`benchmark/src/sut.rs`, frozen between
+    /// benchmark PRs) still builds it after each commit's resolves.
     Settle { id: MultiId, ctx: Ctx },
     Marker { epoch: u64 },
 }
@@ -302,14 +316,14 @@ pub enum ShardResp<K: Ord, V> {
     /// `Prepare` raced a finished multi: the recorded verdict.
     Resolved { commit: bool, version: u64 },
     /// `Prepare` for an id its originator has superseded here: that
-    /// multi-op is resolved and settled on *every* involved shard
+    /// multi-op is resolved on *every* involved shard
     /// (the originator numbered a later one only after that), so there
     /// is nothing left to help and no verdict to report.
     Stale { version: u64 },
     /// The key (or a descriptor key) is locked by another in-flight
     /// multi-op; the full holder descriptor enables helping.
     Blocked { holder: Box<MultiDesc<K, V>>, version: u64 },
-    /// `Resolve` applied (or was already applied).
+    /// `Resolve` applied (or was already applied), or a `Settle`.
     Ack { version: u64 },
     /// `Marker` capture.
     Part(Box<SnapPart<K, V>>),
@@ -321,8 +335,6 @@ pub struct ShardStats {
     /// Origins remembered here: at most one per handle that ever
     /// prepared a multi-op on this shard, however many it ran.
     pub tombstones: usize,
-    /// Commits resolved but not yet settled here.
-    pub unsettled: usize,
     /// Early captures waiting for their marker.
     pub early: usize,
 }
@@ -350,31 +362,17 @@ pub struct ShardState<K: Ord, V, M> {
     /// new would re-lock keys or re-apply writes — but one entry per
     /// *origin* is enough to refuse it, because an originator runs one
     /// multi-op at a time and numbers `(o, s + 1)` only after `(o, s)`
-    /// was resolved and settled on every involved shard
-    /// (`StoreHandle::run_multi` returned; a handle reused after a
-    /// caught crash finishes its orphan first). So a descriptor
-    /// `(o, s)` reaching this shard proves every `(o, s' < s)` is
-    /// finished everywhere, and of origin `o` only the newest id can
-    /// still be in flight: it keeps its exact verdict, anything older
-    /// answers [`ShardResp::Stale`]. Bounded by the origins that ever
-    /// prepared a multi-op on this shard — about 24 bytes each —
-    /// independent of how many multi-ops they ran.
+    /// was resolved on every involved shard (`StoreHandle::run_multi`
+    /// returned; a handle reused after a caught crash finishes its
+    /// orphan first). So a descriptor `(o, s)` reaching this shard
+    /// proves every `(o, s' < s)` is finished everywhere, and of origin
+    /// `o` only the newest id can still be in flight: it keeps its
+    /// exact verdict, anything older answers [`ShardResp::Stale`].
+    /// The same premise makes the committed tombstones the capture's
+    /// whole commit window ([`SnapPart::committed`]). Bounded by the
+    /// origins that ever prepared a multi-op on this shard — about 24
+    /// bytes each — independent of how many multi-ops they ran.
     origins: BTreeMap<u32, Tombstone>,
-    /// Commits not yet settled here (id → involved shards): the window
-    /// of multi-ops a snapshot capture could still observe torn, and
-    /// the only commit bookkeeping captures carry. Why removal on
-    /// [`ShardOp::Settle`] is sound: a settle is decided only after its
-    /// sender saw `Resolve` acknowledged on every involved shard, and
-    /// it carries a `Ctx`. If a cut includes the settle, the stamp rule
-    /// plus the settle's knowledge vector force the cut to include
-    /// every involved shard's resolve too (a settle stamped at-or-after
-    /// an open epoch early-captures the *pre-settle* state; one stamped
-    /// before the epoch opened implies every resolve finished before
-    /// the epoch opened) — so the commit is whole in that cut and needs
-    /// no repair. Bounded by in-flight multi-ops plus resolvers that
-    /// crashed between their last resolve and their settles (any later
-    /// helper of the same multi re-settles).
-    unsettled: BTreeMap<MultiId, Vec<usize>>,
     /// Max observed version per shard over all ops applied here,
     /// indexed by shard (length `nshards` from construction).
     know: Vec<u64>,
@@ -391,8 +389,10 @@ pub struct ShardState<K: Ord, V, M> {
     /// (stamp rule, module docs). Claimed and removed by the marker;
     /// an entry whose snapshotter crashed before its marker stays
     /// claimable (the snapshotter may only be stalled) — one retained
-    /// capture per crashed snapshot per shard is the leak bound.
-    early: BTreeMap<u64, SnapPart<K, V>>,
+    /// capture per crashed snapshot per shard is the leak bound. The
+    /// epochs of one sweep share one capture, and an image copies
+    /// pointers; a capture's `epoch` is set when its marker claims it.
+    early: BTreeMap<u64, Arc<SnapPart<K, V>>>,
     _merge: PhantomData<M>,
 }
 
@@ -413,7 +413,6 @@ impl<K: Clone + Ord, V: Clone, M> Clone for ShardState<K, V, M> {
             map,
             pending,
             origins,
-            unsettled,
             know,
             stamp_hi,
             early,
@@ -427,7 +426,6 @@ impl<K: Clone + Ord, V: Clone, M> Clone for ShardState<K, V, M> {
             map: map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             pending: pending.clone(),
             origins: origins.clone(),
-            unsettled: unsettled.clone(),
             know: know.clone(),
             stamp_hi: *stamp_hi,
             early: early.clone(),
@@ -452,7 +450,6 @@ where
             map: BTreeMap::new(),
             pending: BTreeMap::new(),
             origins: BTreeMap::new(),
-            unsettled: BTreeMap::new(),
             know: vec![0; nshards],
             stamp_hi: 0,
             early: BTreeMap::new(),
@@ -460,16 +457,23 @@ where
         }
     }
 
-    /// Photograph the capture-relevant state *now*. Only the unsettled
-    /// commit window rides along — settled commits cannot be torn in
-    /// any cut that could contain this capture (see `unsettled`), so
-    /// captures stay proportional to in-flight work, not history.
+    /// Photograph the capture-relevant state *now*. Of the commits only
+    /// each origin's newest rides along, read off its tombstone — older
+    /// ones cannot be torn in any cut that could contain this capture
+    /// (see [`SnapPart::committed`]) — so captures stay proportional to
+    /// in-flight work and originators, not history.
     fn part_now(&self, epoch: u64) -> SnapPart<K, V> {
+        let committed = self
+            .origins
+            .iter()
+            .filter(|(_, t)| t.verdict == Some(true))
+            .map(|(&o, t)| MultiId::new(o, t.seq))
+            .collect();
         SnapPart {
             epoch,
             map: self.map.clone(),
             pending: self.pending.clone(),
-            unsettled: self.unsettled.clone(),
+            committed,
             version: self.version,
             know: self.know.clone(),
         }
@@ -481,15 +485,15 @@ where
     /// (the `stamp_hi` invariant), so it gets an early capture of the
     /// **pre-op** state, excluding the op from the cut.
     ///
-    /// Each epoch is swept at most once, so the per-op cost is the
-    /// number of epochs opened since the last sweep here — amortized
-    /// O(1) per epoch.
+    /// Each epoch is swept at most once, and one sweep takes one
+    /// capture that all its epochs share, so an op pays at most one
+    /// state copy however many epochs its stamp reveals.
     fn pre_capture(&mut self, stamp: u64) {
-        for e in self.stamp_hi + 1..=stamp {
-            let part = self.part_now(e);
-            self.early.insert(e, part);
+        if stamp > self.stamp_hi {
+            let part = Arc::new(self.part_now(self.stamp_hi + 1));
+            self.early.extend((self.stamp_hi + 1..=stamp).map(|e| (e, Arc::clone(&part))));
+            self.stamp_hi = stamp;
         }
-        self.stamp_hi = self.stamp_hi.max(stamp);
     }
 
     /// Apply a mutating op's context: early-capture first (so an
@@ -563,22 +567,6 @@ where
         Ok((vals, self.version))
     }
 
-    fn apply_writes_of(&mut self, desc: &MultiDesc<K, V>) {
-        for (k, w) in &desc.writes {
-            if route(self.seed, self.nshards, k) != self.shard {
-                continue;
-            }
-            match w {
-                Some(v) => {
-                    self.map.insert(k.clone(), v.clone());
-                }
-                None => {
-                    self.map.remove(k);
-                }
-            }
-        }
-    }
-
     fn prepare(&mut self, desc: &MultiDesc<K, V>) -> ShardResp<K, V> {
         let id = desc.id;
         if let Some(pm) = self.pending.get(&id) {
@@ -617,20 +605,12 @@ where
             return ShardResp::Ack { version: self.version };
         };
         if commit {
-            self.apply_writes_of(&pm.desc);
-            self.unsettled.insert(id, pm.desc.shards.clone());
+            pm.desc.apply_writes(&mut self.map, self.seed, self.nshards, self.shard);
         }
         if let Some(t) = self.origins.get_mut(&id.origin()).filter(|t| t.seq == id.seq()) {
             t.verdict = Some(commit);
         }
         self.version += 1;
-        ShardResp::Ack { version: self.version }
-    }
-
-    fn settle(&mut self, id: MultiId) -> ShardResp<K, V> {
-        if self.unsettled.remove(&id).is_some() {
-            self.version += 1;
-        }
         ShardResp::Ack { version: self.version }
     }
 
@@ -640,8 +620,10 @@ where
     /// `e` is open, exactly as an op stamped `e - 1` would. Sweep those
     /// first, then claim `e`'s capture and raise `stamp_hi` over `e` —
     /// which keeps the `stamp_hi` invariant with no record of which
-    /// markers were applied.
-    fn claim_marker(&mut self, e: u64) -> Option<SnapPart<K, V>> {
+    /// markers were applied. The capture may still be shared (with the
+    /// rest of its sweep, or an image): [`ObjectSpec::apply`] unwraps
+    /// it, `apply_discard` only drops it.
+    fn claim_marker(&mut self, e: u64) -> Option<Arc<SnapPart<K, V>>> {
         self.pre_capture(e.saturating_sub(1));
         self.stamp_hi = self.stamp_hi.max(e);
         self.early.remove(&e)
@@ -650,7 +632,7 @@ where
     /// This shard's bookkeeping sizes.
     #[must_use]
     pub fn stats(&self) -> ShardStats {
-        ShardStats { tombstones: self.origins.len(), unsettled: self.unsettled.len(), early: self.early.len() }
+        ShardStats { tombstones: self.origins.len(), early: self.early.len() }
     }
 }
 
@@ -736,12 +718,12 @@ where
                 self.absorb(ctx);
                 self.resolve(*id, *commit)
             }
-            ShardOp::Settle { id, ctx } => {
-                self.absorb(ctx);
-                self.settle(*id)
-            }
+            ShardOp::Settle { .. } => ShardResp::Ack { version: self.version },
             ShardOp::Marker { epoch } => {
-                let part = self.claim_marker(*epoch).unwrap_or_else(|| self.part_now(*epoch));
+                let part = match self.claim_marker(*epoch) {
+                    Some(early) => SnapPart { epoch: *epoch, ..Arc::unwrap_or_clone(early) },
+                    None => self.part_now(*epoch),
+                };
                 ShardResp::Part(Box::new(part))
             }
         }
@@ -788,28 +770,35 @@ mod tests {
         }
     }
 
-    /// A settled commit leaves the capture window (so snapshot size
-    /// tracks in-flight multis, not history) while its tombstone — it
-    /// is still its origin's newest id — keeps answering stragglers
-    /// with the exact verdict.
+    /// A commit rides every capture as its origin's newest committed
+    /// id — another origin's traffic does not evict it, and a
+    /// straggler's prepare still gets its verdict — until the origin's
+    /// next prepare on this shard replaces the tombstone, so a capture
+    /// holds one commit per origin at most, not the commit history.
     #[test]
-    fn settle_retires_commits_from_captures_but_not_tombstones() {
+    fn a_commit_rides_captures_until_its_origin_prepares_again() {
         let mut st = St::new(0, 1, 0);
-        let d = desc(MultiId(9), &[(1, 10), (2, 20)]);
-        st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
-        st.apply(Pid(0), &ShardOp::Resolve { id: d.id, commit: true, ctx: ctx(0) });
+        let d = desc(MultiId::new(1, 0), &[(1, 10), (2, 20)]);
+        finish(&mut st, &d, true);
         let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 1 }));
-        assert!(p.unsettled.contains_key(&d.id), "unsettled commit rides the capture");
-        st.apply(Pid(0), &ShardOp::Settle { id: d.id, ctx: ctx(0) });
-        let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 2 }));
-        assert!(p.unsettled.is_empty(), "settled commit dropped from the capture");
+        assert_eq!(p.committed, BTreeSet::from([d.id]), "the commit rides the capture");
         assert_eq!(p.map.get(&1), Some(&10));
-        // The tombstone survives settling: a straggling helper's
-        // prepare still gets the verdict, not a fresh lock.
-        match st.apply(Pid(0), &ShardOp::Prepare { desc: d, ctx: ctx(0) }) {
+        let other = desc(MultiId::new(2, 0), &[(3, 30)]);
+        finish(&mut st, &other, true);
+        match st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) }) {
             ShardResp::Resolved { commit: true, .. } => {}
             r => panic!("straggler prepare answered {r:?}"),
         }
+        let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 2 }));
+        assert_eq!(p.committed, BTreeSet::from([d.id, other.id]), "another origin evicted the commit");
+        let next = desc(MultiId::new(1, 1), &[(1, 11)]);
+        st.apply(Pid(0), &ShardOp::Prepare { desc: next.clone(), ctx: ctx(0) });
+        let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 3 }));
+        assert_eq!(p.committed, BTreeSet::from([other.id]), "the next prepare retires the commit");
+        assert!(p.pending.contains_key(&next.id));
+        st.apply(Pid(0), &ShardOp::Resolve { id: next.id, commit: false, ctx: ctx(0) });
+        let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: 4 }));
+        assert_eq!(p.committed, BTreeSet::from([other.id]), "an abort rides no capture");
     }
 
     /// A permanently open epoch (crashed snapshotter) costs one
@@ -827,9 +816,13 @@ mod tests {
         st.apply(Pid(0), &ShardOp::Put { key: 1, val: Some(2), ctx: ctx(4) });
         assert_eq!(st.stats().early, 4);
         assert_eq!(st.stamp_hi, 4);
+        let first = Arc::clone(&st.early[&1]);
+        assert!(st.early.values().all(|p| Arc::ptr_eq(p, &first)), "one sweep took more than one capture");
+        drop(first);
         for e in 2..=4 {
             let p = part(st.apply(Pid(0), &ShardOp::Marker { epoch: e }));
             assert_eq!(p.map.get(&1), Some(&1), "marker {e} rebuilt its part");
+            assert_eq!(p.epoch, e);
         }
         assert_eq!(st.stats().early, 1, "markers claimed their captures");
         assert_eq!(st.stamp_hi, 4);
@@ -910,20 +903,17 @@ mod tests {
         }
     }
 
-    /// Prepare, resolve and (on commit) settle one multi-op, as
-    /// `run_multi` decides them on one shard.
+    /// Prepare and resolve one multi-op, as `run_multi` decides them on
+    /// one shard.
     fn finish(st: &mut St, d: &MultiDesc<u64, i64>, commit: bool) {
         st.apply(Pid(0), &ShardOp::Prepare { desc: d.clone(), ctx: ctx(0) });
         st.apply(Pid(0), &ShardOp::Resolve { id: d.id, commit, ctx: ctx(0) });
-        if commit {
-            st.apply(Pid(0), &ShardOp::Settle { id: d.id, ctx: ctx(0) });
-        }
     }
 
     /// Entries held by every collection of the state: what an image
     /// (checkpoint, bootstrap) has to clone.
     fn image_entries(st: &St) -> usize {
-        st.map.len() + st.pending.len() + st.origins.len() + st.unsettled.len() + st.know.len() + st.early.len()
+        st.map.len() + st.pending.len() + st.origins.len() + st.know.len() + st.early.len()
     }
 
     /// `n` committed multi-ops on 16 keys, round-robin over three
@@ -945,7 +935,7 @@ mod tests {
         let small = after_commits(100);
         assert_eq!(small.stats().tombstones, 3);
         let large = after_commits(10_000);
-        let stats = ShardStats { tombstones: 3, unsettled: 0, early: 0 };
+        let stats = ShardStats { tombstones: 3, early: 0 };
         assert_eq!(large.stats(), stats, "tombstones grew with the commit count");
         assert_eq!(image_entries(&after_commits(1_000)), image_entries(&after_commits(100_000)));
     }
@@ -983,8 +973,8 @@ mod tests {
     }
 
     /// An aborted multi-op that is still its origin's newest answers
-    /// its exact verdict too, settled or not; another origin's traffic
-    /// does not disturb it.
+    /// its exact verdict too; another origin's traffic does not disturb
+    /// it.
     #[test]
     fn newest_id_answers_its_exact_verdict() {
         let mut st = St::new(0, 1, 0);

@@ -876,14 +876,10 @@ fn store_single_key_ops_survive_crash_storms_exactly() {
 
 /// A 4-shard multi_put crashed at its `nth` hit of `store::multi`
 /// (hits 1..=4 are the ascending prepares, 5..=8 the ascending
-/// resolves, 9..=12 the ascending settle sweep that retires the commit
-/// from the shards' possibly-torn capture windows). Postconditions,
-/// exact in all cases:
+/// resolves). Postconditions, exact in all cases:
 ///
 /// * a snapshot taken while the multi is stalled is never torn —
-///   all-or-nothing depending on whether any shard holds the commit
-///   (a crash mid-settle leaves the id in some capture windows, which
-///   must cost nothing but capture bytes);
+///   all-or-nothing depending on whether any shard holds the commit;
 /// * a conflicting single-key `put` helps the multi to completion from
 ///   the replicated descriptor, then applies itself — every involved
 ///   shard ends with the multi's write (the helper's own put layered
@@ -897,8 +893,7 @@ fn store_single_key_ops_survive_crash_storms_exactly() {
 /// `(o, s)` is finished everywhere before `(o, s + 1)` exists (were it
 /// not, shard 3 would answer the orphan's later helpers `Stale` and
 /// shard 0's lock would never be released). The postconditions are the
-/// same exact values, plus a fully settled store (the orphan's
-/// interrupted settle sweep re-ran).
+/// same exact values, plus at most one tombstone per originator.
 fn crashed_multi_round(nth: u64, reuse: bool) {
     let store = store4();
     let keys = keys_per_shard(&store);
@@ -940,9 +935,8 @@ fn crashed_multi_round(nth: u64, reuse: bool) {
     failpoints::clear();
 
     // Hit `nth` fired *before* its step, so prepares are decided on
-    // shards `0..nth-1` (capped at all 4), resolves on shards
-    // `0..nth-5` and settles on shards `0..nth-9`; the multi is
-    // commit-visible somewhere iff nth >= 6. nth == 1 is the
+    // shards `0..nth-1` (capped at all 4) and resolves on shards
+    // `0..nth-5`; the multi is commit-visible somewhere iff nth >= 6. nth == 1 is the
     // degenerate case: nothing decided anywhere, and the descriptor
     // died with the victim — the multi never happened.
     let committed_somewhere = nth >= 6;
@@ -982,10 +976,7 @@ fn crashed_multi_round(nth: u64, reuse: bool) {
     // shards (6 <= nth <= 8; its own resolve would have been hit 8) —
     // completes the stalled multi from the replicated descriptor, then
     // applies. multi_put has no expectations, so the helped verdict is
-    // commit: the observed prev is exactly the multi's write. For
-    // nth >= 9 every lock is already released (the crash landed in the
-    // settle sweep), so the put applies directly over the committed
-    // write — same observable outcome.
+    // commit: the observed prev is exactly the multi's write.
     let c = if committed_somewhere { 3 } else { 0 };
     let prev = h.put(keys[c], 777);
     if nth == 1 {
@@ -1015,13 +1006,12 @@ fn crashed_multi_round(nth: u64, reuse: bool) {
     let snap = h.snapshot();
     assert!(keys.iter().all(|k| snap.map.get(k) == Some(&-1)));
 
-    // (4) Reuse only: the orphan's settle sweep re-ran, and two
-    // originators cost each shard at most two tombstones.
+    // (4) Reuse only: two originators cost each shard at most two
+    // tombstones.
     if victim.is_some() {
         for s in 0..store.shards() {
             let mut probe = store.shard(s).register();
             let stats = probe.read(ShardState::stats);
-            assert_eq!(stats.unsettled, 0, "nth {nth}: shard {s} unsettled");
             assert!(stats.tombstones <= 2, "nth {nth}: shard {s} tombstones");
         }
     }
@@ -1030,7 +1020,7 @@ fn crashed_multi_round(nth: u64, reuse: bool) {
 #[test]
 fn store_crashed_multi_op_is_helped_and_never_torn() {
     let _guard = failpoints::exclusive();
-    for nth in 1..=12 {
+    for nth in 1..=8 {
         failpoints::clear();
         crashed_multi_round(nth, false);
     }
@@ -1040,7 +1030,7 @@ fn store_crashed_multi_op_is_helped_and_never_torn() {
 #[test]
 fn store_handle_reused_after_a_caught_crash_finishes_its_orphan_first() {
     let _guard = failpoints::exclusive();
-    for nth in 2..=12 {
+    for nth in 2..=8 {
         failpoints::clear();
         crashed_multi_round(nth, true);
     }

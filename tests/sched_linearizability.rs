@@ -2245,7 +2245,7 @@ mod store_stale_helper {
     /// `SLEPT_THROUGH` completions — the runs whose helper resumes as a
     /// straggler for a superseded id (a third of them, by park point,
     /// with a prepare still to send: the `Stale` answer; the rest with
-    /// only no-op resolves and settles).
+    /// only no-op resolves).
     fn campaign(reader: bool) -> usize {
         let slept = Arc::new(AtomicUsize::new(0));
         for pct in [false, true] {

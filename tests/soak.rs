@@ -20,9 +20,9 @@
 //! commits and aborts, reads, snapshots, skewed keys and a fresh set of
 //! handles every round, with hard bounds on RSS *and* on every
 //! per-shard structure that is bounded by argument — tombstones by the
-//! originators ever created, the unsettled window and the early
-//! captures by the live handles — and an exact zero-sum invariant in
-//! every snapshot. `WF_SOAK_STORE_OPS` scales it (default 60k; CI 2M).
+//! originators ever created (and with them the committed ids a capture
+//! carries), the early captures by the live handles — and an exact
+//! zero-sum invariant in every snapshot. `WF_SOAK_STORE_OPS` scales it (default 60k; CI 2M).
 
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -230,10 +230,9 @@ impl Drop for Finished {
 fn check_gauges(store: &ShardedStore<u64, i64, Bump>, origins: usize, live: usize, ctx: &str) {
     for s in 0..STORE_SHARDS {
         let mut probe = store.shard(s).register();
-        let ShardStats { tombstones: tombs, unsettled, early } = probe.read(ShardState::stats);
+        let ShardStats { tombstones: tombs, early } = probe.read(ShardState::stats);
         probe.retire();
         assert!(tombs <= origins, "{ctx} shard {s}: {tombs} tombstones for {origins} originators ever created");
-        assert!(unsettled <= live, "{ctx} shard {s}: {unsettled} unsettled commits with {live} live handles");
         assert!(early <= live, "{ctx} shard {s}: {early} early captures with {live} live handles");
     }
 }
@@ -333,8 +332,8 @@ fn soak_store_state_is_bounded_by_handles_not_history() {
             aborts += a;
             snaps += n;
         }
-        // Quiescent: every multi-op ran to the end of its settle sweep
-        // and every snapshot placed all its markers.
+        // Quiescent: every multi-op ran to the end of its resolves and
+        // every snapshot placed all its markers.
         check_gauges(&store, origins, 0, &format!("{ctx} (quiescent)"));
 
         if let Some(rss) = rss_mib() {
