@@ -11,8 +11,9 @@
 //! the two clones of its `ShardOp` — each deep-copies `Ctx.know` — into
 //! the announce entry and the log entry; the handle's own version
 //! vector is lent to the op, not copied. Reads and `stats()` snapshots
-//! allocate nothing. A shard image (a `ShardState` clone) allocates its
-//! map packed: one node per 11 keys, not per 6.
+//! allocate nothing. A shard image (a `ShardState` clone) shares its key
+//! map, so it and the bootstrap of a late registrant allocate the same
+//! whatever the shard holds.
 
 use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
 use waitfree_objects::counter::{Counter, CounterOp};
@@ -118,19 +119,44 @@ fn store_put_and_get_stay_within_budget() {
     assert_eq!(calls, 0);
 }
 
-/// A shard image is a packed tree: cloning a `ShardState` whose map was
-/// grown by ascending puts (the loader's order, which leaves `BTreeMap`
-/// nodes about half full) bulk-builds full nodes, about one allocation
-/// per 11 keys where a structural copy of the grown tree makes one per 6.
+/// A shard image shares its key map: cloning a `ShardState` allocates
+/// the same on 16 384 keys as on 262 144 — its small vectors, not a
+/// node per few keys.
 #[test]
-fn shard_image_clone_is_packed() {
-    const KEYS: u64 = 16_384;
-    let mut st: ShardState<u64, i64, Bump> = ShardState::new(0, 1, 0);
-    for key in 0..KEYS {
-        st.apply(Pid(0), &ShardOp::Put { key, val: Some(key as i64), ctx: Ctx { epoch: 0, know: Vec::new() } });
-    }
-    let (image, (calls, bytes)) = allocs_during(|| st.clone());
-    println!("shard image clone: {calls} allocs / {bytes} bytes for {KEYS} keys");
-    assert!(image == st);
-    assert!(calls <= KEYS / 10, "{calls} allocations for {KEYS} keys: the image is not packed");
+fn shard_image_clone_is_constant_size() {
+    let image_allocs = |keys: u64| {
+        let mut st: ShardState<u64, i64, Bump> = ShardState::new(0, 1, 0);
+        for key in 0..keys {
+            st.apply(Pid(0), &ShardOp::Put { key, val: Some(key as i64), ctx: Ctx { epoch: 0, know: Vec::new() } });
+        }
+        let (image, (calls, bytes)) = allocs_during(|| st.clone());
+        println!("shard image clone: {calls} allocs / {bytes} bytes for {keys} keys");
+        assert!(image == st);
+        calls
+    };
+    let (small, large) = (image_allocs(16_384), image_allocs(262_144));
+    assert_eq!(small, large, "the image grew with the shard");
+    assert!(large <= 2, "{large} allocations for one shard image");
+}
+
+/// Registering a handle on a checkpointed store bootstraps every shard
+/// from its latest image: it allocates the same on 1 024 keys as on
+/// 65 536.
+#[test]
+fn store_handle_bootstrap_is_constant_size() {
+    let register_allocs = |keys: u64| {
+        let cfg = StoreConfig { shards: 4, checkpoint_every: Some(64), ..StoreConfig::default() };
+        let store: ShardedStore<u64, i64, Bump> = ShardedStore::new(&cfg);
+        let mut loader = store.handle();
+        for key in 0..keys {
+            loader.put(key, key as i64);
+        }
+        let checkpoints: Vec<usize> = (0..store.shards()).map(|s| store.shard(s).stats().checkpoints).collect();
+        let (h, (calls, bytes)) = allocs_during(|| store.handle());
+        println!("store handle: {calls} allocs / {bytes} bytes on {keys} keys, {checkpoints:?} checkpoints");
+        assert!(checkpoints.iter().all(|&c| c > 0), "every shard has an image to bootstrap from");
+        drop(h);
+        calls
+    };
+    assert_eq!(register_allocs(1_024), register_allocs(65_536), "the bootstrap grew with the store");
 }

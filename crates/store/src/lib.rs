@@ -101,10 +101,12 @@ use waitfree_sync::universal::{UniversalConfig, WfHandle, WfUniversal};
 
 pub mod model;
 pub mod router;
+pub mod shard_map;
 pub mod spec;
 
 pub use model::{StoreModel, StoreOp, StoreResp};
 pub use router::route;
+pub use shard_map::ShardMap;
 pub use spec::{
     Bump, Ctx, Merge, MultiDesc, MultiId, Peek, PendingMulti, ShardOp, ShardResp, ShardState, ShardStats, SnapPart,
 };
@@ -697,7 +699,8 @@ where
         check_cut(&parts);
         // Shards partition the key space, so the parts are disjoint:
         // one collect sorts the presorted runs and bulk-builds the tree.
-        let map = parts.iter_mut().flat_map(|p| mem::take(&mut p.map)).collect();
+        // The parts share their nodes with live replicas: copy entries.
+        let map = parts.iter().flat_map(|p| p.map.iter()).map(|(k, v)| (k.clone(), v.clone())).collect();
         Snapshot { epoch, map }
     }
 

@@ -50,11 +50,14 @@
 //!   DESIGN §10 for the argument that this yields a causally
 //!   consistent cut.
 //!
-//! All maps are `BTreeMap`s (not hash maps): the state must
-//! be `Eq + Hash` for the linearizability checker, and iteration order
-//! must be deterministic for replay. A clone bulk-builds `map` from its
-//! sorted iteration, so checkpoint images and the replicas bootstrapped
-//! from them are packed trees whatever order the keys were inserted in.
+//! The keys live in a [`ShardMap`], an ordered map whose clone shares
+//! its nodes: a checkpoint image, a late registrant's bootstrap and a
+//! snapshot capture each copy one pointer, and the first mutation after
+//! one copies only the nodes it touches. Every other collection is a
+//! `BTreeMap`, bounded by in-flight multi-ops and originators rather
+//! than keys. None is a hash map: the state must be `Eq + Hash` for the
+//! linearizability checker, and iteration order must be deterministic
+//! for replay.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
@@ -65,6 +68,7 @@ use std::sync::Arc;
 use waitfree_model::{ObjectSpec, Pid};
 
 use crate::router::route;
+use crate::shard_map::ShardMap;
 
 /// Store-wide unique identity of one multi-key operation, so helpers
 /// and initiators name the same attempt: the originating handle's
@@ -181,7 +185,7 @@ impl<K: Clone + Ord + Hash, V: Clone> MultiDesc<K, V> {
 
     /// Apply this descriptor's writes owned by `shard` to `map` — what
     /// that shard's commit does, and what snapshot repair does for it.
-    pub(crate) fn apply_writes(&self, map: &mut BTreeMap<K, V>, seed: u64, nshards: usize, shard: usize) {
+    pub(crate) fn apply_writes(&self, map: &mut ShardMap<K, V>, seed: u64, nshards: usize, shard: usize) {
         for (k, w) in self.writes.iter().filter(|(k, _)| route(seed, nshards, *k) == shard) {
             match w {
                 Some(v) => {
@@ -218,7 +222,9 @@ pub struct PendingMulti<K: Ord, V> {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SnapPart<K: Ord, V> {
     pub epoch: u64,
-    pub map: BTreeMap<K, V>,
+    /// The shard's keys at the cut, sharing the nodes of the state it
+    /// was taken from.
+    pub map: ShardMap<K, V>,
     /// Multi-ops prepared but not yet resolved at the cut. Snapshot
     /// assembly applies one exactly when another part lists it in
     /// `committed` (torn-multi repair) — see [`crate::ShardedStore`]
@@ -340,7 +346,7 @@ pub struct ShardStats {
 }
 
 /// The shard state machine. See module docs.
-#[derive(PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ShardState<K: Ord, V, M> {
     /// This replica's shard index and the routing parameters — constants
     /// after construction, carried in-state so `apply` can route
@@ -350,7 +356,7 @@ pub struct ShardState<K: Ord, V, M> {
     seed: u64,
     /// Mutation counter: bumped by every state-changing transition.
     version: u64,
-    map: BTreeMap<K, V>,
+    map: ShardMap<K, V>,
     /// Prepared-but-unresolved multi-ops. These *are* the locks: a
     /// local key named by a pending descriptor is locked by it (see
     /// [`Self::holder_of`]), and `prepare` admits no descriptor that
@@ -396,44 +402,6 @@ pub struct ShardState<K: Ord, V, M> {
     _merge: PhantomData<M>,
 }
 
-/// Field by field, as a derive would, except `map`: it is rebuilt from
-/// its sorted iteration, which std bulk-loads into full nodes. A map
-/// grown by ascending inserts (the loader's) leaves its nodes about half
-/// full, and a structural clone would copy that layout node for node;
-/// this clone — every checkpoint image, and so every replica
-/// bootstrapped from one — is packed instead: about half the nodes,
-/// faster to walk and to drop.
-impl<K: Clone + Ord, V: Clone, M> Clone for ShardState<K, V, M> {
-    fn clone(&self) -> Self {
-        let ShardState {
-            shard,
-            nshards,
-            seed,
-            version,
-            map,
-            pending,
-            origins,
-            know,
-            stamp_hi,
-            early,
-            _merge,
-        } = self;
-        ShardState {
-            shard: *shard,
-            nshards: *nshards,
-            seed: *seed,
-            version: *version,
-            map: map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            pending: pending.clone(),
-            origins: origins.clone(),
-            know: know.clone(),
-            stamp_hi: *stamp_hi,
-            early: early.clone(),
-            _merge: PhantomData,
-        }
-    }
-}
-
 impl<K, V, M> ShardState<K, V, M>
 where
     K: Clone + Ord + Hash + Debug,
@@ -447,7 +415,7 @@ where
             nshards,
             seed,
             version: 0,
-            map: BTreeMap::new(),
+            map: ShardMap::new(),
             pending: BTreeMap::new(),
             origins: BTreeMap::new(),
             know: vec![0; nshards],
@@ -1093,9 +1061,9 @@ mod tests {
                     ShardOp::Settle { .. } => 6,
                     ShardOp::Marker { .. } => 7,
                 }] = true;
-                // The hand-written `Clone` drops no field: the clone is
-                // equal and hashes equal, and it diverges alone — the op
-                // applied to it leaves the source equal to `discards`.
+                // The clone is equal and hashes equal, and it diverges
+                // alone — the op applied to it leaves the source equal
+                // to `discards`, though the two shared `map` until then.
                 let mut fork = answers.clone();
                 assert_eq!(fork, answers, "seed {seed} step {step}: clone differs");
                 assert_eq!(hash_of(&fork), hash_of(&answers), "seed {seed} step {step}");
