@@ -43,14 +43,10 @@
 //! * `universal::read` — in `read`/`try_read`, after the frontier load
 //!   and before the catch-up (a crash here has touched nothing shared:
 //!   a read writes only its own slot's frontier, after replaying);
-//! * `universal::checkpoint` — before a checkpoint position is claimed
-//!   (with a checkpoint cadence only; a crash here has published
-//!   nothing — the cadence simply re-fires on a later op, by any
-//!   handle);
-//! * `universal::cp_fill` — after a checkpoint claim won its position,
-//!   before the image is cloned into it (a crash here leaves one
-//!   unfilled claim: bootstrap passes over it, and truncation waits one
-//!   extra cadence window for the next claim);
+//! * `universal::checkpoint` — before a checkpoint image is built and
+//!   proposed (with a checkpoint cadence only; a crash here has
+//!   published nothing — the cadence simply re-fires on a later op, by
+//!   any handle);
 //! * `universal::reclaim` — inside the segment reclaimer, after the
 //!   try-lock is won but before any segment is detached (a crash here
 //!   unwinds through the lock's RAII guard, so reclamation stays

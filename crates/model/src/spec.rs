@@ -33,14 +33,6 @@ pub trait ObjectSpec: Clone + Eq + Hash + Debug {
     /// response. Operations are total: this never fails and never blocks.
     fn apply(&mut self, pid: Pid, op: &Self::Op) -> Self::Resp;
 
-    /// [`Self::apply`] for a caller that drops the response — a replica
-    /// replaying another process's operation. Must leave the state
-    /// exactly as `apply` would; override it only where building the
-    /// response is the expensive part.
-    fn apply_discard(&mut self, pid: Pid, op: &Self::Op) {
-        let _ = self.apply(pid, op);
-    }
-
     /// Apply an operation to a copy of the state, returning the successor
     /// state and the response. Convenience for explorers that keep states
     /// immutable.

@@ -51,7 +51,8 @@ impl Counter {
         Counter { value: initial }
     }
 
-    /// Current value (test/debug convenience).
+    /// Current value: what a replica-side read (`WfHandle::read`)
+    /// answers without deciding a `Get`.
     #[must_use]
     pub fn value(&self) -> Val {
         self.value

@@ -50,7 +50,8 @@ impl RwRegister {
         RwRegister { value: initial }
     }
 
-    /// Current contents (test/debug convenience; processes must `Read`).
+    /// Current contents: what a replica-side read (`WfHandle::read`)
+    /// answers without deciding a `Read`.
     #[must_use]
     pub fn value(&self) -> Val {
         self.value

@@ -187,15 +187,17 @@ impl<K: Clone + Ord + Hash, V: Clone> MultiDesc<K, V> {
     /// that shard's commit does, and what snapshot repair does for it.
     pub(crate) fn apply_writes(&self, map: &mut ShardMap<K, V>, seed: u64, nshards: usize, shard: usize) {
         for (k, w) in self.writes.iter().filter(|(k, _)| route(seed, nshards, *k) == shard) {
-            match w {
-                Some(v) => {
-                    map.insert(k.clone(), v.clone());
-                }
-                None => {
-                    map.remove(k);
-                }
-            }
+            write_key(map, k, w.clone());
         }
+    }
+}
+
+/// The one keyed write of the shard machine: `Some(v)` stores `v` at
+/// `key`, `None` removes `key`. Returns the previous value.
+fn write_key<K: Clone + Ord, V: Clone>(map: &mut ShardMap<K, V>, key: &K, w: Option<V>) -> Option<V> {
+    match w {
+        Some(v) => map.insert(key.clone(), v),
+        None => map.remove(key),
     }
 }
 
@@ -525,13 +527,7 @@ where
     where
         K: 'k,
     {
-        let mut vals = Vec::new();
-        for key in keys {
-            match self.holder_of(key) {
-                Some(holder) => return Err(holder),
-                None => vals.push(self.map.get(key).cloned()),
-            }
-        }
+        let vals = keys.into_iter().map(|key| self.peek(key).map(|(val, _)| val)).collect::<Result<_, _>>()?;
         Ok((vals, self.version))
     }
 
@@ -582,19 +578,23 @@ where
         ShardResp::Ack { version: self.version }
     }
 
-    /// Apply marker `e`'s bookkeeping and hand back its early capture,
-    /// if one was waiting. A marker is a stamped message: the epoch
-    /// counter is a fetch-add, so `Marker{e}` proves every epoch below
-    /// `e` is open, exactly as an op stamped `e - 1` would. Sweep those
-    /// first, then claim `e`'s capture and raise `stamp_hi` over `e` —
-    /// which keeps the `stamp_hi` invariant with no record of which
-    /// markers were applied. The capture may still be shared (with the
-    /// rest of its sweep, or an image): [`ObjectSpec::apply`] unwraps
-    /// it, `apply_discard` only drops it.
-    fn claim_marker(&mut self, e: u64) -> Option<Arc<SnapPart<K, V>>> {
+    /// Apply marker `e`: its bookkeeping, then its part. A marker is a
+    /// stamped message: the epoch counter is a fetch-add, so
+    /// `Marker{e}` proves every epoch below `e` is open, exactly as an
+    /// op stamped `e - 1` would. Sweep those first, then claim `e`'s
+    /// early capture and raise `stamp_hi` over `e` — which keeps the
+    /// `stamp_hi` invariant with no record of which markers were
+    /// applied. Without a waiting capture the part is taken now. A
+    /// capture may still be shared (with the rest of its sweep, or an
+    /// image); cloning it out of the `Arc` copies the map's root
+    /// pointer and the in-flight bookkeeping, not the keys.
+    fn marker(&mut self, e: u64) -> SnapPart<K, V> {
         self.pre_capture(e.saturating_sub(1));
         self.stamp_hi = self.stamp_hi.max(e);
-        self.early.remove(&e)
+        match self.early.remove(&e) {
+            Some(early) => SnapPart { epoch: e, ..Arc::unwrap_or_clone(early) },
+            None => self.part_now(e),
+        }
     }
 
     /// This shard's bookkeeping sizes.
@@ -615,29 +615,21 @@ where
 
     fn apply(&mut self, _pid: Pid, op: &Self::Op) -> Self::Resp {
         match op {
-            ShardOp::Get { key } => {
-                // Reads must respect multi-op locks: the holder's
-                // resolve lands shard by shard, so a read slipping past
-                // the lock here could combine with a read on another
-                // shard to observe the multi half-applied. Hand the
-                // reader the descriptor to help instead.
-                if let Some(holder) = self.holder_of(key) {
-                    return ShardResp::Blocked { holder, version: self.version };
-                }
-                ShardResp::Value {
-                    val: self.map.get(key).cloned(),
-                    version: self.version,
-                }
-            }
+            // Reads must respect multi-op locks: the holder's resolve
+            // lands shard by shard, so a read slipping past the lock
+            // here could combine with a read on another shard to observe
+            // the multi half-applied. Hand the reader the descriptor to
+            // help instead.
+            ShardOp::Get { key } => match self.peek(key) {
+                Ok((val, version)) => ShardResp::Value { val, version },
+                Err(holder) => ShardResp::Blocked { holder, version: self.version },
+            },
             ShardOp::Put { key, val, ctx } => {
                 self.absorb(ctx);
                 if let Some(holder) = self.holder_of(key) {
                     return ShardResp::Blocked { holder, version: self.version };
                 }
-                let prev = match val {
-                    Some(v) => self.map.insert(key.clone(), v.clone()),
-                    None => self.map.remove(key),
-                };
+                let prev = write_key(&mut self.map, key, val.clone());
                 self.version += 1;
                 ShardResp::Prev { prev, version: self.version }
             }
@@ -649,14 +641,7 @@ where
                 let prev = self.map.get(key).cloned();
                 let ok = prev == *expect;
                 if ok {
-                    match new {
-                        Some(v) => {
-                            self.map.insert(key.clone(), v.clone());
-                        }
-                        None => {
-                            self.map.remove(key);
-                        }
-                    }
+                    write_key(&mut self.map, key, new.clone());
                     self.version += 1;
                 }
                 ShardResp::CasResult { ok, prev, version: self.version }
@@ -666,15 +651,8 @@ where
                 if let Some(holder) = self.holder_of(key) {
                     return ShardResp::Blocked { holder, version: self.version };
                 }
-                let prev = self.map.get(key).cloned();
-                match merge.merge(prev.as_ref()) {
-                    Some(v) => {
-                        self.map.insert(key.clone(), v);
-                    }
-                    None => {
-                        self.map.remove(key);
-                    }
-                }
+                let new = merge.merge(self.map.get(key));
+                let prev = write_key(&mut self.map, key, new);
                 self.version += 1;
                 ShardResp::Prev { prev, version: self.version }
             }
@@ -687,27 +665,7 @@ where
                 self.resolve(*id, *commit)
             }
             ShardOp::Settle { .. } => ShardResp::Ack { version: self.version },
-            ShardOp::Marker { epoch } => {
-                let part = match self.claim_marker(*epoch) {
-                    Some(early) => SnapPart { epoch: *epoch, ..Arc::unwrap_or_clone(early) },
-                    None => self.part_now(*epoch),
-                };
-                ShardResp::Part(Box::new(part))
-            }
-        }
-    }
-
-    /// Only `Marker` builds a response worth skipping: a replica
-    /// replaying another client's marker does the marker's bookkeeping
-    /// without cloning its map into a part nobody reads.
-    fn apply_discard(&mut self, pid: Pid, op: &Self::Op) {
-        match op {
-            ShardOp::Marker { epoch } => {
-                self.claim_marker(*epoch);
-            }
-            _ => {
-                let _ = self.apply(pid, op);
-            }
+            ShardOp::Marker { epoch } => ShardResp::Part(Box::new(self.marker(*epoch))),
         }
     }
 }
@@ -1015,17 +973,19 @@ mod tests {
         h.finish()
     }
 
-    /// `apply_discard` is `apply` minus the response: over random op
+    /// A fork through `Clone` is a replica of its own: over random op
     /// streams — all eight variants, legal or not (ids out of order,
-    /// resolves without prepares, markers for any epoch) — a replica
-    /// that discards stays equal to one that answers, step by step.
-    /// Each step also forks the answering replica through `Clone`.
+    /// resolves without prepares, markers for any epoch) — at every
+    /// step the clone is equal and hashes equal, an op applied to it
+    /// leaves the source untouched though the two share `map` until
+    /// then, and the same op applied to the source answers the same
+    /// and brings the two back together.
     #[test]
-    fn apply_discard_tracks_apply_on_random_streams() {
+    fn a_fork_diverges_alone_on_random_streams() {
         type S2 = ShardState<u64, i64, Bump>;
         for seed in 1..=64u64 {
             let mut rng = waitfree_sched::rng::DetRng::new(seed);
-            let (mut answers, mut discards) = (S2::new(0, 2, seed), S2::new(0, 2, seed));
+            let mut src = S2::new(0, 2, seed);
             let mut epoch = 0;
             let mut seen = [false; 8];
             for step in 0..400 {
@@ -1038,7 +998,7 @@ mod tests {
                 let op: ShardOp<u64, i64, Bump> = match below(12) {
                     0 => ShardOp::Get { key },
                     1 => ShardOp::Put { key, val: val().filter(|_| step % 5 != 0), ctx: c },
-                    2 => ShardOp::Cas { key, expect: answers.map.get(&key).copied(), new: val(), ctx: c },
+                    2 => ShardOp::Cas { key, expect: src.map.get(&key).copied(), new: val(), ctx: c },
                     3 => ShardOp::Update { key, merge: Bump(1), ctx: c },
                     4..=6 => {
                         let mut d = desc(id, &[(key, step as i64), (below(8), -1)]);
@@ -1061,18 +1021,14 @@ mod tests {
                     ShardOp::Settle { .. } => 6,
                     ShardOp::Marker { .. } => 7,
                 }] = true;
-                // The clone is equal and hashes equal, and it diverges
-                // alone — the op applied to it leaves the source equal
-                // to `discards`, though the two shared `map` until then.
-                let mut fork = answers.clone();
-                assert_eq!(fork, answers, "seed {seed} step {step}: clone differs");
-                assert_eq!(hash_of(&fork), hash_of(&answers), "seed {seed} step {step}");
+                let mut fork = src.clone();
+                let before = hash_of(&src);
+                assert_eq!(fork, src, "seed {seed} step {step}: clone differs");
+                assert_eq!(hash_of(&fork), before, "seed {seed} step {step}");
                 let fork_resp = fork.apply(Pid(0), &op);
-                assert_eq!(answers, discards, "seed {seed} step {step}: the clone shares state");
-                assert_eq!(answers.apply(Pid(0), &op), fork_resp, "seed {seed} step {step}: {op:?}");
-                discards.apply_discard(Pid(0), &op);
-                assert_eq!(answers, discards, "seed {seed} step {step}: {op:?}");
-                assert_eq!(fork, answers, "seed {seed} step {step}: {op:?}");
+                assert_eq!(hash_of(&src), before, "seed {seed} step {step}: the clone shares state");
+                assert_eq!(src.apply(Pid(0), &op), fork_resp, "seed {seed} step {step}: {op:?}");
+                assert_eq!(fork, src, "seed {seed} step {step}: {op:?}");
             }
             assert!(seen.iter().all(|&s| s), "seed {seed}: a variant never ran");
         }

@@ -4,15 +4,11 @@
 //!
 //! With [`UniversalConfig::checkpoint_every`](super::UniversalConfig::checkpoint_every)
 //! set, a handle whose replay frontier has advanced `every` positions
-//! past the latest claimed checkpoint claims its replay cursor's
-//! position with an empty [`LogEntry::Checkpoint`]: one ordinary
-//! consensus decide, wait-free. Only the winner then clones its replica
-//! into the entry's write-once image cell, so a checkpoint builds
-//! exactly one image; the loser of the claim CAS frees an empty entry
-//! (O(1)) and moves on. Replayers treat a checkpoint as an empty batch,
-//! filled or not (their replica already equals the image when they
-//! reach it), and a bootstrapping registrant passes over a claim whose
-//! image is not filled yet. Whole segments strictly
+//! past the latest checkpoint proposes a [`LogEntry::Checkpoint`]
+//! carrying its replica state: one ordinary consensus decide, wait-free
+//! — the loser of the checkpoint CAS just frees its image and moves on,
+//! and replayers treat a checkpoint as an empty batch (their replica
+//! already equals the image when they reach it). Whole segments strictly
 //! behind `min(latest checkpoint, min over active handles' frontiers)`
 //! are detached from the chain into the segment limbo and freed once no
 //! walker's segment hazard covers them. Retired, dropped and crashed
@@ -31,9 +27,8 @@
 //! visitors.
 //!
 //! Orderings: **every word of this protocol is `SeqCst`**, by design —
-//! the per-slot `frontier` and `seg_hazard`, the shared `oldest`,
-//! `cp_claim`, `cp_pos`, `reclaimed_upto` and `reclaim_lock`, and the
-//! checkpoint entries' image cells. Reclamation
+//! the per-slot `frontier` and `seg_hazard`, and the shared `oldest`,
+//! `cp_pos`, `reclaimed_upto` and `reclaim_lock`. Reclamation
 //! correctness is proved as chains through the single total order
 //! (frontier-publish-then-hazard-clear vs. hazard-check-then-fresh-bound;
 //! detach high-water before unlink vs. hop-then-validate — DESIGN.md §8
@@ -47,7 +42,7 @@ use waitfree_sched::atomic::{AtomicUsize, Ordering};
 use waitfree_faults::failpoint;
 use waitfree_model::ObjectSpec;
 
-use super::log::{CpImage, ImageCell, LogEntry, Segment};
+use super::log::{CpImage, LogEntry, Segment};
 use super::registry::HandleSlot;
 use super::{Shared, WfHandle, WfUniversal};
 
@@ -220,10 +215,8 @@ impl<S: ObjectSpec> Shared<S> {
     /// Without checkpointing nothing is ever reclaimed: replay starts at
     /// position 0 of the immortal base-0 segment. With checkpointing the
     /// retained log may start past position 0, so the registrant adopts
-    /// the first *filled* checkpoint [`Self::walk_retained`] finds — a
-    /// valid image of the whole truncated prefix; a claim whose image is
-    /// not filled yet is passed over like any other decided position.
-    /// The adopted frontier is published
+    /// the first checkpoint [`Self::walk_retained`] finds — a valid image
+    /// of the whole truncated prefix. The adopted frontier is published
     /// before the image is cloned, and the adoption stands only if
     /// `reclaimed_upto` then shows no detach past the checkpoint's
     /// segment: detaches run oldest-first, so every later segment is
@@ -235,12 +228,10 @@ impl<S: ObjectSpec> Shared<S> {
     /// precedes any checkpoint decide's `fetch_max`, which precedes any
     /// reclaimer's `cp_pos` read and then its frontier scan — so every
     /// reclaimer that could detach the root sees our 0 first. A
-    /// checkpoint that was decided or filled mid-walk (its position
-    /// scanned while still null, or its cell while still empty) means a
-    /// rewalk, which then finds one: `cp_pos` names only filled
-    /// checkpoints (the fill precedes its bump), the decided prefix is
-    /// contiguous, and the reclaim bound never passes `cp_pos`, so that
-    /// checkpoint's segment is retained.
+    /// checkpoint that appeared mid-walk (its position scanned while
+    /// still null) means a rewalk, which then finds one: the decided
+    /// prefix is contiguous and the newest checkpoint's segment is
+    /// retained.
     pub(super) fn bootstrap(
         &self,
         slot: &HandleSlot<S::Op>,
@@ -256,10 +247,7 @@ impl<S: ObjectSpec> Shared<S> {
                 root = r;
                 Visit::Next
             }
-            Walked::Decided { seg, pos, entry: LogEntry::Checkpoint(cell) } => {
-                let Some(img) = cell.get() else {
-                    return Visit::Next;
-                };
+            Walked::Decided { seg, pos, entry: LogEntry::Checkpoint(img) } => {
                 slot.frontier.store(pos, Ordering::SeqCst);
                 if self.reclaimed_upto.load(Ordering::SeqCst) > seg.end() {
                     slot.frontier.store(usize::MAX, Ordering::SeqCst);
@@ -380,36 +368,34 @@ impl<S: ObjectSpec> WfUniversal<S> {
 
 impl<S: ObjectSpec> WfHandle<S> {
     /// Decide a [`LogEntry::Checkpoint`] at the handle's replay cursor
-    /// if the configured cadence came due, then fill it. Claim first:
-    /// one CAS installs an entry whose image cell is empty. On a loss
-    /// the position was decided by a concurrent op (or another claim),
-    /// so the empty entry is freed — O(1), no image was built — and the
-    /// cadence re-fires on a later invoke. Only the winner clones its
-    /// replica into the cell: the proposer is fully replayed up to
-    /// `cursor`, so its replica *is* the prefix image, and the image
-    /// carries the `applied` watermarks so adopters dedup correctly.
-    /// The cadence counts from the newest *claim*, so no second handle
-    /// claims the same window while the winner clones; a claimer that
-    /// dies before filling delays truncation by one window.
+    /// if the configured cadence came due. Wait-free: one CAS attempt —
+    /// on loss the position was decided by a concurrent op (or another
+    /// checkpoint) and the image is simply freed, at the cost of the
+    /// state's `Clone`; the cadence check re-fires on a later invoke.
+    /// The proposer is fully replayed up to `cursor`, so its replica
+    /// *is* the prefix image, and the image carries the `applied`
+    /// watermarks so adopters dedup correctly.
     pub(super) fn maybe_checkpoint(&mut self) {
         let Some(every) = self.shared.cfg.checkpoint_every else {
             return;
         };
         let k = self.cursor;
-        // ordering: SeqCst [pairs: universal.cp_claim] — reads the
-        // newest claim, including one whose image is still being built.
-        if k < self.shared.cp_claim.load(Ordering::SeqCst) + every {
+        if k < self.shared.cp_pos.load(Ordering::SeqCst) + every {
             return;
         }
         failpoint!("universal::checkpoint");
+        let image: Box<LogEntry<S>> = Box::new(LogEntry::Checkpoint(Box::new(CpImage {
+            state: self.state.clone(),
+            applied: self.applied.clone(),
+        })));
         self.replay_seg = self.shared.seg_for(self.replay_seg, k);
         let log_slot = self.shared.slot(self.replay_seg, k);
-        let raw = Box::into_raw(Box::new(LogEntry::Checkpoint(ImageCell::empty())));
+        let raw = Box::into_raw(image);
         // ordering: SeqCst [site: universal.cp_install] — installing a
-        // checkpoint claim races ordinary decides for the same slot and
+        // checkpoint image races ordinary decides for the same slot and
         // must land in the same total order, so it uses the decide
         // CAS's strength; replayers' Acquire slot loads pair with it to
-        // see the entry's contents. (The dynamic cross-check
+        // see the boxed image's contents. (The dynamic cross-check
         // found this site: it was the one slot publication the audit
         // comments never declared.)
         if log_slot.compare_exchange(ptr::null_mut(), raw, Ordering::SeqCst, Ordering::SeqCst).is_err() {
@@ -420,18 +406,6 @@ impl<S: ObjectSpec> WfHandle<S> {
             drop(unsafe { Box::from_raw(raw) });
             return;
         }
-        // ordering: SeqCst [site: universal.cp_claim] — the claim
-        // watermark the cadence check reads.
-        self.shared.cp_claim.fetch_max(k, Ordering::SeqCst);
-        failpoint!("universal::cp_fill");
-        // SAFETY: the entry is decided at position `k`, and its segment
-        // cannot be reclaimed while we fill it: its end() exceeds `k`,
-        // which is at or past this handle's published frontier, and the
-        // reclaim bound never passes that.
-        let LogEntry::Checkpoint(cell) = (unsafe { &*raw }) else {
-            unreachable!("this handle just installed a checkpoint claim at {k}")
-        };
-        cell.fill(CpImage { state: self.state.clone(), applied: self.applied.clone() });
         // Our own checkpoint applies nothing: skip it.
         self.cursor = k + 1;
         self.shared.cp_pos.fetch_max(k, Ordering::SeqCst);

@@ -142,7 +142,6 @@ impl<S: ObjectSpec> WfUniversal<S> {
                 segments: AtomicUsize::new(1),
                 reclaimed: AtomicUsize::new(0),
                 checkpoints: AtomicUsize::new(0),
-                cp_claim: AtomicUsize::new(0),
                 cp_pos: AtomicUsize::new(0),
                 reclaimed_upto: AtomicUsize::new(0),
                 reclaim_lock: AtomicUsize::new(0),

@@ -23,7 +23,6 @@
 //! `AcqRel` bump / `Acquire` read, so a reported count of `n` implies
 //! the `n` installs it counts are visible to the reader.
 
-use std::fmt;
 use std::marker::PhantomData;
 use std::ptr;
 use waitfree_sched::atomic::{AtomicPtr, Ordering};
@@ -61,62 +60,6 @@ pub struct CpImage<S: ObjectSpec> {
     pub applied: Vec<usize>,
 }
 
-/// The write-once image slot of a [`LogEntry::Checkpoint`]: null while
-/// the position is only *claimed*, then filled exactly once by the
-/// claimer with its replica image. Claiming first and cloning after the
-/// claim stands means a checkpoint builds one image, never one per
-/// proposer; a claimer that dies before filling leaves the cell null
-/// for good, and readers treat that position as carrying no image. The
-/// image is freed with its entry (the marker keeps auto-traits honest
-/// about that ownership, as `Segment`'s does).
-pub struct ImageCell<S: ObjectSpec>(AtomicPtr<CpImage<S>>, PhantomData<Box<CpImage<S>>>);
-
-impl<S: ObjectSpec> ImageCell<S> {
-    /// An unfilled cell: the payload of a checkpoint claim.
-    pub(super) fn empty() -> Self {
-        ImageCell(AtomicPtr::new(ptr::null_mut()), PhantomData)
-    }
-
-    /// Publish `image`. Called once, by the handle whose claim won the
-    /// position, between the claim and its `cp_pos` bump.
-    pub(super) fn fill(&self, image: CpImage<S>) {
-        let raw = Box::into_raw(Box::new(image));
-        // ordering: SeqCst [site: universal.cp_fill] — the image is
-        // fully built before this store; a bootstrap that loads the
-        // pointer sees it whole, and `cp_pos` (bumped after this
-        // store) names only filled checkpoints.
-        self.0.store(raw, Ordering::SeqCst);
-    }
-
-    /// The image, once filled; `None` for a claim whose image is not
-    /// (or, after a crashed claimer, never will be) published.
-    pub(super) fn get(&self) -> Option<&CpImage<S>> {
-        // ordering: SeqCst [pairs: universal.cp_fill] — pairs with the
-        // filling store, so a non-null image is fully built.
-        let raw = self.0.load(Ordering::SeqCst);
-        // SAFETY: a non-null cell owns the image boxed by `fill`, which
-        // lives until the entry drops; the caller holds the entry.
-        unsafe { raw.as_ref() }
-    }
-}
-
-impl<S: ObjectSpec> Drop for ImageCell<S> {
-    fn drop(&mut self) {
-        let raw = *self.0.get_mut();
-        if !raw.is_null() {
-            // SAFETY: the cell owns the image published by `fill`, and
-            // an entry (hence its cell) is dropped exactly once.
-            drop(unsafe { Box::from_raw(raw) });
-        }
-    }
-}
-
-impl<S: ObjectSpec> fmt::Debug for ImageCell<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ImageCell").finish_non_exhaustive()
-    }
-}
-
 /// One decided log position: a single operation, a batch of operations
 /// threaded together by one winning consensus decide, or a checkpointed
 /// replica image (the truncation variant's "snapshot as an op").
@@ -139,12 +82,10 @@ pub enum LogEntry<S: ObjectSpec> {
     /// announce-scan order. At most one member per thread (the scan
     /// reads each thread's oldest pending op once).
     Batch(Box<[Entry<S::Op>]>),
-    /// A checkpoint decided into the log by a handle whose replay
-    /// frontier reached the checkpoint cadence: the position is claimed
-    /// with an empty cell, which the claimer then fills with its
-    /// replica image. One pointer wide, so the common Solo/Batch arms
-    /// do not pay for the image's size.
-    Checkpoint(ImageCell<S>),
+    /// A checkpointed replica image decided into the log by a handle
+    /// whose replay frontier reached the checkpoint cadence. Boxed:
+    /// the common Solo/Batch arms must not pay for the image's size.
+    Checkpoint(Box<CpImage<S>>),
 }
 
 impl<S: ObjectSpec> LogEntry<S> {

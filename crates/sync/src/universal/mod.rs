@@ -13,7 +13,7 @@
 //! | module | layer | holds |
 //! |--------|-------|-------|
 //! | `config` | construction | [`UniversalConfig`], [`UniversalError`], `with_config` |
-//! | `log` | the decided sequence | [`Entry`], [`LogEntry`], [`CpImage`] and its write-once [`ImageCell`], segments and their growth |
+//! | `log` | the decided sequence | [`Entry`], [`LogEntry`], [`CpImage`], segments and their growth |
 //! | `registry` | membership | handle slots, `register`/`retire`, the `pending` read helpers use |
 //! | `decide` | announce → collect → decide | `invoke`, the entry free list and limbo, the threading loop, the `hint` |
 //! | `replay` | apply | the one replay step, `read`, the decided-log visitors, the frontier |
@@ -51,7 +51,7 @@ mod replay;
 mod stats;
 
 pub use config::{UniversalConfig, UniversalError};
-pub use log::{CpImage, Entry, ImageCell, LogEntry, SEGMENT_SIZE};
+pub use log::{CpImage, Entry, LogEntry, SEGMENT_SIZE};
 pub use registry::REGISTRY_SEGMENT;
 pub use stats::{HandleStats, ObjectStats};
 
@@ -86,12 +86,8 @@ struct Shared<S: ObjectSpec> {
     segments: AtomicUsize,
     reclaimed: AtomicUsize,
     checkpoints: AtomicUsize,
-    /// Position of the latest *claimed* checkpoint: the cadence check
-    /// reads this, so no second handle claims the same window while
-    /// the claimer clones its image. 0 means "none yet".
-    cp_claim: AtomicUsize,
-    /// Position of the latest *filled* checkpoint; 0 means "none yet"
-    /// (checkpoints are only ever claimed at positions ≥ 1, so the
+    /// Position of the latest decided checkpoint; 0 means "none yet"
+    /// (checkpoints are only ever proposed at positions ≥ 1, so the
     /// sentinel is unambiguous).
     cp_pos: AtomicUsize,
     /// High-water of detached positions: the maximum `end()` of any

@@ -83,10 +83,9 @@ impl<S: ObjectSpec> WfHandle<S> {
                 continue; // duplicate from helping
             }
             failpoint!("universal::replay");
+            let r = self.state.apply(Pid(m.tid), &m.op);
             if m.tid == self.tid && Some(m.seq) == own {
-                resp = Some(self.state.apply(Pid(m.tid), &m.op));
-            } else {
-                self.state.apply_discard(Pid(m.tid), &m.op);
+                resp = Some(r);
             }
             self.applied[m.tid] += 1;
         }

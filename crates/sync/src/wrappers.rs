@@ -24,7 +24,7 @@
 use waitfree_model::Val;
 use waitfree_objects::counter::{Counter, CounterOp, CounterResp};
 use waitfree_objects::queue::{FifoQueue, QueueOp, QueueResp};
-use waitfree_objects::register::{RegOp, RegResp, RwRegister};
+use waitfree_objects::register::{RegOp, RwRegister};
 use waitfree_objects::stack::{Stack, StackOp, StackResp};
 
 use crate::universal::{ObjectStats, UniversalConfig, WfHandle, WfUniversal};
@@ -193,12 +193,10 @@ impl WfCounterHandle {
         }
     }
 
-    /// Current value (wait-free linearizable read).
+    /// Current value: a log-free linearizable read of the handle's
+    /// replica ([`WfHandle::read`]), with no decide.
     pub fn get(&mut self) -> Val {
-        match self.0.invoke(CounterOp::Get) {
-            CounterResp::Value(v) => v,
-            CounterResp::Ack => unreachable!("get returns a value"),
-        }
+        self.0.read(Counter::value)
     }
 }
 
@@ -212,12 +210,10 @@ impl WfRegisterHandle {
         let _ = self.0.invoke(RegOp::Write(v));
     }
 
-    /// Read the current value (wait-free linearizable read).
+    /// Read the current value: a log-free linearizable read of the
+    /// handle's replica ([`WfHandle::read`]), with no decide.
     pub fn read(&mut self) -> Val {
-        match self.0.invoke(RegOp::Read) {
-            RegResp::Read(v) => v,
-            RegResp::Written => unreachable!("read returns a value"),
-        }
+        self.0.read(RwRegister::value)
     }
 }
 

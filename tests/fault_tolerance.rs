@@ -24,13 +24,11 @@
 //! crash-during-combine scenario kills a thread at `universal::collect`,
 //! mid-scan with other threads' pending entries already gathered: every
 //! collected op must stay helpable (`MayTakeEffect` per batch member).
-//! The checkpointed path gets three deterministic storms of its own: a
+//! The checkpointed path gets two deterministic storms of its own: a
 //! proposer killed at `universal::checkpoint` (nothing published,
-//! cadence retryable), a claimer killed at `universal::cp_fill` (one
-//! unfilled claim: registrants bootstrap past it, the next window
-//! checkpoints, reclaim frees it) and a reclaimer killed at
-//! `universal::reclaim` (lock released by its RAII guard, nothing freed
-//! or leaked), each with exact-count postconditions.
+//! cadence retryable) and a reclaimer killed at `universal::reclaim`
+//! (lock released by its RAII guard, nothing freed or leaked), each
+//! with exact-count postconditions.
 //!
 //! The sharded store (`waitfree-store`) gets its own storms at the
 //! `store::route`/`store::multi`/`store::snapshot` sites: single-key
@@ -52,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use waitfree::sched::thread;
 use std::time::Duration;
 
-use common::{CloneCounted, Leg};
+use common::Leg;
 use waitfree::faults::failpoints::{self, FailpointConfig, FaultAction, Fire};
 use waitfree::faults::harness::{install_adversary, plan_adversary, spawn_workers, Outcome};
 use waitfree::model::{linearize, History, PendingPolicy, Pid};
@@ -587,98 +585,6 @@ fn crash_during_checkpoint_leaves_cadence_retryable() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(obj.stats().checkpoints, 1, "a survivor retried the checkpoint");
-    failpoints::clear();
-}
-
-/// Crash-between-claim-and-fill: the checkpoint claimer dies at
-/// `universal::cp_fill` — its claim won position `EVERY`, but no image
-/// was cloned into it, so one unfilled claim stays in the log. Exact
-/// postconditions: no checkpoint is counted and no image was built; a
-/// registrant bootstraps past the claim to the exact state; the cadence
-/// counts from the claim, so the next window (position `2·EVERY`)
-/// checkpoints and a later registrant adopts that image; and
-/// reclamation frees the claim's segment, with every state copy
-/// accounted for once the object drops.
-#[test]
-fn crash_between_claim_and_fill_costs_one_window() {
-    let _guard = failpoints::exclusive();
-    failpoints::clear();
-
-    const EVERY: usize = 4;
-    let initial = CloneCounted::new(0);
-    let tally = Arc::clone(&initial.tally);
-    let obj = WfUniversal::with_config(
-        initial,
-        UniversalConfig { checkpoint_every: Some(EVERY), ..UniversalConfig::default() },
-    );
-    let mut h0 = obj.register();
-    for _ in 0..EVERY - 1 {
-        h0.invoke(CounterOp::Add(1));
-    }
-    failpoints::configure(
-        "universal::cp_fill",
-        FailpointConfig {
-            action: FaultAction::Crash,
-            fire: Fire::Nth(1),
-            tid: None,
-            budget: Some(1),
-        },
-    );
-
-    // The victim's op is position EVERY-1; its cursor then reaches
-    // EVERY, it claims that position and dies before filling it.
-    let victim_obj = obj.clone();
-    let group = spawn_workers(1, move |_tid| {
-        let mut h = victim_obj.register();
-        h.invoke(CounterOp::FetchAndAdd(1));
-        unreachable!("the victim dies inside its first invoke");
-    });
-    match &group.finish()[0] {
-        Outcome::Crashed { site } => assert_eq!(site, "universal::cp_fill"),
-        other => panic!("expected a planned crash, got {other:?}"),
-    }
-    let stats = obj.stats();
-    assert_eq!(stats.checkpoints, 0, "an unfilled claim is not a checkpoint");
-    assert_eq!(stats.reclaimed_segments, 0);
-
-    // A registrant walks past the unfilled claim: no filled image
-    // exists, so it replays the log from position 0.
-    let mut late = obj.register();
-    assert_eq!(late.read(|s| s.counter.value()), EVERY as i64);
-    late.retire();
-
-    // The cadence counts from the claim at EVERY: h0's ops land at
-    // EVERY+1 onwards and nobody claims again before cursor 2·EVERY.
-    for _ in 0..EVERY - 2 {
-        h0.invoke(CounterOp::Add(1));
-    }
-    assert_eq!(obj.stats().checkpoints, 0, "no second claim inside the claimed window");
-    h0.invoke(CounterOp::Add(1));
-    assert_eq!(obj.stats().checkpoints, 1, "the next window checkpoints");
-
-    // A registrant now adopts the image at 2·EVERY, past the claim.
-    let mut adopter = obj.register();
-    assert_eq!(adopter.stats().replayed, 2 * EVERY + 1, "adopted the filled image");
-    assert_eq!(adopter.read(|s| s.counter.value()), 2 * EVERY as i64 - 1);
-    adopter.retire();
-
-    // Every clone is accounted for: one per registration (h0, the
-    // victim, `late`, `adopter`), one for the victim's object handle,
-    // one per filled image — the crashed claimer built none.
-    assert_eq!(tally.load(Ordering::SeqCst), 4 + 1 + obj.stats().checkpoints);
-
-    // Reclamation frees the claim's segment once later checkpoints and
-    // every frontier pass it.
-    for _ in 0..2 * SEGMENT_SIZE {
-        h0.invoke(CounterOp::Add(1));
-    }
-    obj.reclaim();
-    let stats = obj.stats();
-    assert!(stats.reclaimed_segments >= 1, "the claim's segment was reclaimed: {stats:?}");
-    assert!(stats.live_segments <= 2, "{stats:?}");
-    assert_eq!(h0.read(|s| s.counter.value()), (2 * EVERY + 2 * SEGMENT_SIZE) as i64 - 1);
-    drop((h0, late, adopter, obj));
-    assert_eq!(Arc::strong_count(&tally), 1, "every replica and image was freed");
     failpoints::clear();
 }
 

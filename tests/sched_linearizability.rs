@@ -681,9 +681,11 @@ fn checkpointed_universal_campaigns_linearize() {
 /// Two handles race three fetch-and-adds each at checkpoint cadence 2
 /// (as [`checkpointed_universal_counter_body`]), so some schedules have
 /// a handle propose a checkpoint at a position the other's op decides
-/// first; then a late registrant bootstraps across whatever claims the
-/// schedule left. Sends `(clones, checkpoints)` for the run to `sink`.
-fn lost_checkpoint_race_body(rec: HistoryRecorder<CloneCounted>, sink: &Mutex<Vec<(usize, usize)>>) {
+/// first; then a late registrant bootstraps from whatever checkpoints
+/// the schedule left. Sends `(clones, checkpoints, live)` for the run
+/// to `sink`: the state's clones, the decided checkpoints, and the
+/// copies still alive once the object and every handle are gone.
+fn lost_checkpoint_race_body(rec: HistoryRecorder<CloneCounted>, sink: &Mutex<Vec<(usize, usize, usize)>>) {
     let initial = CloneCounted::new(0);
     let tally = Arc::clone(&initial.tally);
     let (obj, handles) = register_n(initial, 2, checkpointed(2));
@@ -705,27 +707,31 @@ fn lost_checkpoint_race_body(rec: HistoryRecorder<CloneCounted>, sink: &Mutex<Ve
     }
     let mut late = obj.register();
     assert_eq!(late.read(|s| s.counter.value()), 1 + 2 + 3 + 11 + 12 + 13);
-    let clones = tally.load(Ordering::SeqCst);
-    sink.lock().unwrap().push((clones, obj.stats().checkpoints));
+    let (clones, checkpoints) = (tally.load(Ordering::SeqCst), obj.stats().checkpoints);
+    drop((late, obj));
+    sink.lock().unwrap().push((clones, checkpoints, Arc::strong_count(&tally)));
 }
 
-/// A lost checkpoint race builds no image: the claim is decided before
-/// the state is cloned, so on every schedule the state is cloned once
-/// per filled checkpoint and once per registration's bootstrap (two
-/// workers and the late registrant) — never for a proposer whose claim
-/// lost its position.
+/// A lost checkpoint race frees its image: a proposer clones its
+/// replica before the CAS, so on every schedule the state is cloned at
+/// least once per decided checkpoint and once per registration's
+/// bootstrap (two workers and the late registrant), and some schedules
+/// clone more — a proposer that lost its position. Whatever was cloned,
+/// no copy outlives the object: the tally's own `Arc` is the last one.
 #[test]
-fn a_lost_checkpoint_race_clones_no_image() {
+fn a_lost_checkpoint_race_frees_its_image() {
     let runs = Mutex::new(Vec::new());
     sweep("WfUniversal<CloneCounted> (lost checkpoint race)", &CloneCounted::new(0), |rec| {
         lost_checkpoint_race_body(rec, &runs)
     });
     let runs = runs.into_inner().unwrap();
     assert_eq!(runs.len(), 2 * SEEDS as usize);
-    for (i, &(clones, checkpoints)) in runs.iter().enumerate() {
-        assert_eq!(clones, checkpoints + 3, "run {i}: clones beyond checkpoints + bootstraps");
+    for (i, &(clones, checkpoints, live)) in runs.iter().enumerate() {
+        assert!(clones >= checkpoints + 3, "run {i}: {clones} clones for {checkpoints} checkpoints");
+        assert_eq!(live, 1, "run {i}: a state copy outlived the object");
     }
-    assert!(runs.iter().any(|&(_, cps)| cps > 0), "no schedule checkpointed at all");
+    assert!(runs.iter().any(|&(_, cps, _)| cps > 0), "no schedule checkpointed at all");
+    assert!(runs.iter().any(|&(c, cps, _)| c > cps + 3), "no schedule lost a checkpoint race");
 }
 
 #[test]
