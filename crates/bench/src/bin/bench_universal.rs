@@ -10,25 +10,13 @@
 //! alone. Rows also carry the worst per-op threading-step count (must
 //! stay within the O(n) helping bound on every leg) and the
 //! consensus-decide and CAS-failure counters per completed invoke — the
-//! step-complexity numbers batch combining exists to shrink. The
-//! trajectory's `cell` rows (the seed `ConsensusCell` arena rendering)
-//! and `pointer` rows (the deleted one-op-per-decide mode) are history:
-//! `bench_trend` only gates rows the latest run has.
+//! step-complexity numbers batch combining exists to shrink.
 //!
-//! Maintains `BENCH_universal.json` in the working directory (the repo
-//! root when run via `cargo run -p waitfree-bench --bin bench_universal`)
-//! — the recorded perf *trajectory* the README quotes and
-//! `bench_trend` gates on. The file is merged into, not overwritten:
-//! schema 2 is `{"schema": 2, "runs": [...]}` where each run carries a
-//! timestamp (pass `--timestamp <tag>` for reproducible records;
-//! defaults to wall-clock epoch seconds), the run's configuration
-//! (including a `"construction": "hoisted"` marker so trend comparisons
-//! never mix pre- and post-hoisting runs), and the full report. A
-//! pre-schema-2 file (a bare report object) is wrapped as the first run
-//! with timestamp `"pre-merge"`. `finish()` also writes the usual
-//! single-report `results/bench_universal.json`; it only repeats the
-//! trajectory's latest run, so it is a local scratch copy that git
-//! ignores. Environment knobs for the CI smoke job:
+//! The report goes to stdout, and `Report::finish` writes the
+//! git-ignored `results/bench_universal.json`; no tracked file changes.
+//! A broken helping bound marks the report failed and exits 1. Perf
+//! claims are made with `benchmark/run.sh --compare`, not with these
+//! rows. Environment knobs for a short smoke run:
 //! `BENCH_UNIVERSAL_OPS` (ops per thread, default 2000) and
 //! `BENCH_UNIVERSAL_SAMPLES` (median-of samples, default 9).
 //!
@@ -43,7 +31,8 @@
 //! spread. The unbounded leg's ns/op is recorded as `-`: its wall-clock
 //! is dominated by page-faulting the whole retained log into existence
 //! — the pathology the row's `rss_mib` cell exists to demonstrate — so
-//! a ns/op gate on it would gate kernel fault behavior, not this code.
+//! a ns/op figure for it would measure kernel fault behavior, not this
+//! code.
 //! Non-steady rows carry `-` in `rss_mib` — one process runs every leg,
 //! so only the first allocation surge per sample is attributable, and
 //! attributing it per-row would be noise.
@@ -55,9 +44,7 @@
 //! includes register/retire — membership churn is the workload).
 
 use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
-use waitfree_bench::json::Json;
 use waitfree_bench::timing::measure_with_setup;
-use waitfree_bench::trajectory::{cli_timestamp, merge_into_file};
 use waitfree_bench::Report;
 use waitfree_sched::thread;
 use waitfree_objects::counter::{Counter, CounterOp};
@@ -373,9 +360,8 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 fn main() {
-    // Nine samples, not five: the recorded medians feed a ±25% trend
-    // gate, and on a single-core host the scheduling-noise spread of a
-    // 5-sample median is wider than that.
+    // Nine samples, not five: on a single-core host the scheduling noise
+    // of a 5-sample median spans more than ±25%.
     let ops = env_usize("BENCH_UNIVERSAL_OPS", 2_000);
     let samples = env_usize("BENCH_UNIVERSAL_SAMPLES", 9).max(1);
     // Churn medians are the noisiest figure of all (the register/retire
@@ -384,7 +370,6 @@ fn main() {
     let churn_samples = env_usize("BENCH_UNIVERSAL_CHURN_SAMPLES", 3 * samples).max(1);
     let steady_ops = env_usize("BENCH_UNIVERSAL_STEADY_OPS", 10_000_000);
     let steady_samples = env_usize("BENCH_UNIVERSAL_STEADY_SAMPLES", 3).max(1);
-    let timestamp = cli_timestamp();
 
     let mut report = Report::new(
         "bench_universal",
@@ -404,11 +389,11 @@ fn main() {
         ],
     );
     report.note(format!("ops_per_thread={ops} samples={samples} (median of whole-workload runs)"));
-    report.note(
-        "object construction is hoisted out of the timed region (measure_with_setup); \
-         trajectory entries without the \"construction\" config marker predate this \
-         and include construction in their figures",
-    );
+    report.note("object construction is hoisted out of the timed region (measure_with_setup)");
+    report.note(format!(
+        "cores={} (allowed CPUs; rows at n > 1 measure contention only on more than one core)",
+        allowed_cpus().map_or_else(|| "unknown".to_string(), |c| c.to_string())
+    ));
     report.note(
         "decides/op and cas_fail/op are the hot-path counters per completed invoke; \
          batch combining exists to shrink exactly these",
@@ -420,8 +405,7 @@ fn main() {
          plus register/retire on churn rows",
     );
 
-    // The impl name the recorded trajectory has always used for the
-    // default configuration.
+    // The impl column names the configuration: the default one here.
     let name = "batched";
     for workload in ["counter", "queue"] {
         for n in THREAD_COUNTS {
@@ -505,38 +489,6 @@ fn main() {
         }
     }
 
-    // The recorded perf-trajectory file at the repo root: merge this run
-    // into the prior runs (never overwrite the history); the
-    // single-report results/ copy finish() writes is not a record.
-    let config = Json::Obj(vec![
-        ("ops_per_thread".into(), Json::num(ops as u64)),
-        ("samples".into(), Json::num(samples as u64)),
-        ("churn_samples".into(), Json::num(churn_samples as u64)),
-        (
-            "thread_counts".into(),
-            Json::Arr(THREAD_COUNTS.iter().map(|n| Json::num(*n as u64)).collect()),
-        ),
-        ("construction".into(), Json::Str("hoisted".into())),
-        // The dynamic-membership registry replaced the static announce
-        // array (slot indirection on the helping scan, churn workload
-        // rows): like the "construction" marker above, this keys a new
-        // config group so pre-membership figures never gate post-
-        // membership runs.
-        ("membership".into(), Json::Str("dynamic".into())),
-        // Checkpointed truncation replaced the Arc-per-entry log (Box
-        // arena + segment reclamation, steady-state rows with an RSS
-        // column): a new config group, so Arc-era figures and the new
-        // hot path never gate each other.
-        ("reclaim".into(), Json::Str("checkpoint".into())),
-        ("steady_ops".into(), Json::num(steady_ops as u64)),
-        // Every row with n > 1 prices contention, and threads that share
-        // one core never contend (the rows recorded before this marker
-        // are a single-core host's: 1.000 decides/op at every n). A
-        // host with a different core count measures a different thing,
-        // so the count keys a config group; 0 = unknown.
-        ("cores".into(), Json::num(allowed_cpus().unwrap_or(0) as u64)),
-    ]);
-    merge_into_file("BENCH_universal.json", &report.to_json(), &timestamp, config);
     report.finish();
 }
 

@@ -38,36 +38,18 @@ pub fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
     println!("{group}/{name}: {} per iter ({iters} iters x {SAMPLES} samples)", fmt(median));
 }
 
-/// Time one call of `f` per sample (no batching) and return the median
-/// wall-clock duration over `samples` runs, after one untimed warm-up.
+/// Time one call of `run` per sample (no batching) and return the
+/// median wall-clock duration over `samples` runs, after one untimed
+/// warm-up. Each sample (and the warm-up) first runs `setup` *outside*
+/// the timed region and hands its product to `run`.
 ///
 /// For workload-shaped benchmarks — whole multi-threaded runs taking
-/// milliseconds each — where the caller wants the number back (to emit
-/// JSON, compute speedups) rather than a printed line. The per-call
-/// median tolerates scheduler noise the same way [`bench()`]'s does.
-#[must_use]
-pub fn measure<F: FnMut()>(samples: usize, mut f: F) -> Duration {
-    assert!(samples > 0, "need at least one sample");
-    f(); // warm-up
-    let mut timings: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    timings.sort_unstable();
-    timings[samples / 2]
-}
-
-/// Like [`measure`], but each sample (and the warm-up) first runs
-/// `setup` *outside* the timed region and hands its product to `run`.
-///
-/// For workloads whose construction cost must not pollute the per-op
-/// figure — e.g. the universal objects, where the seed path's eager
-/// O(n²·max_ops) arena allocation would otherwise dominate short runs —
-/// while still building a fresh object for every sample so no state
-/// leaks between timings.
+/// milliseconds each — where the caller wants the number back rather
+/// than a printed line, and where building the object (allocating its
+/// log, registering its handles) must not count as operations. Every
+/// sample gets a fresh object, so no state leaks between timings. The
+/// per-call median tolerates scheduler noise the same way [`bench()`]'s
+/// does.
 #[must_use]
 pub fn measure_with_setup<T, S, R>(samples: usize, mut setup: S, mut run: R) -> Duration
 where
@@ -119,14 +101,6 @@ mod tests {
         let mut count = 0u64;
         bench("t", "noop", || count += 1);
         assert!(count > 0);
-    }
-
-    #[test]
-    fn measure_returns_a_median_and_runs_warmup_plus_samples() {
-        let mut count = 0u64;
-        let d = measure(3, || count += 1);
-        assert_eq!(count, 4, "one warm-up + three samples");
-        assert!(d < Duration::from_secs(1));
     }
 
     #[test]
