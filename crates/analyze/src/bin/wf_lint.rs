@@ -15,9 +15,6 @@
 //! * `--seqcst-report` — advisory: list every `SeqCst` site in audited
 //!   code, flagging the undocumented ones as downgrade candidates;
 //!   always exits zero.
-//! * `--mutants` — include `#[cfg(feature = "mutant-…")]`-gated
-//!   statements in the pair graph (the CI mutant gate runs this and
-//!   expects a failure).
 //!
 //! With no root argument the workspace root is found by walking up
 //! from the current directory to the first `Cargo.toml` containing
@@ -35,14 +32,12 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut contract_json = false;
     let mut seqcst = false;
-    let mut mutants = false;
     let mut root_arg = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--contract-json" => contract_json = true,
             "--seqcst-report" => seqcst = true,
-            "--mutants" => mutants = true,
             other if other.starts_with("--") => {
                 eprintln!("wf-lint: unknown flag {other}");
                 return ExitCode::FAILURE;
@@ -108,7 +103,7 @@ fn main() -> ExitCode {
 
     // Cross-file pair-graph pass (always part of the default run; the
     // only output in --contract-json mode).
-    let result = contract::extract_contract(&files, mutants);
+    let result = contract::extract_contract(&files);
     if contract_json {
         for f in &result.findings {
             eprintln!("{}:{}: {}", f.file, f.finding.line, f.finding);

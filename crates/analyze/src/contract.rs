@@ -53,11 +53,6 @@
 //! observed release→acquire edge between covered files whose site pair
 //! is *not* declared fails the campaign, which is the soundness
 //! backstop for everything the static pass cannot see.
-//!
-//! Statements gated behind `#[cfg(feature = "mutant-…")]` are excluded
-//! from the graph by default — the contract describes the shipped
-//! build — and included when `include_mutants` is set (the CI gate that
-//! proves the pass catches a deliberately mis-labeled pair).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -228,33 +223,6 @@ fn atomic_field(stmt_code: &str) -> Option<String> {
         return None;
     }
     Some(stmt_code[k..j].to_string())
-}
-
-/// Whether the statement is gated behind a mutant cargo feature
-/// (`#[cfg(feature = "mutant-…")]`; the `#[cfg(not(feature = …))]`
-/// twin is the shipped statement and is *not* gated). Detected on the
-/// raw source lines because the scanner blanks string-literal
-/// contents, which is where the feature name lives. The gating
-/// attribute may sit above the statement's comment block, outside its
-/// [`statement_range`], so the walk extends up through comments and
-/// attributes.
-fn mutant_gated(raw_lines: &[&str], s: usize, e: usize) -> bool {
-    let gated = |r: &str| r.trim_start().starts_with("#[cfg(feature = \"mutant-");
-    if raw_lines[s..=e.min(raw_lines.len().saturating_sub(1))].iter().any(|r| gated(r)) {
-        return true;
-    }
-    let mut i = s;
-    while i > 0 {
-        let t = raw_lines[i - 1].trim_start();
-        if !(t.starts_with("//") || t.starts_with("#[")) {
-            break;
-        }
-        if gated(t) {
-            return true;
-        }
-        i -= 1;
-    }
-    false
 }
 
 /// Visit each statement naming an `Ordering::` exactly once, outside
@@ -466,15 +434,11 @@ pub struct ContractResult {
 
 /// Collect the annotated sites of one file. Parse-failing annotations
 /// are skipped here (the per-file pass already reports them).
-fn collect_sites(rel: &str, src: &str, include_mutants: bool) -> Vec<SiteDecl> {
+fn collect_sites(rel: &str, src: &str) -> Vec<SiteDecl> {
     let lines = split_lines(src);
-    let raw: Vec<&str> = src.lines().collect();
     let excluded = cfg_test_lines(&lines);
     let mut sites = Vec::new();
     for_each_ordering_statement(&lines, &excluded, |l, s, e| {
-        if !include_mutants && mutant_gated(&raw, s, e) {
-            return;
-        }
         let comments = adjacent_comment_lines(&lines, l);
         let (ann, errs) = parse_annotation(&comments);
         if !ann.present() || !errs.is_empty() {
@@ -503,7 +467,7 @@ fn collect_sites(rel: &str, src: &str, include_mutants: bool) -> Vec<SiteDecl> {
 /// `files` (`(rel_path, source)` pairs; non-audited files are skipped)
 /// and resolve the graph. See the module docs for the rules.
 #[must_use]
-pub fn extract_contract(files: &[(String, String)], include_mutants: bool) -> ContractResult {
+pub fn extract_contract(files: &[(String, String)]) -> ContractResult {
     let mut contract = Contract::default();
     for (rel, src) in files {
         let scope = Scope::of(rel);
@@ -511,7 +475,7 @@ pub fn extract_contract(files: &[(String, String)], include_mutants: bool) -> Co
             continue;
         }
         contract.files.push(rel.clone());
-        contract.sites.extend(collect_sites(rel, src, include_mutants));
+        contract.sites.extend(collect_sites(rel, src));
     }
 
     let mut findings = Vec::new();
@@ -882,7 +846,7 @@ mod tests {
         );
         let f = lint("crates/sync/src/m.rs", src);
         assert!(f.is_empty(), "{f:?}");
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.contract.sites.len(), 1);
         assert!(r.contract.sites[0].release && r.contract.sites[0].acquire);
@@ -898,7 +862,7 @@ mod tests {
             "    let v = a.x.load(Ordering::Acquire);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].finding.rule, Rule::UnresolvedPair);
     }
@@ -921,7 +885,7 @@ mod tests {
             ("crates/sync/src/a.rs".to_string(), a.to_string()),
             ("crates/sync/src/b.rs".to_string(), b.to_string()),
         ];
-        let r = extract_contract(&files, false);
+        let r = extract_contract(&files);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].finding.rule, Rule::DuplicateLabel);
         assert_eq!(r.findings[0].file, "crates/sync/src/b.rs");
@@ -938,7 +902,7 @@ mod tests {
             "    let w = a.x.load(Ordering::Acquire);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         let dirs = r
             .findings
             .iter()
@@ -957,7 +921,7 @@ mod tests {
             "    let v = a.y.load(Ordering::Acquire);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].finding.rule, Rule::PairField);
     }
@@ -972,33 +936,8 @@ mod tests {
             "    let v = slot.load(Ordering::Acquire);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn mutant_gated_statements_are_excluded_by_default() {
-        let src = concat!(
-            "fn f(a: &A) {\n",
-            "    // ordering: Release [site: m.pub] — publishes via `x`.\n",
-            "    a.x.store(1, Ordering::Release);\n",
-            "    #[cfg(not(feature = \"mutant-unpaired-acquire\"))]\n",
-            "    // ordering: Acquire [pairs: m.pub] — shipped pairing.\n",
-            "    let v = a.x.load(Ordering::Acquire);\n",
-            "    #[cfg(feature = \"mutant-unpaired-acquire\")]\n",
-            "    // ordering: Acquire [pairs: m.wrong] — deliberately dangling.\n",
-            "    let v = a.x.load(Ordering::Acquire);\n",
-            "}\n",
-        );
-        let clean = extract_contract(&one("crates/sync/src/m.rs", src), false);
-        assert!(clean.findings.is_empty(), "{:?}", clean.findings);
-        assert_eq!(clean.contract.sites.len(), 2);
-        let mutated = extract_contract(&one("crates/sync/src/m.rs", src), true);
-        assert!(
-            mutated.findings.iter().any(|f| f.finding.rule == Rule::UnresolvedPair),
-            "{:?}",
-            mutated.findings
-        );
     }
 
     #[test]
@@ -1012,7 +951,7 @@ mod tests {
             ("crates/sched/src/m.rs".to_string(), src.to_string()),
             ("tests/m.rs".to_string(), src.to_string()),
         ];
-        let r = extract_contract(&files, false);
+        let r = extract_contract(&files);
         assert!(r.contract.files.is_empty());
         assert!(r.contract.sites.is_empty());
     }
@@ -1027,7 +966,7 @@ mod tests {
             "    let v = a.x.load(Ordering::Acquire);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         let pairs = r.contract.declared_pairs();
         assert_eq!(pairs.len(), 1);
         let (rel, acq) = pairs.iter().next().unwrap();
@@ -1067,7 +1006,7 @@ mod tests {
             "    a.x.store(1, Ordering::Release);\n",
             "}\n",
         );
-        let r = extract_contract(&one("crates/sync/src/m.rs", src), false);
+        let r = extract_contract(&one("crates/sync/src/m.rs", src));
         let js = contract_json(&r.contract);
         assert!(js.contains("\"label\": \"m.pub\""), "{js}");
         assert!(js.contains("\"field\": \"x\""), "{js}");

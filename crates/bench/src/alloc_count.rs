@@ -3,17 +3,20 @@
 //!
 //! [`CountingAlloc`] forwards to [`System`] and counts the allocating
 //! calls (`alloc`, `alloc_zeroed`, `realloc`) and the bytes they ask
-//! for, **per thread** — plain `Cell`s, no atomics — so a measurement
+//! for, and the freeing calls (`dealloc`, `realloc`) and the bytes they
+//! return, **per thread** — plain `Cell`s, no atomics — so a measurement
 //! sees only the allocations of the thread that took it and parallel
-//! tests in one binary do not pollute each other. A binary opts in with
+//! tests in one binary do not pollute each other. A `realloc` counts as
+//! freeing the old size and allocating the new one. A binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: CountingAlloc = CountingAlloc;
 //! ```
 //!
-//! and prices a region with [`allocs_during`]. Without that line every
-//! region reads `(0, 0)`.
+//! and prices a region with [`allocs_during`], or weighs what it left
+//! live with [`net_live_during`]. Without that line every region reads
+//! `(0, 0)`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,6 +26,8 @@ thread_local! {
     // nothing, so the allocator can use them re-entrantly.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// [`System`], counting per thread. See the module docs.
@@ -33,6 +38,11 @@ fn count(bytes: usize) {
     // instead of panicking inside the allocator.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
+
+fn count_free(bytes: usize) {
+    let _ = FREES.try_with(|c| c.set(c.get() + 1));
+    let _ = FREED.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -52,12 +62,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_free(layout.size());
         count(new_size);
         // SAFETY: the caller's `GlobalAlloc::realloc` obligations, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         // SAFETY: the caller's `GlobalAlloc::dealloc` obligations, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -71,4 +83,18 @@ pub fn allocs_during<R>(body: impl FnOnce() -> R) -> (R, (u64, u64)) {
     let out = body();
     let (calls_after, bytes_after) = reading();
     (out, (calls_after - calls, bytes_after - bytes))
+}
+
+/// Run `body` and return its result with the `(blocks, bytes)` the
+/// calling thread left live meanwhile: allocating calls minus freeing
+/// calls, bytes requested minus bytes freed. Negative when `body` frees
+/// more than it allocates; memory one thread allocates and another
+/// frees is counted on each side by the thread that touched it.
+pub fn net_live_during<R>(body: impl FnOnce() -> R) -> (R, (i64, i64)) {
+    let reading = || (FREES.with(Cell::get), FREED.with(Cell::get));
+    let (frees, freed) = reading();
+    let (out, (calls, bytes)) = allocs_during(body);
+    let (frees_after, freed_after) = reading();
+    let net = |alloc: u64, free: u64| alloc as i64 - free as i64;
+    (out, (net(calls, frees_after - frees), net(bytes, freed_after - freed)))
 }

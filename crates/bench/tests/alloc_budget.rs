@@ -15,7 +15,7 @@
 //! map, so it and the bootstrap of a late registrant allocate the same
 //! whatever the shard holds.
 
-use waitfree_bench::alloc_count::{allocs_during, CountingAlloc};
+use waitfree_bench::alloc_count::{allocs_during, net_live_during, CountingAlloc};
 use waitfree_objects::counter::{Counter, CounterOp};
 use waitfree_model::{ObjectSpec, Pid};
 use waitfree_store::{Bump, Ctx, ShardOp, ShardState, ShardedStore, StoreConfig};
@@ -159,4 +159,45 @@ fn store_handle_bootstrap_is_constant_size() {
         calls
     };
     assert_eq!(register_allocs(1_024), register_allocs(65_536), "the bootstrap grew with the store");
+}
+
+/// A checkpointed counter's live memory stays flat however long it
+/// runs. With one handle and `checkpoint_every = SEGMENT_SIZE`, the net
+/// bytes the handle leaves live (allocated minus freed, counted per
+/// thread, so exact) over 64 checkpoint windows equal those over 16,
+/// give or take what one window allocates: one segment (its entries,
+/// header and slot array) plus one image. The two are not equal outright
+/// because a checkpoint takes a log position too, so a window of
+/// `SEGMENT_SIZE` invokes spans one segment and a little more. A reclaim
+/// sweep that counts a segment reclaimed without freeing it leaves one
+/// more segment live per window, which no RSS slack can hide here.
+#[test]
+fn checkpointed_counter_live_bytes_stay_flat() {
+    let cfg = UniversalConfig { checkpoint_every: Some(SEGMENT_SIZE), ..UniversalConfig::default() };
+    let obj = WfUniversal::with_config(Counter::new(0), cfg);
+    let mut h = obj.register();
+    let mut windows = |n: usize| {
+        net_live_during(|| {
+            for _ in 0..n * SEGMENT_SIZE {
+                h.invoke(CounterOp::Add(1));
+            }
+        })
+        .1
+    };
+    windows(8);
+    let (_, (_, window)) = allocs_during(|| windows(1));
+    let (_, short) = windows(16);
+    let (_, long) = windows(64);
+    let stats = obj.stats();
+    println!(
+        "checkpointed counter: net {short} bytes live over 16 windows, {long} over 64; \
+         one window allocates {window} bytes; {} checkpoints, {} of {} segments reclaimed",
+        stats.checkpoints, stats.reclaimed_segments, stats.installed_segments
+    );
+    assert!(stats.checkpoints >= 88 && stats.reclaimed_segments >= 80, "{stats:?}");
+    assert!(
+        (long - short).unsigned_abs() <= window,
+        "live bytes grew with the run: {short} over 16 windows, {long} over 64 \
+         (tolerance {window}, one window's allocation)"
+    );
 }

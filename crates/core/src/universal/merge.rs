@@ -149,7 +149,7 @@ mod tests {
 
     // Randomized property tests over seeded lists (deterministic, offline
     // replacement for the former proptest strategies).
-    fn random_list(rng: &mut waitfree_faults::rng::DetRng, max_len: usize, vals: i64) -> Vec<i64> {
+    fn random_list(rng: &mut waitfree_sched::rng::DetRng, max_len: usize, vals: i64) -> Vec<i64> {
         let len = rng.below(max_len + 1);
         (0..len).map(|_| rng.range_i64(0, vals)).collect()
     }
@@ -157,7 +157,7 @@ mod tests {
     /// merge(p, s) always ends with s.
     #[test]
     fn prop_merge_keeps_suffix() {
-        let mut rng = waitfree_faults::rng::DetRng::new(0x4D45_5247);
+        let mut rng = waitfree_sched::rng::DetRng::new(0x4D45_5247);
         for _ in 0..512 {
             let prefix = random_list(&mut rng, 7, 20);
             let suffix = random_list(&mut rng, 7, 20);
@@ -169,7 +169,7 @@ mod tests {
     /// Entries of the result = entries of suffix plus prefix-only entries.
     #[test]
     fn prop_merge_contains_exactly_union() {
-        let mut rng = waitfree_faults::rng::DetRng::new(0x554E_494F);
+        let mut rng = waitfree_sched::rng::DetRng::new(0x554E_494F);
         for _ in 0..512 {
             let prefix = random_list(&mut rng, 7, 20);
             let suffix = random_list(&mut rng, 7, 20);
@@ -191,7 +191,7 @@ mod tests {
     /// when the suffix already absorbed it.
     #[test]
     fn prop_merge_absorbs() {
-        let mut rng = waitfree_faults::rng::DetRng::new(0x4142_534F);
+        let mut rng = waitfree_sched::rng::DetRng::new(0x4142_534F);
         for _ in 0..512 {
             let prefix = random_list(&mut rng, 5, 10);
             let suffix = random_list(&mut rng, 5, 10);
@@ -204,7 +204,7 @@ mod tests {
     /// is_suffix is a partial order: antisymmetric on distinct lists.
     #[test]
     fn prop_suffix_antisymmetric() {
-        let mut rng = waitfree_faults::rng::DetRng::new(0x414E_5449);
+        let mut rng = waitfree_sched::rng::DetRng::new(0x414E_5449);
         for _ in 0..2048 {
             let a = random_list(&mut rng, 5, 5);
             let b = random_list(&mut rng, 5, 5);

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use waitfree_faults::rng::DetRng;
+use waitfree_sched::rng::DetRng;
 use waitfree_model::{BranchingSpec, History, ImplAction, ImplAutomaton, ObjectSpec, Pid};
 
 /// The phase of one front-end within a run.

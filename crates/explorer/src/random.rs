@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use waitfree_faults::rng::DetRng;
+use waitfree_sched::rng::DetRng;
 use waitfree_model::{BranchingSpec, Pid, ProcessAutomaton, Val};
 
 use crate::check::Violation;

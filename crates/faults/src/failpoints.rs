@@ -10,7 +10,7 @@
 //!
 //! All decisions are deterministic given [`set_seed`] and the order in
 //! which threads reach the sites: probabilistic rules draw from a
-//! per-config [`DetRng`](crate::rng::DetRng) seeded from the global seed
+//! per-config [`DetRng`](waitfree_sched::rng::DetRng) seeded from the global seed
 //! and the site name, and count-based rules ([`Fire::Nth`],
 //! [`Fire::EveryNth`]) count only hits that pass the thread filter.
 //!
@@ -81,7 +81,7 @@ use std::sync::{Mutex, OnceLock};
 use waitfree_sched::atomic::diag::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(feature = "failpoints")]
-use crate::rng::DetRng;
+use waitfree_sched::rng::DetRng;
 
 /// What happens when a configured site fires.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -23,7 +23,7 @@ use waitfree_sched::atomic::diag::{AtomicUsize, Ordering};
 use waitfree_sched::thread::JoinHandle;
 
 use crate::failpoints::{self, CrashSignal};
-use crate::rng::DetRng;
+use waitfree_sched::rng::DetRng;
 
 /// How one worker thread ended.
 #[derive(Clone, Debug)]

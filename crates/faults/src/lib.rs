@@ -6,7 +6,7 @@
 //! `waitfree-explorer`) into an empirically validated property of the
 //! shipped `waitfree-sync` library.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`failpoints`] — labeled sites compiled into hot paths via
 //!   [`failpoint!`]; a test arms a site with a [`FaultAction`]
@@ -16,12 +16,9 @@
 //! * [`harness`] — spawns real threads, classifies injected crashes
 //!   apart from genuine panics, releases stalled victims before joining,
 //!   and plans deterministic adversaries ("crash thread 3 at its 2nd CAS").
-//! * [`rng`] — the workspace's seeded PRNG ([`rng::DetRng`]), also used
-//!   by the explorer's randomized schedules and the property tests (the
-//!   repository builds fully offline, with no external crates). The
-//!   implementation lives in `waitfree_sched::rng` — this crate sits
-//!   above the scheduler so injected yields and stalls route through the
-//!   thread facade — and is re-exported here under its original path.
+//!
+//! Seeded firing rules and adversaries draw from the workspace's PRNG,
+//! `waitfree_sched::rng::DetRng`.
 //!
 //! [`FaultAction`]: failpoints::FaultAction
 
@@ -29,7 +26,6 @@
 
 pub mod failpoints;
 pub mod harness;
-pub mod rng;
 
 /// Mark a failpoint site. `site` should be a `&str` literal, namespaced
 /// like `"universal::cas"`.

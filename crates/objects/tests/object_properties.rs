@@ -5,7 +5,7 @@
 //! property, reproducible by seed.
 
 use std::collections::VecDeque;
-use waitfree_faults::rng::DetRng;
+use waitfree_sched::rng::DetRng;
 use waitfree_model::{ObjectSpec, Pid, Val};
 use waitfree_objects::assignment::{AssignBank, AssignOp, AssignResp};
 use waitfree_objects::memory::{MemOp, MemoryBank, MemResp};

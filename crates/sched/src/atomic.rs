@@ -345,3 +345,61 @@ mod instrumented {
         }
     }
 }
+
+#[cfg(all(test, feature = "sched"))]
+mod tests {
+    use super::{AtomicBool, AtomicUsize, Ordering};
+    use crate::runtime::{run, AtomicOp, RunOptions};
+    use crate::strategy::Script;
+
+    /// Inside a scheduled run the facade records exactly the ordering
+    /// the caller passed — never a stronger one. The happens-before pass
+    /// judges a trace by these orderings alone, so its mutation gates
+    /// (a `publish_hint` `fetch_max(Release)` rewritten to `Relaxed`)
+    /// stand for a build only if a weak op is recorded weak.
+    #[test]
+    fn each_op_is_recorded_with_the_ordering_the_caller_passed() {
+        use AtomicOp::{CompareExchange, FetchAdd, FetchMax, FetchSub, Load, Store, Swap};
+        use Ordering::{AcqRel, Acquire, Relaxed, Release};
+        let result = run(Script::new(Vec::new()), RunOptions::default(), || {
+            let a = AtomicUsize::new(0);
+            a.load(Relaxed);
+            a.load(Acquire);
+            a.store(1, Relaxed);
+            a.store(2, Release);
+            a.swap(3, Relaxed);
+            a.swap(4, AcqRel);
+            assert!(a.compare_exchange(4, 5, Relaxed, Relaxed).is_ok());
+            assert!(a.compare_exchange(0, 6, Release, Acquire).is_err());
+            a.fetch_add(1, Relaxed);
+            a.fetch_sub(1, Release);
+            a.fetch_max(9, Relaxed);
+            a.fetch_max(10, Acquire);
+            let b = AtomicBool::new(false);
+            b.store(true, Relaxed);
+            b.load(Relaxed);
+        });
+        assert!(result.error.is_none(), "{:?}", result.error);
+        let got: Vec<_> =
+            result.ops().map(|e| (e.op, e.ordering, e.failure_ordering, e.cas_success)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Load, Relaxed, None, None),
+                (Load, Acquire, None, None),
+                (Store, Relaxed, None, None),
+                (Store, Release, None, None),
+                (Swap, Relaxed, None, None),
+                (Swap, AcqRel, None, None),
+                (CompareExchange, Relaxed, Some(Relaxed), Some(true)),
+                (CompareExchange, Release, Some(Acquire), Some(false)),
+                (FetchAdd, Relaxed, None, None),
+                (FetchSub, Release, None, None),
+                (FetchMax, Relaxed, None, None),
+                (FetchMax, Acquire, None, None),
+                (Store, Relaxed, None, None),
+                (Load, Relaxed, None, None),
+            ]
+        );
+    }
+}

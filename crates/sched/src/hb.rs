@@ -963,8 +963,8 @@ mod tests {
     }
 
     /// An acquire site with no annotation at all (not in the site
-    /// table) is flagged too — the mutant-catch mechanism: mutant-gated
-    /// statements are absent from the default contract.
+    /// table) is flagged too, so a statement that lost its annotation
+    /// cannot carry an edge unjudged.
     #[test]
     fn unannotated_acquire_site_is_flagged() {
         let c = contract(vec![site(Some("m.pub"), 10, 10, &[])]);

@@ -271,19 +271,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         // positions ≥ cursor are ≥ this handle's published frontier,
         // which the reclaim bound never passes, so `thread_seg` can
         // never be (or walk into) a reclaimed segment.
-        #[cfg(not(feature = "mutant-unpaired-acquire"))]
-        let mut k = self.shared.hint.load(Ordering::Acquire).max(self.cursor);
-        // ordering: Acquire [pairs: universal.hint_stale] — DELIBERATELY
-        // WRONG. The `mutant-unpaired-acquire` feature mis-labels this
-        // acquire's pair with a label no release site declares, so the
-        // contract gates can prove they catch a dangling pair two ways:
-        // statically (`extract_contract` with mutants reports an
-        // unresolved pair) and dynamically (the happens-before pass
-        // flags the observed `hint_pub` edge as undeclared). The
-        // executed code is identical to the shipped statement above —
-        // only the declared contract lies. Never enable outside those
-        // tests.
-        #[cfg(feature = "mutant-unpaired-acquire")]
         let mut k = self.shared.hint.load(Ordering::Acquire).max(self.cursor);
         // progress: wait-free — the §4 helping bound: every iteration
         // threads or helps thread position `k`, and our announced op is
@@ -529,15 +516,7 @@ impl<S: ObjectSpec> WfHandle<S> {
         // publisher makes the `fetch_max` a no-op the current value was
         // itself Release-published by a thread with the same property,
         // so the edge readers need still exists.
-        #[cfg(not(feature = "mutant-relaxed-hint"))]
         self.shared.hint.fetch_max(k, Ordering::Release);
-        // ordering: Relaxed [no-edge] — DELIBERATELY WRONG. The `mutant-relaxed-hint`
-        // feature reintroduces the original hint bug (published without a
-        // release edge) so the happens-before checker's regression test
-        // can prove it flags this class mechanically. Never enable
-        // outside that test.
-        #[cfg(feature = "mutant-relaxed-hint")]
-        self.shared.hint.fetch_max(k, Ordering::Relaxed);
     }
 }
 
@@ -728,5 +707,45 @@ mod tests {
         }
         assert!(!h.entry_limbo.contains(&pinned), "an unpinned entry is recycled by the next sweep");
         assert_eq!(h.invoke(CounterOp::Get), CounterResp::Value((2 * per + ENTRY_LIMBO_SWEEP) as i64));
+    }
+
+    /// The collect scan helps a peer deterministically, on one thread:
+    /// a peer's op announced the way `try_invoke` announces it (entry,
+    /// `cell` store, `announced` store) but never threaded is decided by
+    /// another handle's next invoke, in the same position as that
+    /// handle's own op. The scan runs `preferred..hi`, then
+    /// `0..preferred`, with `preferred = k % hi`; with two slots the
+    /// peer (slot 0) is found by the first half at position 0 and by
+    /// the second half at position 1.
+    #[test]
+    fn collect_helps_an_announced_peer_from_both_halves_of_the_scan() {
+        for position in [0, 1] {
+            let mut handles = register_n(Counter::new(0), 2);
+            let mut helper = handles.pop().unwrap(); // tid 1
+            let mut peer = handles.pop().unwrap(); // tid 0
+            for _ in 0..position {
+                helper.invoke(CounterOp::Add(1));
+            }
+            // SAFETY: `slot` points into the registry chain owned by
+            // `shared`, alive for the life of `peer`.
+            let slot = unsafe { &*peer.slot };
+            let seq = peer.next_seq;
+            peer.next_seq += 1;
+            let entry = Box::into_raw(Box::new(Entry { tid: peer.tid, seq, op: CounterOp::Add(1) }));
+            slot.cell.store(entry, Ordering::SeqCst);
+            slot.announced.store(seq + 1, Ordering::SeqCst);
+
+            helper.invoke(CounterOp::Add(1));
+            let batches = helper.decided_batches();
+            let scanned = if position == 0 {
+                vec![(peer.tid, seq), (helper.tid, position)] // found in `preferred..hi`
+            } else {
+                vec![(helper.tid, position), (peer.tid, seq)] // found in `0..preferred`
+            };
+            assert_eq!(batches.len(), position + 1, "one decide for both ops: {batches:?}");
+            assert_eq!(batches[position], scanned, "at position {position}");
+            assert_eq!(slot.done.load(Ordering::SeqCst), seq + 1, "the peer's op is threaded");
+            assert_eq!(helper.read(Counter::value), position as i64 + 2);
+        }
     }
 }

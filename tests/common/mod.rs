@@ -166,3 +166,32 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
         }
     }
 }
+
+/// [`workspace_sources`] with one annotation mis-labeled: the acquire
+/// `hint` load in `thread_entry` (`let mut k = self.shared.hint.load(…)`)
+/// declares `[pairs: universal.hint_stale]`, a label no release site
+/// carries, instead of `[pairs: universal.hint_pub]`. Line numbers and
+/// code are unchanged, so the extracted contract is exactly the one a
+/// build with that wrong annotation would ship. Panics unless exactly
+/// one statement was rewritten.
+pub fn mislabeled_hint_sources() -> Vec<(String, String)> {
+    const FILE: &str = "crates/sync/src/universal/decide.rs";
+    const STMT: &str = "let mut k = self.shared.hint.load(";
+    let mut files = workspace_sources();
+    let (_, src) = files
+        .iter_mut()
+        .find(|(rel, _)| rel == FILE)
+        .unwrap_or_else(|| panic!("{FILE} not in the workspace walk"));
+    let mut lines: Vec<String> = src.split_inclusive('\n').map(String::from).collect();
+    let stmts: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].contains(STMT)).collect();
+    assert_eq!(stmts.len(), 1, "expected one `{STMT}…` statement in {FILE}, found {stmts:?}");
+    let ann = (0..stmts[0])
+        .rev()
+        .find(|&i| lines[i].contains("// ordering:"))
+        .unwrap_or_else(|| panic!("{FILE}:{}: hint load has no annotation", stmts[0] + 1));
+    let rewritten = lines[ann].replace("[pairs: universal.hint_pub]", "[pairs: universal.hint_stale]");
+    assert_ne!(rewritten, lines[ann], "{FILE}:{}: annotation names no hint_pub pair", ann + 1);
+    lines[ann] = rewritten;
+    *src = lines.concat();
+    files
+}

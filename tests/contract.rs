@@ -1,9 +1,9 @@
 //! The ordering contract as a test-suite invariant: the machine-checked
 //! pair graph over the workspace's `// ordering:` annotations must
 //! resolve cleanly, every audited statement and loop must carry its
-//! required annotation (zero exemptions), and the deliberately
-//! mis-labeled `mutant-unpaired-acquire` pair must be caught by the
-//! static pass.
+//! required annotation (zero exemptions), and a mis-labeled pair —
+//! the shipped sources with one annotation rewritten — must be caught
+//! by the static pass.
 //!
 //! These tests run the same passes as `cargo run -p waitfree-analyze
 //! --bin wf-lint`, so CI failures reproduce locally with one command.
@@ -31,7 +31,7 @@ fn workspace_lint_is_clean_with_zero_exemptions() {
             findings.push(format!("{rel}:{}: {f}", f.line));
         }
     }
-    let result = extract_contract(&files, false);
+    let result = extract_contract(&files);
     for f in &result.findings {
         findings.push(format!("{}:{}: {}", f.file, f.finding.line, f.finding));
     }
@@ -49,7 +49,7 @@ fn workspace_lint_is_clean_with_zero_exemptions() {
 #[test]
 fn pair_graph_resolves_and_covers_both_algorithm_crates() {
     let files = common::workspace_sources();
-    let result = extract_contract(&files, false);
+    let result = extract_contract(&files);
     assert!(result.findings.is_empty(), "{:?}", result.findings);
 
     let c = &result.contract;
@@ -93,37 +93,30 @@ fn pair_graph_resolves_and_covers_both_algorithm_crates() {
     }
 }
 
-/// The static mutant gate: with `#[cfg(feature = "mutant-…")]`-gated
-/// statements included, the deliberately mis-labeled acquire in
-/// `universal::thread_entry` (`pairs: universal.hint_stale`) must
-/// surface as an unresolved pair — and it must be the *only* new
-/// finding, so the gate stays sharp. This is a source-level scan: it
-/// proves the pass catches the dangling label without building the
-/// mutant feature.
+/// The static mutant gate: mutate the input, not the build. In the
+/// shipped sources with the `thread_entry` hint load re-annotated
+/// `[pairs: universal.hint_stale]` (`common::mislabeled_hint_sources`),
+/// the dangling label must surface as an unresolved pair, and it must
+/// be the *only* finding, so the gate stays sharp. The same pass over
+/// the unmutated sources is clean.
 #[test]
 fn mutant_unpaired_acquire_is_caught_statically() {
-    let files = common::workspace_sources();
-    let with_mutants = extract_contract(&files, true);
-    let dangling: Vec<_> = with_mutants
-        .findings
-        .iter()
-        .filter(|f| {
-            f.finding.rule == Rule::UnresolvedPair
-                && f.file == "crates/sync/src/universal/decide.rs"
-                && f.finding.msg.contains("universal.hint_stale")
-        })
-        .collect();
+    let shipped = extract_contract(&common::workspace_sources());
+    assert!(shipped.findings.is_empty(), "{:?}", shipped.findings);
+
+    let mutated = extract_contract(&common::mislabeled_hint_sources());
     assert_eq!(
-        dangling.len(),
+        mutated.findings.len(),
         1,
-        "expected exactly the mutant's dangling pair, got {:?}",
-        with_mutants.findings
+        "expected exactly the mis-labeled pair, got {:?}",
+        mutated.findings
     );
-    assert_eq!(
-        with_mutants.findings.len(),
-        1,
-        "mutant inclusion produced unrelated findings: {:?}",
-        with_mutants.findings
+    let f = &mutated.findings[0];
+    assert!(
+        f.finding.rule == Rule::UnresolvedPair
+            && f.file == "crates/sync/src/universal/decide.rs"
+            && f.finding.msg.contains("universal.hint_stale"),
+        "{f:?}"
     );
 }
 

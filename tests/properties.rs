@@ -4,7 +4,7 @@
 //! brute-force oracle on tiny histories.
 
 use waitfree::core::universal::log::LogUniversal;
-use waitfree::faults::rng::DetRng;
+use waitfree::sched::rng::DetRng;
 use waitfree::model::{linearize, History, ObjectSpec, PendingPolicy, Pid};
 use waitfree::objects::queue::{FifoQueue, QueueOp};
 use waitfree::objects::register::{RegOp, RegResp, RwRegister};

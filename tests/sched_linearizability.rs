@@ -39,6 +39,7 @@ use waitfree::sched::thread as vthread;
 use waitfree::sched::{
     campaign, campaign_with, replay, run, run_and_check, run_and_check_with, AtomicOp, Choice,
     Contract, Dfs, Explore, HistoryRecorder, PointKind, RunOptions, Script, SiteSpec, Strategy,
+    TraceEvent,
 };
 use waitfree::store::{Bump, ShardedStore, StoreConfig, StoreModel, StoreOp, StoreResp};
 use waitfree::sync::consensus::{ConsensusCell, UsizeConsensus};
@@ -46,6 +47,7 @@ use waitfree::sync::faa_queue::FaaQueue;
 use waitfree::sync::lockfree::{MsQueue, TreiberStack};
 use waitfree::sync::universal::{UniversalConfig, WfUniversal, SEGMENT_SIZE};
 use waitfree::sync::wrappers::{WfCounter, WfQueue, WfRegister, WfStack};
+use waitfree_analyze::contract::{extract_contract, ContractResult};
 
 use common::{register_n, CloneCounted};
 
@@ -68,42 +70,35 @@ fn explores() -> [Explore; 2] {
 /// The workspace ordering contract — the same site table and pair
 /// graph `wf-lint --contract-json` emits, extracted once from the
 /// checked-out sources so the dynamic cross-validation below always
-/// judges against the contract that matches the code under test.
-///
-/// Mutant-gated statements are included exactly when the corresponding
-/// feature is compiled in, so under `mutant-unpaired-acquire` the
-/// executing (mis-labeled) `hint` load resolves to *its* declaration,
-/// not the shipped twin's.
+/// judges against the contract that matches the code under test. The
+/// shipped pair graph must be clean.
 fn ordering_contract() -> &'static Contract {
     static CONTRACT: OnceLock<Contract> = OnceLock::new();
     CONTRACT.get_or_init(|| {
-        let files = common::workspace_sources();
-        let include_mutants = cfg!(any(
-            feature = "mutant-unpaired-acquire",
-            feature = "mutant-relaxed-hint"
-        ));
-        let result = waitfree_analyze::contract::extract_contract(&files, include_mutants);
-        if !include_mutants {
-            // The shipped pair graph must be clean; the mutant builds
-            // deliberately dangle (pinned by tests/contract.rs).
-            assert!(result.findings.is_empty(), "{:?}", result.findings);
-        }
-        Contract {
-            sites: result
-                .contract
-                .sites
-                .into_iter()
-                .map(|s| SiteSpec {
-                    label: s.label,
-                    file: s.file,
-                    start: s.start,
-                    end: s.end,
-                    pairs: s.pairs,
-                })
-                .collect(),
-            files: result.contract.files,
-        }
+        let result = extract_contract(&common::workspace_sources());
+        assert!(result.findings.is_empty(), "{:?}", result.findings);
+        contract_of(result)
     })
+}
+
+/// An extracted ordering contract in the form the happens-before pass
+/// takes.
+fn contract_of(result: ContractResult) -> Contract {
+    Contract {
+        sites: result
+            .contract
+            .sites
+            .into_iter()
+            .map(|s| SiteSpec {
+                label: s.label,
+                file: s.file,
+                start: s.start,
+                end: s.end,
+                pairs: s.pairs,
+            })
+            .collect(),
+        files: result.contract.files,
+    }
 }
 
 /// Sweep both strategy families over `body` and require every explored
@@ -1157,13 +1152,14 @@ fn bounded_dfs_universal_single_ops_linearize() {
 /// exact schedule — one thread completes three operations, then a second
 /// thread runs its first operation from a cold start — is the
 /// interleaving in which the jumper could act on a hint without the
-/// matching entries. The scripted schedule pins the interleaving; the
-/// assertions pin both the behavior (responses, decided log) and the
-/// orderings in the recorded instruction trace.
+/// matching entries.
+///
 /// Run the pinned publisher/jumper script and return the raw run plus
-/// the observed responses and decided log. Shared by the shipped-path
-/// test and the `mutant-relaxed-hint` regression below, so both judge
-/// the *same* interleaving.
+/// the observed responses and decided log. Every test below judges this
+/// one interleaving: the scheduler's choices and the SC values do not
+/// depend on the orderings passed, and the happens-before pass is a
+/// pure function of `(trace, contract)`, so a mutated trace or contract
+/// is exactly what a build with the mutated statement would produce.
 fn run_hint_schedule() -> (
     waitfree::sched::RunResult,
     Vec<CounterResp>,
@@ -1199,8 +1195,9 @@ fn run_hint_schedule() -> (
     (result, pub_resps, jump_resp, log)
 }
 
+/// The pinned schedule behaves (responses, decided log) and its trace
+/// carries the orderings PR 2 installed.
 #[test]
-#[cfg(not(feature = "mutant-relaxed-hint"))]
 fn hint_publication_regression_schedule() {
     let (result, pub_resps, jump_resp, log) = run_hint_schedule();
     assert_eq!(
@@ -1219,10 +1216,9 @@ fn hint_publication_regression_schedule() {
         "decided log: publisher's three ops, then the jumper's"
     );
 
-    // The orderings PR 2 installed, pinned in the instruction trace: the
-    // hint is published with fetch_max(Release) and read with Acquire,
-    // and no usize-word atomic in this schedule is Relaxed (the segment
-    // counter's fetch_add is AcqRel since the ordering audit).
+    // The hint is published with fetch_max(Release) and read with
+    // Acquire, and no usize-word atomic in this schedule is Relaxed (the
+    // segment counter's fetch_add is AcqRel since the ordering audit).
     assert!(
         result
             .ops()
@@ -1244,27 +1240,26 @@ fn hint_publication_regression_schedule() {
             && e.ordering == Ordering::Relaxed),
         "a Relaxed usize atomic crept back into the hot path"
     );
+}
 
-    // Happens-before verdict: with the shipped orderings, every plain
-    // load in this schedule is justified by declared release/acquire
-    // edges alone — the SC serialization is not doing hidden work.
-    let hb = waitfree::sched::hb_check(&result.trace);
+/// With the shipped orderings every plain load in the pinned schedule
+/// is justified by declared release/acquire edges alone (the SC
+/// serialization is not doing hidden work), every observed
+/// release→acquire edge is declared in the pair graph, and the hint
+/// edge itself shows up as an *exercised* declared pair — the static
+/// contract and the dynamic trace agree in both directions.
+#[test]
+fn hint_schedule_is_clean_under_the_shipped_orderings_and_contract() {
+    let (result, ..) = run_hint_schedule();
+    let hb = waitfree::sched::hb_check_with_contract(&result.trace, Some(ordering_contract()));
     assert!(
-        hb.is_clean(),
+        hb.violations.is_empty(),
         "declared orderings too weak ({} of {} reads unjustified): {}",
         hb.violations.len(),
         hb.reads_checked,
         hb.violations[0]
     );
     assert!(hb.reads_checked > 0, "the schedule judged no loads at all");
-
-    // Contract cross-validation on the same trace: every observed
-    // release→acquire edge in this schedule is declared in the pair
-    // graph, and the hint edge itself shows up as an *exercised*
-    // declared pair — the static contract and the dynamic trace agree
-    // about this interleaving in both directions.
-    let contract = ordering_contract();
-    let hb = waitfree::sched::hb_check_with_contract(&result.trace, Some(contract));
     assert!(
         hb.undeclared.is_empty(),
         "undeclared synchronization edge(s): {}",
@@ -1279,67 +1274,79 @@ fn hint_publication_regression_schedule() {
     );
 }
 
-/// The dynamic half of the `mutant-unpaired-acquire` gate: the mutant
-/// compiles the *identical* instruction stream as the shipped code (an
-/// `Acquire` hint load), but its annotation declares the wrong pair
-/// (`universal.hint_stale`, a label no site defines). The static pass
-/// pins the dangling label (tests/contract.rs); here the *observed*
-/// hint edge resolves to the mutant's declaration, whose `pairs:` list
-/// does not contain the releasing site's label — so the cross-check
-/// must flag the edge as undeclared synchronization under the very
-/// schedule that passes clean on the shipped annotations.
+/// The PR 2 bug as a mutation of the recorded trace: every `publish_hint`
+/// `fetch_max(Release)` is rewritten to `Relaxed`, which is the trace a
+/// build with that statement downgraded records. The happens-before
+/// pass must flag the jumper's reads of the hint, and only reads whose
+/// observed write is a rewritten publish; the unrewritten trace is
+/// clean. This proves the checker catches the bug *class*
+/// mechanically, not just that the current orderings look right.
 #[test]
-#[cfg(feature = "mutant-unpaired-acquire")]
-fn mutant_unpaired_acquire_is_flagged_by_the_contract_check() {
-    let (result, _pub_resps, jump_resp, _log) = run_hint_schedule();
-    // The executed code is untouched by the mutant: behavior matches
-    // the shipped run, and the plain happens-before pass (no contract)
-    // stays clean. Only the contract cross-check can see the lie.
-    assert_eq!(jump_resp, CounterResp::Value(3), "jumper linearizes last");
-    let plain = waitfree::sched::hb_check(&result.trace);
-    assert!(plain.is_clean(), "mutant must not change executed orderings");
-
-    let contract = ordering_contract();
-    let hb = waitfree::sched::hb_check_with_contract(&result.trace, Some(contract));
-    assert!(
-        hb.undeclared
-            .iter()
-            .any(|e| e.to_string().contains("universal.hint_pub")),
-        "contract check failed to flag the mis-declared hint edge; \
-         undeclared: {:?}, exercised: {:?}",
-        hb.undeclared,
-        hb.exercised
-    );
-}
-
-/// The PR 2 bug, resurrected behind `--features mutant-relaxed-hint`
-/// (`publish_hint` downgraded to `fetch_max(Relaxed)`), must be flagged
-/// by the happens-before checker under the very same scripted schedule
-/// that passes clean on the shipped code. This proves the checker
-/// catches the bug *class* mechanically, not just that the current
-/// orderings happen to look right.
-#[test]
-#[cfg(feature = "mutant-relaxed-hint")]
 fn mutant_relaxed_hint_is_flagged_by_the_hb_checker() {
-    let (result, _pub_resps, _jump_resp, _log) = run_hint_schedule();
+    let (result, ..) = run_hint_schedule();
+    let shipped = waitfree::sched::hb_check(&result.trace);
+    assert!(shipped.is_clean(), "the unmutated trace must be clean: {:?}", shipped.violations);
 
-    // The mutant really is in play: the hint publish lost its Release.
-    assert!(
-        result
-            .ops()
-            .any(|e| e.op == AtomicOp::FetchMax && e.ordering == Ordering::Relaxed),
-        "mutant not active — fetch_max(Relaxed) missing from trace"
-    );
+    let mut trace = result.trace.clone();
+    let mut rewritten = BTreeSet::new();
+    let mut sites = BTreeSet::new();
+    for (i, ev) in trace.iter_mut().enumerate() {
+        if let TraceEvent::Op(e) = ev {
+            if e.op == AtomicOp::FetchMax
+                && e.ordering == Ordering::Release
+                && e.site_file.ends_with("universal/decide.rs")
+            {
+                e.ordering = Ordering::Relaxed;
+                rewritten.insert(i);
+                sites.insert(e.site_line);
+            }
+        }
+    }
+    assert!(!rewritten.is_empty(), "no hint publication in the trace to mutate");
+    assert_eq!(sites.len(), 1, "the mutation must hit one statement, hit lines {sites:?}");
 
-    // Under the scheduler's SC interleaving the run still *behaves*
-    // (responses and the decided log are checked by the shipped test);
-    // only the happens-before pass can see the missing edge.
-    let hb = waitfree::sched::hb_check(&result.trace);
+    let hb = waitfree::sched::hb_check(&trace);
     assert!(
         !hb.is_clean(),
         "HB checker failed to flag the Relaxed hint publication \
          ({} reads judged, none unjustified)",
         hb.reads_checked
+    );
+    for v in &hb.violations {
+        assert!(
+            rewritten.contains(&v.write_index) && v.read.site_file.ends_with("universal/decide.rs"),
+            "a violation the mutation does not explain: {v}"
+        );
+    }
+}
+
+/// The dynamic half of the mis-labeled pair gate: the contract
+/// extracted from `common::mislabeled_hint_sources` (the hint load
+/// declares `universal.hint_stale`, a label no site defines) is judged
+/// against the unchanged trace. The observed hint edge now resolves to
+/// a declaration whose `pairs:` list lacks the releasing site's label,
+/// so the cross-check must flag exactly that edge as undeclared; with
+/// the shipped contract the same trace is clean, and the orderings
+/// themselves stay justified either way.
+#[test]
+fn mutant_unpaired_hint_acquire_is_flagged_by_the_contract_check() {
+    let (result, ..) = run_hint_schedule();
+    let shipped = waitfree::sched::hb_check_with_contract(&result.trace, Some(ordering_contract()));
+    assert!(shipped.is_clean(), "the shipped contract must judge this trace clean");
+
+    let mislabeled = extract_contract(&common::mislabeled_hint_sources());
+    assert_eq!(mislabeled.findings.len(), 1, "{:?}", mislabeled.findings);
+    let contract = contract_of(mislabeled);
+    let hb = waitfree::sched::hb_check_with_contract(&result.trace, Some(&contract));
+    assert!(hb.violations.is_empty(), "a contract rewrite cannot change executed orderings");
+    assert_eq!(hb.undeclared.len(), 1, "{:?}", hb.undeclared);
+    let edge = &hb.undeclared[0];
+    assert!(
+        edge.read_site.0 == "crates/sync/src/universal/decide.rs"
+            && edge.write_site.0 == "crates/sync/src/universal/decide.rs"
+            && edge.detail.contains("universal.hint_stale")
+            && edge.detail.contains("universal.hint_pub"),
+        "contract check flagged the wrong edge: {edge}"
     );
 }
 
