@@ -42,7 +42,7 @@ use waitfree_sched::atomic::{AtomicUsize, Ordering};
 use waitfree_faults::failpoint;
 use waitfree_model::ObjectSpec;
 
-use super::log::{CpImage, LogEntry, Segment};
+use super::log::{CpImage, LogEntry, LogSeg};
 use super::registry::HandleSlot;
 use super::{Shared, WfHandle, WfUniversal};
 
@@ -63,9 +63,9 @@ impl Drop for ZeroOnDrop<'_> {
 pub(super) enum Walked<'a, S: ObjectSpec> {
     /// A pass begins at this chain root, now pinned by the walker's
     /// hazard. A rewalk starts a new pass here.
-    Pinned(*const Segment<S>),
+    Pinned(*const LogSeg<S>),
     /// The decided entry at position `pos`, inside `seg`.
-    Decided { seg: &'a Segment<S>, pos: usize, entry: &'a LogEntry<S> },
+    Decided { seg: &'a LogSeg<S>, pos: usize, entry: &'a LogEntry<S> },
     /// The pass reached the first undecided position or the chain's end.
     End,
 }
@@ -84,7 +84,7 @@ pub(super) enum Visit<T> {
 impl<S: ObjectSpec> Shared<S> {
     /// Whether any registered slot's segment hazard currently covers
     /// `x` (a detached segment may only be freed when none does).
-    fn seg_pinned(&self, x: *mut Segment<S>) -> bool {
+    fn seg_pinned(&self, x: *mut LogSeg<S>) -> bool {
         let mut pinned = false;
         self.for_each_slot(self.registered(), |_, slot| {
             if slot.seg_hazard.load(Ordering::SeqCst) == x as usize {
@@ -117,7 +117,7 @@ impl<S: ObjectSpec> Shared<S> {
     /// cannot be freed until the hazard is cleared: any detach of it
     /// follows our revalidating load in the SeqCst total order, so the
     /// detacher's sweep sees our hazard.
-    fn pin_oldest(&self, slot: &HandleSlot<S::Op>) -> *const Segment<S> {
+    fn pin_oldest(&self, slot: &HandleSlot<S::Op>) -> *const LogSeg<S> {
         // progress: lock-free — a retry means a reclaimer advanced
         // `oldest` between our load and revalidation; detaches are
         // bounded by decided checkpoints.
@@ -178,7 +178,7 @@ impl<S: ObjectSpec> Shared<S> {
                     // root or a hop validated below.
                     let s = unsafe { &*seg };
                     if let Some(ls) = s.slots.get(i) {
-                        let raw = ls.load(Ordering::SeqCst);
+                        let raw = ls.0.load(Ordering::SeqCst);
                         if raw.is_null() {
                             break Walked::End;
                         }
@@ -189,7 +189,7 @@ impl<S: ObjectSpec> Shared<S> {
                         break Walked::Decided { seg: s, pos, entry: unsafe { &*raw } };
                     }
                     // ordering: SeqCst [pairs: universal.seg_install] —
-                    // pairs with the Release segment install in `seg_for`.
+                    // pairs with the chain's Release segment install.
                     let next = s.next.load(Ordering::SeqCst);
                     if next.is_null() {
                         break Walked::End;
@@ -236,7 +236,7 @@ impl<S: ObjectSpec> Shared<S> {
         &self,
         slot: &HandleSlot<S::Op>,
         initial: &S,
-    ) -> (*const Segment<S>, S, Vec<usize>, usize) {
+    ) -> (*const LogSeg<S>, S, Vec<usize>, usize) {
         if self.cfg.checkpoint_every.is_none() {
             slot.frontier.store(0, Ordering::SeqCst);
             return (self.oldest.load(Ordering::SeqCst), initial.clone(), Vec::new(), 0);

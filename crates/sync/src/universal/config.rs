@@ -8,9 +8,8 @@ use waitfree_sched::atomic::{AtomicPtr, AtomicUsize};
 
 use waitfree_model::ObjectSpec;
 
-use super::log::Segment;
-use super::registry::RegSegment;
-use super::{Shared, WfUniversal};
+use super::chain::Seg;
+use super::{Shared, WfUniversal, REGISTRY_SEGMENT, SEGMENT_SIZE};
 
 /// Why a universal-object operation could not complete. These are the
 /// resource-exhaustion edges of the bounded renderings of §4 — not
@@ -114,7 +113,7 @@ impl<S: ObjectSpec> WfUniversal<S> {
     /// (or recycles) a registry slot and grants a fresh `cfg.max_ops`
     /// operation budget.
     ///
-    /// The log starts as a single [`SEGMENT_SIZE`](super::SEGMENT_SIZE)
+    /// The log starts as a single [`SEGMENT_SIZE`]
     /// segment and grows lazily: memory is O(positions actually
     /// decided). Without `checkpoint_every` it is never truncated.
     ///
@@ -133,12 +132,12 @@ impl<S: ObjectSpec> WfUniversal<S> {
         WfUniversal {
             shared: Arc::new(Shared {
                 cfg,
-                reg_head: RegSegment::new(0),
+                reg_head: Seg::new(0, REGISTRY_SEGMENT),
                 slots_hi: AtomicUsize::new(0),
                 active: AtomicUsize::new(0),
                 peak_active: AtomicUsize::new(0),
                 arrivals: AtomicUsize::new(0),
-                oldest: AtomicPtr::new(Box::into_raw(Segment::new(0))),
+                oldest: AtomicPtr::new(Box::into_raw(Seg::new(0, SEGMENT_SIZE))),
                 segments: AtomicUsize::new(1),
                 reclaimed: AtomicUsize::new(0),
                 checkpoints: AtomicUsize::new(0),

@@ -52,7 +52,6 @@ use waitfree_faults::failpoint;
 use waitfree_model::ObjectSpec;
 
 use super::log::{Entry, LogEntry};
-use super::registry::{RegSegment, REGISTRY_SEGMENT};
 use super::{Shared, UniversalError, WfHandle};
 
 /// Displaced announce entries an owner accumulates before sweeping its
@@ -62,7 +61,7 @@ use super::{Shared, UniversalError, WfHandle};
 pub(super) const ENTRY_LIMBO_SWEEP: usize = 8;
 
 impl<S: ObjectSpec> Shared<S> {
-    /// Gather the pending entries of slots `from..to` (one linear walk
+    /// Gather the pending entries of slots `from..to` (one range walk
     /// of the registry chain) into `members`. The caller's own slot is
     /// read without the hazard dance — the caller owns its cell — and
     /// without a clone: if `own` is still pending, `own_at` records the
@@ -77,28 +76,7 @@ impl<S: ObjectSpec> Shared<S> {
         members: &mut Vec<Entry<S::Op>>,
         own_at: &mut Option<usize>,
     ) {
-        if from >= to {
-            return;
-        }
-        // SAFETY: see `Shared::reg_slot`.
-        let mut seg: *const RegSegment<S::Op> = &*self.reg_head;
-        let mut t = from;
-        // progress: bounded — advances `t` one slot per iteration over
-        // the `from..to` window.
-        while t < to {
-            let s = unsafe { &*seg };
-            if t >= s.base + REGISTRY_SEGMENT {
-                // ordering: Acquire [pairs: universal.reg_install] —
-                // pairs with the Release segment install in
-                // `reg_slot_grow`.
-                let next = s.next.load(Ordering::Acquire);
-                if next.is_null() {
-                    return; // `to` outran this thread's view; nothing there to help
-                }
-                seg = next;
-                continue;
-            }
-            let slot = &s.slots[t - s.base];
+        self.reg_head.for_range(from, to, |t, slot| {
             if t == own.tid {
                 // Own slot: the caller owns the cell, no hazard needed;
                 // and the entry is by definition `own` while undone.
@@ -108,8 +86,7 @@ impl<S: ObjectSpec> Shared<S> {
             } else if let Some(e) = self.pending(slot, hazard) {
                 members.push(e);
             }
-            t += 1;
-        }
+        });
     }
 
     /// Run pointer consensus on `slot`: propose `candidate`, return the

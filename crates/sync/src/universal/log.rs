@@ -9,26 +9,23 @@
 //! so the decide/replay/collect hot path never touches reclamation
 //! bookkeeping.
 //!
-//! The log is a linked list of [`SEGMENT_SIZE`]-position segments. A
-//! thread that walks off the end allocates the next segment and
-//! installs it with a CAS on the link; the loser of that race frees its
-//! duplicate and follows the winner — growth is itself wait-free (one
-//! CAS attempt, then proceed). The log is unbounded unless
-//! [`UniversalConfig::cap`](super::UniversalConfig::cap) opts into a
-//! position cap for the fault tests.
+//! The log is a segmented chain (the `chain` module) of
+//! [`SEGMENT_SIZE`]-position segments, grown by the one wait-free
+//! install it shares with the handle registry. The log is unbounded
+//! unless [`UniversalConfig::cap`](super::UniversalConfig::cap) opts
+//! into a position cap for the fault tests.
 //!
-//! Orderings: segment `next` links are `Release` install / `Acquire`
-//! follow, so a segment's header and null slots are visible before the
-//! segment is reachable; the `segments` diagnostic counter is an
-//! `AcqRel` bump / `Acquire` read, so a reported count of `n` implies
-//! the `n` installs it counts are visible to the reader.
+//! Orderings: segment links are the chain's (`Release` install /
+//! `Acquire` follow); the `segments` diagnostic counter is an `AcqRel`
+//! bump / `Acquire` read, so a reported count of `n` implies the `n`
+//! installs it counts are visible to the reader.
 
-use std::marker::PhantomData;
 use std::ptr;
 use waitfree_sched::atomic::{AtomicPtr, Ordering};
 
 use waitfree_model::ObjectSpec;
 
+use super::chain::Seg;
 use super::Shared;
 
 /// Log positions per segment. 64 keeps a segment at one or two cache
@@ -102,76 +99,31 @@ impl<S: ObjectSpec> LogEntry<S> {
     }
 }
 
-/// One fixed-size block of the segmented log. `base` is the global index
-/// of `slots[0]`; a null slot is an undecided position. Segments are
-/// reachable only through the `oldest` root and `next` links installed
-/// by CAS; they are freed by checkpointed reclamation
+/// One log position: null while undecided, then the owner of the
+/// `Box<LogEntry>` the winning decide CAS transferred into it.
+pub(super) struct LogSlot<S: ObjectSpec>(pub(super) AtomicPtr<LogEntry<S>>);
+
+/// A log segment: the chain's block of [`SEGMENT_SIZE`] positions.
+/// Segments are reachable only through the `oldest` root and `next`
+/// links; they are freed by checkpointed reclamation
 /// (`Shared::try_reclaim`) or, for whatever remains, when the owning
-/// [`Shared`] drops. A decided slot owns the `Box<LogEntry>` behind it.
-pub(super) struct Segment<S: ObjectSpec> {
-    pub(super) base: usize,
-    pub(super) slots: Box<[AtomicPtr<LogEntry<S>>]>,
-    pub(super) next: AtomicPtr<Segment<S>>,
-    /// Segments logically own the boxed `LogEntry` behind each decided
-    /// slot (dropped in `Drop`); the marker keeps auto-traits honest.
-    _own: PhantomData<Box<LogEntry<S>>>,
-}
+/// [`Shared`] drops.
+pub(super) type LogSeg<S> = Seg<LogSlot<S>>;
 
-impl<S: ObjectSpec> Segment<S> {
-    pub(super) fn new(base: usize) -> Box<Self> {
-        Box::new(Segment {
-            base,
-            slots: (0..SEGMENT_SIZE).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
-            next: AtomicPtr::new(ptr::null_mut()),
-            _own: PhantomData,
-        })
-    }
-
-    /// One past the last position this segment covers.
-    #[inline]
-    pub(super) fn end(&self) -> usize {
-        self.base + SEGMENT_SIZE
+impl<S: ObjectSpec> Default for LogSlot<S> {
+    fn default() -> Self {
+        LogSlot(AtomicPtr::new(ptr::null_mut()))
     }
 }
 
-impl<S: ObjectSpec> Drop for Segment<S> {
+impl<S: ObjectSpec> Drop for LogSlot<S> {
     fn drop(&mut self) {
-        for slot in self.slots.iter_mut() {
-            let p = *slot.get_mut();
-            if !p.is_null() {
-                // SAFETY: a non-null slot owns the Box transferred by
-                // the winning decide CAS; each segment is dropped
-                // exactly once (by reclamation or by `Shared::drop`),
-                // so the entry is freed exactly once.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-        // Deliberately NOT freeing the `next` chain here: a reclaimed
-        // (limbo) segment's link still points into the *live* chain, so
-        // chain-freeing would double-free. `Shared::drop` walks and
-        // frees the live chain and the limbo list iteratively.
-    }
-}
-
-impl<S: ObjectSpec> Drop for Shared<S> {
-    fn drop(&mut self) {
-        // Free the live chain iteratively (a long log must not recurse
-        // once per segment), then whatever reclamation had detached but
-        // not yet freed.
-        let mut seg = *self.oldest.get_mut();
-        // progress: bounded — one iteration per live log segment;
-        // exclusive access at drop.
-        while !seg.is_null() {
-            // SAFETY: `Drop` has exclusive access; every live segment
-            // came from `Box::into_raw` and is freed exactly once here
-            // (limbo segments are unreachable from `oldest`).
-            let mut b = unsafe { Box::from_raw(seg) };
-            seg = *b.next.get_mut();
-        }
-        for &p in self.limbo.get_mut().iter() {
-            // SAFETY: limbo holds segments already detached from the
-            // chain (never reachable from `oldest` again), each pushed
-            // exactly once; with exclusive access they are freed here.
+        let p = *self.0.get_mut();
+        if !p.is_null() {
+            // SAFETY: a non-null slot owns the Box transferred by the
+            // winning decide CAS; each segment is dropped exactly once
+            // (by reclamation or by `Shared::drop`), so the entry is
+            // freed exactly once.
             drop(unsafe { Box::from_raw(p) });
         }
     }
@@ -183,74 +135,30 @@ impl<S: ObjectSpec> Shared<S> {
     /// reclamation — every caller passes a cached pointer whose
     /// segment's `end()` exceeds the handle's published frontier, which
     /// the reclaim bound never passes) and growing the log as needed.
-    ///
-    /// Growth is wait-free: a thread allocates the missing segment and
-    /// makes exactly one install attempt; on failure it frees its copy
-    /// and follows the winner.
     #[inline]
-    pub(super) fn seg_for(&self, mut seg: *const Segment<S>, k: usize) -> *const Segment<S> {
-        // SAFETY (all derefs below): the starting segment is alive (see
-        // above), and everything reached through `next` links covers
-        // higher positions — also above the caller's frontier, so also
-        // outside the reclaim bound while the caller holds its cache.
-        // progress: wait-free — every iteration advances one segment (a
-        // lost install CAS means the winner's link is there to follow),
-        // and the target position is a bounded number of segments ahead.
-        loop {
-            let s = unsafe { &*seg };
-            debug_assert!(s.base <= k);
-            if k < s.base + SEGMENT_SIZE {
-                return seg;
-            }
-            // ordering: Acquire [pairs: universal.seg_install] — pairs
-            // with the Release install below, so the new segment's
-            // header and nulled slots are initialized before we can
-            // observe the link.
-            let next = s.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                seg = next;
-                continue;
-            }
-            let fresh = Box::into_raw(Segment::new(s.base + SEGMENT_SIZE));
-            // ordering: Release on success [site: universal.seg_install;
-            // pairs: universal.seg_install] — publishes the fully
-            // built segment together with the link; Acquire on
-            // failure to safely follow the winner's segment.
-            match s.next.compare_exchange(
-                ptr::null_mut(),
-                fresh,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    // ordering: AcqRel [site: universal.seg_count;
-                    // pairs: universal.seg_count] — the diagnostic
-                    // counter chains installer clocks, so an Acquire
-                    // reader of the count also inherits every earlier
-                    // install (keeps the counter meaningful off-thread;
-                    // off the hot path).
-                    self.segments.fetch_add(1, Ordering::AcqRel);
-                    seg = fresh;
-                }
-                Err(winner) => {
-                    // SAFETY: the CAS failed, so `fresh` was never
-                    // published; we still own it exclusively.
-                    drop(unsafe { Box::from_raw(fresh) });
-                    seg = winner;
-                }
-            }
-        }
+    pub(super) fn seg_for(&self, seg: *const LogSeg<S>, k: usize) -> *const LogSeg<S> {
+        // SAFETY: the starting segment is alive (see above), and
+        // everything the chain reaches from it covers higher positions
+        // — also above the caller's frontier, so also outside the
+        // reclaim bound while the caller holds its cache.
+        let s = unsafe { &*seg };
+        ptr::from_ref(s.find_or_grow(k, || {
+            // ordering: AcqRel [site: universal.seg_count;
+            // pairs: universal.seg_count] — the diagnostic counter
+            // chains installer clocks, so an Acquire reader of the
+            // count also inherits every earlier install (keeps the
+            // counter meaningful off-thread; off the hot path).
+            self.segments.fetch_add(1, Ordering::AcqRel);
+        }))
     }
 
     /// The slot of global position `k` inside `seg` (which must contain
     /// `k`).
     #[inline]
-    pub(super) fn slot(&self, seg: *const Segment<S>, k: usize) -> &AtomicPtr<LogEntry<S>> {
+    pub(super) fn slot(&self, seg: *const LogSeg<S>, k: usize) -> &AtomicPtr<LogEntry<S>> {
         // SAFETY: see `seg_for` — the caller's cached segment is
         // protected by its published frontier.
-        let s = unsafe { &*seg };
-        debug_assert!(s.base <= k && k < s.base + SEGMENT_SIZE);
-        &s.slots[k - s.base]
+        &unsafe { &*seg }.at(k).0
     }
 }
 

@@ -13,7 +13,8 @@
 //! | module | layer | holds |
 //! |--------|-------|-------|
 //! | `config` | construction | [`UniversalConfig`], [`UniversalError`], `with_config` |
-//! | `log` | the decided sequence | [`Entry`], [`LogEntry`], [`CpImage`], segments and their growth |
+//! | `chain` | both unbounded arrays | the segment, its one-CAS growth, the lookup, the range walk, the chain's free |
+//! | `log` | the decided sequence | [`Entry`], [`LogEntry`], [`CpImage`], the log slot and the `segments` count |
 //! | `registry` | membership | handle slots, `register`/`retire`, the `pending` read helpers use |
 //! | `decide` | announce → collect → decide | `invoke`, the entry free list and limbo, the threading loop, the `hint` |
 //! | `replay` | apply | the one replay step, `read`, the decided-log visitors, the frontier |
@@ -29,8 +30,8 @@
 //! typed `// ordering:` declaration that `wf-lint` resolves and the
 //! `sched` campaigns check (DESIGN.md §8–§9). The `universal::*`
 //! failpoint sites are listed in `waitfree_faults::failpoints`. The
-//! small `log` and `registry` helpers the other layers call per
-//! position or per slot are `#[inline]`: each module compiles into its
+//! small `chain`, `log` and `registry` helpers the other layers call
+//! per position or per slot are `#[inline]`: each module compiles into its
 //! own codegen unit, and without the hint those calls stay calls
 //! (`wfbench`'s `uni_counter` `read_p99_ns` then reads ≈ 20 % higher on
 //! a 2-vCPU host).
@@ -42,6 +43,7 @@ use waitfree_sched::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use waitfree_model::ObjectSpec;
 
+mod chain;
 mod checkpoint;
 mod config;
 mod decide;
@@ -55,17 +57,18 @@ pub use log::{CpImage, Entry, LogEntry, SEGMENT_SIZE};
 pub use registry::REGISTRY_SEGMENT;
 pub use stats::{HandleStats, ObjectStats};
 
-use self::log::Segment;
-use self::registry::{HandleSlot, RegSegment};
+use self::chain::Seg;
+use self::log::LogSeg;
+use self::registry::HandleSlot;
 
 /// The state every handle of one object shares, field groups in layer
 /// order: registry, log, checkpoint/reclaim, and the decide layer's
 /// `hint`.
 struct Shared<S: ObjectSpec> {
     cfg: UniversalConfig,
-    /// First registry segment (slot indices 0..REGISTRY_SEGMENT). Later
-    /// segments hang off its `next` chain and are owned by it.
-    reg_head: Box<RegSegment<S::Op>>,
+    /// Root of the registry chain (slot indices from 0). It never
+    /// moves and nothing behind it is freed before `Shared` drops.
+    reg_head: Box<Seg<HandleSlot<S::Op>>>,
     /// One past the highest slot index ever claimed — the `hi` that
     /// bounds the helping scan and the restated O(peak active) bound.
     /// Slot reuse keeps this at peak concurrent registrations, not
@@ -79,7 +82,7 @@ struct Shared<S: ObjectSpec> {
     /// Root of the live log chain: the oldest segment not yet detached
     /// by reclamation. With checkpointing off this never moves and is
     /// always the base-0 segment.
-    oldest: AtomicPtr<Segment<S>>,
+    oldest: AtomicPtr<LogSeg<S>>,
     /// [`ObjectStats`]' `installed_segments` (a duplicate that loses
     /// the install race is freed and not counted), `reclaimed_segments`
     /// (detached *and freed*) and `checkpoints`: diagnostics only.
@@ -103,7 +106,7 @@ struct Shared<S: ObjectSpec> {
     /// Detached segments awaiting hazard clearance before they can be
     /// freed. Touched only under `reclaim_lock` (and in `Drop`, with
     /// exclusive access).
-    limbo: UnsafeCell<Vec<*mut Segment<S>>>,
+    limbo: UnsafeCell<Vec<*mut LogSeg<S>>>,
     /// Heuristic lower bound on the first undecided position.
     hint: AtomicUsize,
 }
@@ -120,6 +123,28 @@ impl<S: ObjectSpec> fmt::Debug for Shared<S> {
             // (uniform rule for observers).
             .field("hint", &self.hint.load(Ordering::Acquire))
             .finish_non_exhaustive()
+    }
+}
+
+impl<S: ObjectSpec> Drop for Shared<S> {
+    fn drop(&mut self) {
+        // SAFETY: `Drop` has exclusive access. Every segment of the live
+        // log chain (from `oldest`) and of the registry chain after its
+        // boxed root came from `Box::into_raw` and is freed exactly once
+        // here (limbo segments are unreachable from `oldest`).
+        unsafe {
+            Seg::free(*self.oldest.get_mut());
+            Seg::free(*self.reg_head.next.get_mut());
+        }
+        // Whatever reclamation had detached but not yet freed, one by
+        // one: a detached segment's link still points into the live
+        // chain, so it must not be followed.
+        for &p in self.limbo.get_mut().iter() {
+            // SAFETY: limbo holds segments already detached from the
+            // chain (never reachable from `oldest` again), each pushed
+            // exactly once; with exclusive access they are freed here.
+            drop(unsafe { Box::from_raw(p) });
+        }
     }
 }
 
@@ -214,11 +239,11 @@ pub struct WfHandle<S: ObjectSpec> {
     /// only move forward, so the cache never has to back up. Never
     /// reclaimed while cached: its `end()` exceeds the published
     /// frontier, which the reclaim bound cannot pass.
-    replay_seg: *const Segment<S>,
+    replay_seg: *const LogSeg<S>,
     /// Segment cache for the threading loop, whose position is likewise
     /// monotone (it starts at `max(hint, cursor)` — the clamp keeps it
     /// at or above the published frontier, hence unreclaimable).
-    thread_seg: *const Segment<S>,
+    thread_seg: *const LogSeg<S>,
     /// Announce entries this handle displaced from its cell and not yet
     /// recycled (a helper's hazard may still cover the latest few).
     /// Swept opportunistically every

@@ -2,9 +2,10 @@
 //!
 //! The paper fixes the process set `n` at creation time; a long-running
 //! service does not. Following the infinite-arrival construction of
-//! Bonin–Mostéfaoui–Perrin (PAPERS.md), the announce array is a
-//! segmented, lazily grown array of [`REGISTRY_SEGMENT`]-slot blocks,
-//! each slot claimed by one CAS. `WfUniversal::register` is wait-free —
+//! Bonin–Mostéfaoui–Perrin (PAPERS.md), the announce array is the
+//! other instantiation of the log's segmented chain (the `chain`
+//! module), in [`REGISTRY_SEGMENT`]-slot segments, each slot claimed by
+//! one CAS. `WfUniversal::register` is wait-free —
 //! every failed claim CAS implies a *different* concurrent registrant's
 //! success, so the scan's step count is bounded by the number of
 //! concurrently arriving clients. `WfHandle::retire` marks a slot
@@ -18,8 +19,8 @@
 //! registry slot — never a wedged helping loop, because helpers skip a
 //! slot with nothing pending in two loads (`Shared::pending`).
 //!
-//! Orderings: registry segment `next` links are `Release` install /
-//! `Acquire` follow, the log's idiom; `slots_hi`, the registered-slot
+//! Orderings: registry segment links are the chain's (`Release`
+//! install / `Acquire` follow); `slots_hi`, the registered-slot
 //! high-water, is an `AcqRel` `fetch_max` on claim / `Acquire` read, so
 //! a scanner that reads `hi` can reach every slot below it through the
 //! registry chain; slot `state` (free / active / retired) is `SeqCst` —
@@ -45,8 +46,8 @@ pub const REGISTRY_SEGMENT: usize = 8;
 
 /// Registry-slot states. A slot is claimed FREE → ACTIVE by one
 /// `register` CAS, marked ACTIVE → RETIRED by `retire`, and recycled
-/// RETIRED → FREE (by the retiring owner, or lazily by a later
-/// registrant) once nothing is pending on it. A crashed client's slot
+/// RETIRED → FREE by the claim scan of a later `register`, once
+/// nothing is pending on it. A crashed client's slot
 /// simply stays ACTIVE (or RETIRED with a pending op): helpers skip it
 /// in two loads, and it costs one slot, never a wedged loop.
 const SLOT_FREE: usize = 0;
@@ -88,8 +89,8 @@ pub(super) struct HandleSlot<Op> {
     pub(super) frontier: AtomicUsize,
 }
 
-impl<Op> HandleSlot<Op> {
-    fn new() -> Self {
+impl<Op> Default for HandleSlot<Op> {
+    fn default() -> Self {
         HandleSlot {
             state: AtomicUsize::new(SLOT_FREE),
             announced: AtomicUsize::new(0),
@@ -100,7 +101,9 @@ impl<Op> HandleSlot<Op> {
             frontier: AtomicUsize::new(usize::MAX),
         }
     }
+}
 
+impl<Op> HandleSlot<Op> {
     /// Stop pinning anything: the frontier goes to `usize::MAX` first,
     /// then both hazards are cleared. They are already clear in normal
     /// operation (`pending` and the walk clear them on every exit);
@@ -124,42 +127,6 @@ impl<Op> Drop for HandleSlot<Op> {
     }
 }
 
-/// One fixed-size block of the handle registry, covering slot indices
-/// `base .. base + REGISTRY_SEGMENT`. Grown with the same one-CAS
-/// wait-free idiom as the log's segments.
-pub(super) struct RegSegment<Op> {
-    pub(super) base: usize,
-    pub(super) slots: Box<[HandleSlot<Op>]>,
-    pub(super) next: AtomicPtr<RegSegment<Op>>,
-}
-
-impl<Op> RegSegment<Op> {
-    pub(super) fn new(base: usize) -> Box<Self> {
-        Box::new(RegSegment {
-            base,
-            slots: (0..REGISTRY_SEGMENT).map(|_| HandleSlot::new()).collect(),
-            next: AtomicPtr::new(ptr::null_mut()),
-        })
-    }
-}
-
-impl<Op> Drop for RegSegment<Op> {
-    fn drop(&mut self) {
-        // Free the rest of the chain iteratively; each segment's slots
-        // (and their announce cells) drop with their Boxes.
-        let mut next = std::mem::replace(self.next.get_mut(), ptr::null_mut());
-        // progress: bounded — one iteration per registry segment;
-        // exclusive access at drop.
-        while !next.is_null() {
-            // SAFETY: `next` came from `Box::into_raw` in `reg_slot_grow`
-            // and is detached before the Box drops, so each segment is
-            // freed exactly once.
-            let mut seg = unsafe { Box::from_raw(next) };
-            next = std::mem::replace(seg.next.get_mut(), ptr::null_mut());
-        }
-    }
-}
-
 impl<S: ObjectSpec> Shared<S> {
     /// One past the highest slot index ever claimed.
     #[inline]
@@ -176,96 +143,14 @@ impl<S: ObjectSpec> Shared<S> {
     /// thread performed).
     #[inline]
     pub(super) fn reg_slot(&self, t: usize) -> &HandleSlot<S::Op> {
-        // SAFETY (all derefs below): registry segment pointers originate
-        // from `self.reg_head` or from `next` links installed with
-        // Release and read with Acquire; segments are never freed while
-        // `self` is alive.
-        let mut seg: *const RegSegment<S::Op> = &*self.reg_head;
-        // progress: bounded — one hop per installed registry segment; the
-        // caller guarantees slot `t`'s segment is already installed.
-        loop {
-            let s = unsafe { &*seg };
-            if t < s.base + REGISTRY_SEGMENT {
-                return &s.slots[t - s.base];
-            }
-            // ordering: Acquire [pairs: universal.reg_install] — pairs
-            // with the Release install in `reg_slot_grow`, so the
-            // segment's slots are initialized before the link is
-            // observable.
-            let next = s.next.load(Ordering::Acquire);
-            assert!(!next.is_null(), "slot {t} beyond the installed registry");
-            seg = next;
-        }
+        self.reg_head.get(t)
     }
 
-    /// The registry slot at index `t`, growing the registry as needed
-    /// (the `register` path). Growth is wait-free: allocate the missing
-    /// segment, one install CAS, losers free their copy and follow.
-    fn reg_slot_grow(&self, t: usize) -> &HandleSlot<S::Op> {
-        // SAFETY: see `reg_slot`.
-        let mut seg: *const RegSegment<S::Op> = &*self.reg_head;
-        // progress: wait-free — every iteration advances one segment (a
-        // lost install CAS means the winner's link is there to follow),
-        // and slot `t` is a bounded number of segments from the head.
-        loop {
-            let s = unsafe { &*seg };
-            if t < s.base + REGISTRY_SEGMENT {
-                return &s.slots[t - s.base];
-            }
-            // ordering: Acquire [pairs: universal.reg_install] — pairs
-            // with the Release install below.
-            let next = s.next.load(Ordering::Acquire);
-            if !next.is_null() {
-                seg = next;
-                continue;
-            }
-            let fresh = Box::into_raw(RegSegment::new(s.base + REGISTRY_SEGMENT));
-            // ordering: Release on success [site: universal.reg_install;
-            // pairs: universal.reg_install] — publishes the fully
-            // built segment (slots, announce cells) with the link;
-            // Acquire on failure to safely follow the winner.
-            match s.next.compare_exchange(
-                ptr::null_mut(),
-                fresh,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => seg = fresh,
-                Err(winner) => {
-                    // SAFETY: the CAS failed, so `fresh` was never
-                    // published; we still own it exclusively.
-                    drop(unsafe { Box::from_raw(fresh) });
-                    seg = winner;
-                }
-            }
-        }
-    }
-
-    /// Visit slots `0..hi` in index order, one linear walk of the
+    /// Visit slots `0..hi` in index order, one range walk of the
     /// registry chain (the reclaim bound, hazard scans, and limbo
     /// sweeps all use this).
-    pub(super) fn for_each_slot(&self, hi: usize, mut f: impl FnMut(usize, &HandleSlot<S::Op>)) {
-        // SAFETY: see `reg_slot`.
-        let mut seg: *const RegSegment<S::Op> = &*self.reg_head;
-        let mut t = 0usize;
-        // progress: bounded — advances `t` one slot per iteration up to
-        // `hi`, hopping segments the registry has already installed.
-        while t < hi {
-            let s = unsafe { &*seg };
-            if t >= s.base + REGISTRY_SEGMENT {
-                // ordering: Acquire [pairs: universal.reg_install] —
-                // pairs with the Release segment install in
-                // `reg_slot_grow`.
-                let next = s.next.load(Ordering::Acquire);
-                if next.is_null() {
-                    return; // `hi` outran this thread's view of the chain
-                }
-                seg = next;
-                continue;
-            }
-            f(t, &s.slots[t - s.base]);
-            t += 1;
-        }
+    pub(super) fn for_each_slot(&self, hi: usize, f: impl FnMut(usize, &HandleSlot<S::Op>)) {
+        self.reg_head.for_range(0, hi, f);
     }
 
     /// The oldest announced-but-unthreaded entry on `slot`, if any,
@@ -349,16 +234,18 @@ impl<S: ObjectSpec> WfUniversal<S> {
         failpoint!("universal::register");
         let shared = &self.shared;
         let mut t = 0usize;
+        let mut seg = &*shared.reg_head;
         // progress: wait-free — a claim CAS can fail only to another
         // registrant's success, and `t` then advances, so iterations are
         // bounded by slots claimed ahead of us plus the chain length.
         let slot: &HandleSlot<S::Op> = loop {
-            let slot = shared.reg_slot_grow(t);
+            seg = seg.find_or_grow(t, || {});
+            let slot = seg.at(t);
             let claimable = match slot.state.load(Ordering::SeqCst) {
                 SLOT_FREE => true,
                 SLOT_RETIRED => {
-                    // Lazy reclamation: a departed slot with nothing
-                    // pending goes back in the free pool. (A retired
+                    // The one recycling path: a departed slot with
+                    // nothing pending goes back in the free pool. (A retired
                     // slot with a pending op — its owner crashed
                     // mid-operation or hit LogFull — stays helpable and
                     // unclaimed until the op is threaded.)
@@ -439,12 +326,13 @@ impl<S: ObjectSpec> WfHandle<S> {
 
     /// Leave the object: all later invokes on this handle return
     /// [`UniversalError::Retired`](super::UniversalError::Retired), and
-    /// the registry slot becomes reclaimable — immediately if nothing is
-    /// pending on it, otherwise lazily once helpers thread the pending op
-    /// (the slot is freed by the next `register` scan that finds it
-    /// quiesced). The handle's replay frontier is unpinned *first*, so a
-    /// retiring (or crashing-mid-retire) client never holds back segment
-    /// reclamation. Idempotent.
+    /// the registry slot is marked retired. The claim scan of the next
+    /// `register` to reach it recycles it once nothing is pending on it
+    /// (at once, or once helpers thread the pending op), so a crash at
+    /// the `universal::retire` failpoint leaves the slot as a finished
+    /// retire does. The handle's replay frontier is unpinned *first*, so
+    /// a retiring (or crashing-mid-retire) client never holds back
+    /// segment reclamation. Idempotent.
     pub fn retire(&mut self) {
         if self.retired {
             return;
@@ -461,19 +349,6 @@ impl<S: ObjectSpec> WfHandle<S> {
         slot.state.store(SLOT_RETIRED, Ordering::SeqCst);
         self.shared.active.fetch_sub(1, Ordering::SeqCst);
         failpoint!("universal::retire");
-        // Quiesced already? Free the slot ourselves; otherwise leave it
-        // RETIRED for lazy reclamation. A crash right above (at the
-        // failpoint) skips this and costs nothing but the laziness.
-        let d = slot.done.load(Ordering::SeqCst);
-        let a = slot.announced.load(Ordering::SeqCst);
-        if d >= a {
-            let _ = slot.state.compare_exchange(
-                SLOT_RETIRED,
-                SLOT_FREE,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-        }
         // Our frontier may have been the reclaim bound; collect what it
         // was pinning.
         self.shared.try_reclaim();

@@ -70,7 +70,6 @@ fn pair_graph_resolves_and_covers_both_algorithm_crates() {
         "universal.seg_install",
         "universal.seg_count",
         "universal.slots_hi",
-        "universal.reg_install",
         "lockfree.stack_push",
         "lockfree.stack_pop",
         "lockfree.enq",
@@ -81,7 +80,10 @@ fn pair_graph_resolves_and_covers_both_algorithm_crates() {
     }
 
     let pairs = c.declared_pairs();
-    assert!(pairs.len() >= 40, "only {} declared pairs", pairs.len());
+    // 35: the log and the registry share one segment chain, so its
+    // install has three acquirers (the link follow, the losing CAS, the
+    // reclaimer's hop), not the eight two copies of it had.
+    assert!(pairs.len() >= 35, "only {} declared pairs", pairs.len());
     // Every declared pair's release label resolves (re-stating what
     // `findings.is_empty()` above already guarantees, but as data: the
     // label set and the pair set agree).

@@ -601,10 +601,11 @@ fn checkpointed_reader_body(rec: HistoryRecorder<Counter>) {
 /// Registry growth past `REGISTRY_SEGMENT` (8): two workers register
 /// five handles each and keep them live, so slot indices reach 9 and
 /// one worker installs the second registry segment while the other's
-/// slot walks (`reg_slot`, `for_each_slot`, `pending_range`) acquire
-/// from the install — and when both cross the boundary concurrently,
-/// the loser's install CAS acquires the winner's; the collect scan
-/// walks every registered slot.
+/// chain lookups and range walks (`reg_slot`, `for_each_slot`,
+/// `pending_range`) acquire from the install — and when both cross the
+/// boundary concurrently, the loser's install CAS acquires the
+/// winner's; the collect scan walks every registered slot. The log
+/// growth body above drives the same install through the log's chain.
 fn universal_registry_growth_body(rec: HistoryRecorder<Counter>) {
     let obj = WfUniversal::with_config(Counter::new(0), UniversalConfig::default());
     let workers: Vec<_> = (0..2)
